@@ -35,16 +35,7 @@ from .model import (
     edge_probability,
     log_posterior,
 )
-from .prior import (
-    DirichletMode,
-    NeighbourAverage,
-    PriorConfig,
-    TemporalCoupling,
-    concentration,
-    dirichlet_mode,
-    kernel_weight,
-    neighbour_average,
-)
+from .prior import PriorConfig, TemporalCoupling
 from .synthetic import (
     GroundTruth,
     PatternSpec,
@@ -64,7 +55,6 @@ __all__ = [
     "Dataset",
     "DegenerateParameterError",
     "DegenerateParametersWarning",
-    "DirichletMode",
     "EvalResult",
     "FitConfig",
     "FitReport",
@@ -74,7 +64,6 @@ __all__ = [
     "IngestResult",
     "MembershipTensor",
     "ModelArchive",
-    "NeighbourAverage",
     "Observation",
     "PatternSpec",
     "PriorConfig",
@@ -84,23 +73,19 @@ __all__ = [
     "TemporalCoupling",
     "average_precision",
     "block_matrix",
-    "concentration",
     "coverage_error_normalized",
     "cross_validate",
-    "dirichlet_mode",
     "edge_probability",
     "even_schedule",
     "fit",
     "flow_matrix",
     "generate_memberships",
     "ingest",
-    "kernel_weight",
     "log_posterior",
     "m_step_p",
     "m_step_theta",
     "mean_entropy",
     "membership_flows",
-    "neighbour_average",
     "responsibilities",
     "rmse_aligned",
     "roc_auc",

@@ -1,11 +1,13 @@
 """EM inference for dynamic mixed-membership parameters.
 
-Each iteration computes neighbour averages from the current parameters, makes
-one pass over the observations to accumulate responsibility sums, applies the
-closed-form coordinate updates, and evaluates the objective.  With zero
-coupling the updates are the plain per-epoch maximum-likelihood ones and every
-epoch decouples; with positive coupling the numerator gains ``beta * <x>`` and
-the denominator ``beta``, pulling each row toward its neighbour average.
+Each sweep applies the coordinate updates ``m_step_theta`` and ``m_step_p``,
+then makes one pass over the compressed observations at the new parameters.
+That pass gives both the next sweep's responsibility sums and the objective:
+the log of its normalizers is the log-likelihood, and the prior pull is taken
+at the neighbour averages the next M-step needs anyway.  With zero coupling
+every epoch decouples into plain maximum likelihood; with positive coupling
+the numerator gains ``beta * <x>`` and the denominator ``beta``, pulling each
+row toward its neighbour average.
 """
 from __future__ import annotations
 
@@ -17,13 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractError, DegenerateParameterError
-from .model import (
-    BlockTensor,
-    MembershipTensor,
-    _arrays,
-    _check_triplet,
-    log_posterior,
-)
+from .model import BlockTensor, MembershipTensor, _arrays, _check_triplet, _prior_pull
 from .prior import PriorConfig, TemporalCoupling
 
 _log = logging.getLogger(__name__)
@@ -113,65 +109,33 @@ def responsibilities(theta, p, node, label, epoch):
     return weights / total
 
 
-def _floor_rows(x):
-    np.maximum(x, PROB_FLOOR, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
+def _block(values):
+    return values if isinstance(values, BlockTensor) else BlockTensor(values)
 
 
-def _update_theta(omega_sums, item_epoch_counts, avg, fallback, beta, previous=None):
-    """Membership update: (omega sums + beta*<theta>) / (N_{i,t} + beta).
+def _coordinate_update(sums, counts, averages, beta, previous=None):
+    """Row update ``(sums + beta*<x>) / (counts + beta)`` of (T, R, C) sums.
 
-    ``beta`` is dropped at fallback epochs (their prior is uniform).  Rows with
-    a zero denominator — no observations and no prior pull — keep their
-    previous value (uniform without one).
+    ``beta`` is dropped at fallback epochs (their prior is uniform).  Rows
+    with a zero denominator — no mass and no prior pull — take ``previous``
+    (uniform without one).  Returns the floored rows and how many were reset.
     """
-    T, I, K = omega_sums.shape
     if beta > 0:
-        if avg is None:
+        if averages is None:
             raise ContractError("neighbour averages are required when beta > 0")
+        avg, fallback = averages
         beta_t = np.where(fallback, 0.0, beta)
-        numer = omega_sums + beta_t[:, None, None] * avg
-        denom = item_epoch_counts + beta_t[:, None]
+        numer = sums + beta_t[:, None, None] * avg
+        denom = counts + beta_t[:, None]
     else:
-        numer = omega_sums.copy()
-        denom = np.asarray(item_epoch_counts, dtype=float)
+        numer, denom = sums, counts
     dead = denom == 0
     out = numer / np.where(dead, 1.0, denom)[:, :, None]
     if dead.any():
-        out[dead] = (1.0 / K) if previous is None else previous[dead]
-    return _floor_rows(out)
-
-
-def _update_p_dynamic(omega_sums, avg, fallback, beta):
-    """Per-epoch block update; denominators restricted to the slice's own epoch."""
-    T, K, O = omega_sums.shape
-    if beta > 0:
-        if avg is None:
-            raise ContractError("neighbour averages are required when beta > 0")
-        beta_t = np.where(fallback, 0.0, beta)
-        numer = omega_sums + beta_t[:, None, None] * avg
-        denom = omega_sums.sum(axis=2) + beta_t[:, None]
-    else:
-        numer = omega_sums.copy()
-        denom = omega_sums.sum(axis=2)
-    dead = denom == 0
-    out = numer / np.where(dead, 1.0, denom)[:, :, None]
-    if dead.any():
-        out[dead] = 1.0 / O
-    return _floor_rows(out), int(dead.sum())
-
-
-def _update_p_static(omega_sums):
-    """Single shared block slice: responsibility sums pooled over all epochs."""
-    pooled = omega_sums.sum(axis=0, keepdims=True)
-    O = pooled.shape[2]
-    denom = pooled.sum(axis=2)
-    dead = denom == 0
-    out = pooled / np.where(dead, 1.0, denom)[:, :, None]
-    if dead.any():
-        out[dead] = 1.0 / O
-    return _floor_rows(out), int(dead.sum())
+        out[dead] = (1.0 / sums.shape[2]) if previous is None else previous[dead]
+    np.maximum(out, PROB_FLOOR, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out, int(dead.sum())
 
 
 def m_step_theta(data, omega_sums, averages, prior, previous=None):
@@ -191,9 +155,8 @@ def m_step_theta(data, omega_sums, averages, prior, previous=None):
     T, I, K = omega_sums.shape
     if T != data.n_epochs or I != data.n_items:
         raise ContractError("omega sums do not match the data extents")
-    avg, fallback = averages if averages is not None else (None, None)
-    out = _update_theta(
-        omega_sums, data.item_epoch_counts.astype(float), avg, fallback,
+    out, _ = _coordinate_update(
+        omega_sums, data.item_epoch_counts.astype(float), averages,
         prior.beta_theta, previous,
     )
     return MembershipTensor(out)
@@ -203,27 +166,26 @@ def m_step_p(data, omega_sums, averages, prior, mode="dynamic", current=None):
     """Coordinate update of the block tensor for the requested mode.
 
     ``dynamic`` updates one slice per epoch, ``static`` pools every epoch into
-    a single slice (no temporal prior applies to it), ``fixed`` returns
-    ``current`` untouched.  Clusters whose responsibility mass and prior pull
-    are both zero are reset to uniform rows and counted in the log.
+    a single slice (the same update with no temporal prior), ``fixed`` returns
+    ``current`` untouched.  Returns ``(BlockTensor, rows_reset)``, where
+    ``rows_reset`` counts the cluster rows whose responsibility mass and prior
+    pull were both zero and which were reset to uniform.
     """
     if mode not in P_MODES:
         raise ContractError(f"mode must be one of {P_MODES}, got {mode!r}")
     if mode == "fixed":
         if current is None:
             raise ContractError("fixed mode requires the current block tensor")
-        return current if isinstance(current, BlockTensor) else BlockTensor(current)
+        return _block(current), 0
     omega_sums = np.asarray(omega_sums, dtype=float)
     if omega_sums.ndim != 3 or omega_sums.shape[2] != data.n_labels:
         raise ContractError("omega sums must be (T, K, O) matching the data labels")
+    beta = prior.beta_p
     if mode == "static":
-        out, dead = _update_p_static(omega_sums)
-    else:
-        avg, fallback = averages if averages is not None else (None, None)
-        out, dead = _update_p_dynamic(omega_sums, avg, fallback, prior.beta_p)
-    if dead:
-        _log.warning("dead cluster: %d block rows reset to uniform", dead)
-    return BlockTensor(out)
+        omega_sums = omega_sums.sum(axis=0, keepdims=True)
+        averages, beta = None, 0.0
+    out, dead = _coordinate_update(omega_sums, omega_sums.sum(axis=2), averages, beta)
+    return BlockTensor(out), dead
 
 
 class _Problem:
@@ -233,26 +195,25 @@ class _Problem:
         self.data = data
         self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
         self.weights = w.astype(float)
-        self.item_epoch_counts = data.item_epoch_counts.astype(float)
         self.coupling = TemporalCoupling(data.epoch_counts, config.prior)
-        self.n_epochs = data.n_epochs
-        self.n_items = data.n_items
-        self.n_labels = data.n_labels
 
 
 def _accumulate(theta, p, problem):
-    """One pass over the observations: responsibility sums for both families.
+    """One pass over the observations: responsibility sums and log-likelihood.
 
-    Streams fixed-size blocks so memory stays flat in the number of
-    observations; partial sums merge by addition, so sharding the pass over
-    triplet ranges changes nothing beyond float associativity.
+    Returns the sums for both families and ``sum(w * log(normalizer))``, the
+    log-likelihood of (theta, p).  Streams fixed-size blocks so memory stays
+    flat in the number of observations; partial sums merge by addition, so
+    sharding the pass over triplet ranges changes nothing beyond float
+    associativity.
     """
     T, I, K = theta.shape
-    O = problem.n_labels
+    O = p.shape[2]
     static_p = p.shape[0] == 1
     s_theta = np.zeros((T * I, K))
     n_rows = O if static_p else T * O
     s_p = np.zeros((n_rows, K))
+    loglik = 0.0
     p0t = p[0].T if static_p else None
     for start in range(0, problem.weights.size, CHUNK):
         sl = slice(start, start + CHUNK)
@@ -264,6 +225,7 @@ def _accumulate(theta, p, problem):
         if np.any(denom <= 0.0):
             u = int(np.argmax(denom <= 0.0))
             raise DegenerateParameterError(int(i[u]), int(o[u]), int(t[u]))
+        loglik += float(problem.weights[sl] @ np.log(denom))
         omega *= (problem.weights[sl] / denom)[:, None]
         flat_ti = t * I + i
         flat_to = o if static_p else t * O + o
@@ -271,21 +233,39 @@ def _accumulate(theta, p, problem):
             s_theta[:, k] += np.bincount(flat_ti, weights=omega[:, k], minlength=T * I)
             s_p[:, k] += np.bincount(flat_to, weights=omega[:, k], minlength=n_rows)
     s_p = s_p.reshape(1 if static_p else T, O, K).transpose(0, 2, 1)
-    return s_theta.reshape(T, I, K), s_p
+    return s_theta.reshape(T, I, K), s_p, loglik
+
+
+def _e_step(theta, p, problem, prior):
+    """Responsibility sums, neighbour averages and objective at (theta, p).
+
+    The objective is ``log_posterior(theta, p, data, prior)``.  An average is
+    None for a family that is uncoupled or has a single shared slice.
+    """
+    s_theta, s_p, objective = _accumulate(theta.values, p.values, problem)
+    averages = []
+    for values, beta in ((theta.values, prior.beta_theta), (p.values, prior.beta_p)):
+        avg = None
+        if beta > 0 and values.shape[0] == problem.coupling.n_epochs:
+            avg = problem.coupling.average(values)
+            objective += _prior_pull(values, *avg, beta)
+        averages.append(avg)
+    return s_theta, s_p, averages, objective
 
 
 def _initial(problem, config, restart):
     """Dirichlet(1) start for every epoch slice, streams keyed by (seed, restart, epoch)."""
-    T, I, O = problem.n_epochs, problem.n_items, problem.n_labels
+    data = problem.data
+    T, I, O = data.n_epochs, data.n_items, data.n_labels
     K = config.n_clusters
     theta = np.empty((T, I, K))
-    p = np.empty((T, K, O)) if config.p_mode == "dynamic" else None
+    p = np.empty((T, K, O))
     for t in range(T):
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(restart, t))
         )
         theta[t] = rng.dirichlet(np.ones(K), size=I)
-        if p is not None:
+        if config.p_mode == "dynamic":
             p[t] = rng.dirichlet(np.ones(O), size=K)
     if config.p_mode == "static":
         rng = np.random.default_rng(
@@ -293,57 +273,46 @@ def _initial(problem, config, restart):
         )
         p = rng.dirichlet(np.ones(O), size=K)[None]
     elif config.p_mode == "fixed":
-        fixed = config.fixed_p
-        p = fixed.values if isinstance(fixed, BlockTensor) else BlockTensor(fixed).values
-    return theta, p
+        p = config.fixed_p
+    return MembershipTensor(theta), _block(p)
 
 
 def _run_chain(problem, config, restart):
+    """One EM chain from the start drawn for ``restart``, as a report of its own."""
     theta, p = _initial(problem, config, restart)
     prior = config.prior
-    coupling = problem.coupling
-    T = problem.n_epochs
-    update_p = config.p_mode != "fixed"
     trace = []
     dead_total = 0
     converged = False
     started = time.perf_counter()
+    s_theta, s_p, (avg_theta, avg_p), _ = _e_step(theta, p, problem, prior)
     for _ in range(config.max_iterations):
-        avg_theta = coupling.average(theta) if prior.beta_theta > 0 else None
-        avg_p = None
-        if update_p and config.p_mode == "dynamic" and prior.beta_p > 0:
-            avg_p = coupling.average(p)
-        s_theta, s_p = _accumulate(theta, p, problem)
-        theta = _update_theta(
-            s_theta, problem.item_epoch_counts,
-            avg_theta[0] if avg_theta else None, coupling.fallback,
-            prior.beta_theta, theta,
-        )
-        if config.p_mode == "dynamic":
-            p, dead = _update_p_dynamic(
-                s_p, avg_p[0] if avg_p else None, coupling.fallback, prior.beta_p
-            )
-            dead_total += dead
-        elif config.p_mode == "static":
-            p, dead = _update_p_static(s_p)
-            dead_total += dead
-        objective = log_posterior(theta, p, problem.data, prior, coupling=coupling)
+        theta = m_step_theta(problem.data, s_theta, avg_theta, prior,
+                             previous=theta.values)
+        p, dead = m_step_p(problem.data, s_p, avg_p, prior, mode=config.p_mode,
+                           current=p)
+        dead_total += dead
+        s_theta, s_p, (avg_theta, avg_p), objective = _e_step(theta, p, problem, prior)
         trace.append(objective)
         if len(trace) > 1:
             rel = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
             if rel < config.tol:
                 converged = True
                 break
-    elapsed = time.perf_counter() - started
-    return {
-        "theta": theta,
-        "p": p,
-        "trace": np.asarray(trace),
-        "objective": trace[-1],
-        "converged": converged,
-        "dead_clusters": dead_total,
-        "seconds": elapsed,
-    }
+    seconds = time.perf_counter() - started
+    return FitReport(
+        theta=theta,
+        p=p,
+        trace=np.asarray(trace),
+        n_iterations=len(trace),
+        converged=converged,
+        best_restart=restart,
+        diagnostics={
+            "dead_cluster_resets": dead_total,
+            "seconds_per_iteration": seconds / len(trace),
+        },
+        config=config,
+    )
 
 
 def fit(data, config):
@@ -354,8 +323,7 @@ def fit(data, config):
     belongs to the winning restart.
     """
     if config.p_mode == "fixed":
-        fixed = config.fixed_p
-        pv = fixed.values if isinstance(fixed, BlockTensor) else BlockTensor(fixed).values
+        pv = _block(config.fixed_p).values
         if pv.shape[1] != config.n_clusters or pv.shape[2] != data.n_labels:
             raise ContractError(
                 f"fixed block tensor is {pv.shape[1]}x{pv.shape[2]}, "
@@ -367,39 +335,27 @@ def fit(data, config):
             )
     problem = _Problem(data, config)
     best = None
-    best_restart = -1
     aborted = 0
     last_error = None
     for restart in range(config.restarts):
         try:
-            result = _run_chain(problem, config, restart)
+            report = _run_chain(problem, config, restart)
         except DegenerateParameterError as err:
             aborted += 1
             last_error = err
             _log.warning("restart %d aborted on degenerate parameters: %s", restart, err)
             continue
-        if best is None or result["objective"] > best["objective"]:
-            best = result
-            best_restart = restart
+        if best is None or report.objective > best.objective:
+            best = report
     if best is None:
         raise last_error
-    diagnostics = {
-        "aborted_restarts": aborted,
-        "dead_cluster_resets": best["dead_clusters"],
-        "fallback_epochs": int(problem.coupling.fallback.sum()),
-        "seconds_per_iteration": best["seconds"] / max(len(best["trace"]), 1),
-    }
-    if best["dead_clusters"]:
-        _log.warning(
-            "winning restart reset %d dead cluster rows", best["dead_clusters"]
-        )
-    return FitReport(
-        theta=MembershipTensor(best["theta"]),
-        p=BlockTensor(best["p"]),
-        trace=best["trace"],
-        n_iterations=len(best["trace"]),
-        converged=best["converged"],
-        best_restart=best_restart,
-        diagnostics=diagnostics,
-        config=config,
+    best.diagnostics.update(
+        aborted_restarts=aborted,
+        fallback_epochs=int(problem.coupling.fallback.sum()),
     )
+    if best.diagnostics["dead_cluster_resets"]:
+        _log.warning(
+            "winning restart reset %d dead cluster rows",
+            best.diagnostics["dead_cluster_resets"],
+        )
+    return best

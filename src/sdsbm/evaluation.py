@@ -19,7 +19,7 @@ from scipy.stats import rankdata
 
 from .em import fit
 from .errors import ContractError
-from .model import MembershipTensor
+from .model import BlockTensor, MembershipTensor
 from .prior import TemporalCoupling
 
 _log = logging.getLogger(__name__)

@@ -157,7 +157,7 @@ def _prior_pull(values, avg, fallback, beta):
     return beta * contrib[~fallback].sum()
 
 
-def log_posterior(theta, p, data, prior=None, coupling=None):
+def log_posterior(theta, p, data, prior=None):
     """Log joint density of the data and the temporal prior, up to a constant.
 
     Sum of ``log P(node -> label | t)`` over all observations, plus — for each
@@ -165,9 +165,6 @@ def log_posterior(theta, p, data, prior=None, coupling=None):
     pull ``beta * sum(<x> * log x)`` where ``<x>`` is the kernel-weighted
     neighbour average of the family itself.  Epochs with no weighted
     neighbours contribute nothing (their prior is uniform).
-
-    ``coupling`` may carry a TemporalCoupling built from ``data.epoch_counts``
-    and ``prior``, saving its reconstruction in tight loops.
 
     Returns ``-inf``, and emits a DegenerateParametersWarning naming the first
     offending triplet, when any observed triplet has zero mixture probability.
@@ -196,14 +193,8 @@ def log_posterior(theta, p, data, prior=None, coupling=None):
         total += float(weights @ np.log(mix))
 
     if prior is not None:
-        needs_theta = prior.beta_theta > 0 and th.shape[0] > 1
-        needs_p = prior.beta_p > 0 and pv.shape[0] > 1
-        if (needs_theta or needs_p) and coupling is None:
-            coupling = TemporalCoupling(data.epoch_counts, prior)
-        if needs_theta:
-            avg, fb = coupling.average(th)
-            total += _prior_pull(th, avg, fb, prior.beta_theta)
-        if needs_p:
-            avg, fb = coupling.average(pv)
-            total += _prior_pull(pv, avg, fb, prior.beta_p)
+        coupling = TemporalCoupling(data.epoch_counts, prior)
+        for values, beta in ((th, prior.beta_theta), (pv, prior.beta_p)):
+            if beta > 0 and values.shape[0] > 1:
+                total += _prior_pull(values, *coupling.average(values), beta)
     return total

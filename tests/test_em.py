@@ -163,34 +163,35 @@ class TestMembershipUpdate:
 class TestBlockUpdate:
     def test_single_cluster_single_label(self):
         data = Dataset([0], [0], [0], n_items=1, n_labels=1, n_epochs=1)
-        p = m_step_p(data, np.array([[[2.0]]]), None, PriorConfig())
+        p, reset = m_step_p(data, np.array([[[2.0]]]), None, PriorConfig())
         np.testing.assert_array_equal(p.values, [[[1.0]]])
+        assert reset == 0
 
     def test_plain_maximum_likelihood(self):
         data = random_dataset(1, 2, 2, 4, seed=8)
         omega_sums = np.array([[[3.0, 1.0]]])
-        p = m_step_p(data, omega_sums, None, PriorConfig())
+        p, _ = m_step_p(data, omega_sums, None, PriorConfig())
         np.testing.assert_allclose(p.values, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_fixed_mode_returns_the_input_untouched(self):
         data = _two_label_dataset()
         current = BlockTensor([[0.3, 0.7], [0.9, 0.1]])
-        result = m_step_p(data, np.ones((1, 2, 2)), None, PriorConfig(), mode="fixed",
-                          current=current)
+        result, reset = m_step_p(data, np.ones((1, 2, 2)), None, PriorConfig(),
+                                 mode="fixed", current=current)
         assert result is current
+        assert reset == 0
 
-    def test_dead_cluster_resets_to_uniform(self, caplog):
+    def test_dead_cluster_resets_to_uniform(self):
         data = _two_label_dataset()
         omega_sums = np.array([[[3.0, 1.0], [0.0, 0.0]]])
-        with caplog.at_level("WARNING", logger="sdsbm.em"):
-            p = m_step_p(data, omega_sums, None, PriorConfig())
+        p, rows_reset = m_step_p(data, omega_sums, None, PriorConfig())
         np.testing.assert_allclose(p.values[0, 1], [0.5, 0.5], atol=1e-15)
-        assert "dead cluster" in caplog.text
+        assert rows_reset == 1
 
     def test_static_mode_pools_epochs(self):
         data = random_dataset(2, 2, 2, 8, seed=9)
         omega_sums = np.array([[[3.0, 1.0]], [[1.0, 3.0]]])
-        p = m_step_p(data, omega_sums, None, PriorConfig(), mode="static")
+        p, _ = m_step_p(data, omega_sums, None, PriorConfig(), mode="static")
         assert p.static
         np.testing.assert_allclose(p.values, [[[0.5, 0.5]]], atol=1e-15)
 
@@ -199,7 +200,7 @@ class TestBlockUpdate:
         omega_sums = np.array([[[3.0, 1.0]]])
         avg = np.array([[[0.5, 0.5]]])
         fallback = np.array([False])
-        p = m_step_p(data, omega_sums, (avg, fallback), PriorConfig(beta_p=4.0))
+        p, _ = m_step_p(data, omega_sums, (avg, fallback), PriorConfig(beta_p=4.0))
         # (3 + 4*0.5) / (4 + 4) and (1 + 4*0.5) / 8
         np.testing.assert_allclose(p.values, [[[0.625, 0.375]]], atol=1e-15)
 
@@ -209,7 +210,7 @@ class TestBlockUpdate:
         omega_sums = rng.random((3, 2, 5))
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
         avg, fallback = coupling.average(random_blocks(3, 2, 5, seed=12))
-        p = m_step_p(data, omega_sums, (avg, fallback), PriorConfig(beta_p=1.5))
+        p, _ = m_step_p(data, omega_sums, (avg, fallback), PriorConfig(beta_p=1.5))
         np.testing.assert_allclose(p.values.sum(axis=2), 1.0, atol=1e-9)
 
     def test_bad_mode_rejected(self):
@@ -229,7 +230,7 @@ class TestAccumulation:
         p = random_blocks(3, 2, 3, seed=15)
         config = FitConfig(n_clusters=2, max_iterations=1)
         problem = em._Problem(data, config)
-        s_theta, s_p = em._accumulate(theta, p, problem)
+        s_theta, s_p, loglik = em._accumulate(theta, p, problem)
         expected_theta = np.zeros((3, 4, 2))
         expected_p = np.zeros((3, 2, 3))
         for obs in data:
@@ -238,6 +239,7 @@ class TestAccumulation:
             expected_p[obs.epoch, :, obs.label] += omega
         np.testing.assert_allclose(s_theta, expected_theta, atol=1e-10)
         np.testing.assert_allclose(s_p, expected_p, atol=1e-10)
+        assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 
     def test_static_block_pools_label_sums(self):
         data = random_dataset(3, 4, 3, 60, seed=16)
@@ -245,13 +247,14 @@ class TestAccumulation:
         p = random_blocks(1, 2, 3, seed=18)
         config = FitConfig(n_clusters=2, max_iterations=1)
         problem = em._Problem(data, config)
-        s_theta, s_p = em._accumulate(theta, p, problem)
+        s_theta, s_p, loglik = em._accumulate(theta, p, problem)
         assert s_p.shape == (1, 2, 3)
         expected_p = np.zeros((2, 3))
         for obs in data:
             omega = responsibilities(theta, p, obs.node, obs.label, obs.epoch)
             expected_p[:, obs.label] += omega
         np.testing.assert_allclose(s_p[0], expected_p, atol=1e-10)
+        assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 
     def test_responsibility_mass_lands_where_observed(self):
         data = random_dataset(2, 3, 2, 40, seed=19)
@@ -259,13 +262,14 @@ class TestAccumulation:
         p = random_blocks(2, 3, 2, seed=21)
         config = FitConfig(n_clusters=3, max_iterations=1)
         problem = em._Problem(data, config)
-        s_theta, s_p = em._accumulate(theta, p, problem)
+        s_theta, s_p, loglik = em._accumulate(theta, p, problem)
         # every observation contributes exactly one unit of responsibility
         np.testing.assert_allclose(
             s_theta.sum(axis=2), data.item_epoch_counts, atol=1e-9
         )
         assert s_theta.sum() == pytest.approx(len(data), abs=1e-9)
         assert s_p.sum() == pytest.approx(len(data), abs=1e-9)
+        assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 
 
 def _toy_truth(n_epochs, n_items, seed=0, noise=0.1):
@@ -367,9 +371,9 @@ class TestFit:
             return value
 
         before = frozen_objective(theta, p)
-        s_theta, s_p = em._accumulate(theta, p, problem)
+        s_theta, s_p, _ = em._accumulate(theta, p, problem)
         theta_new = m_step_theta(data, s_theta, avg_theta, prior, previous=theta)
-        p_new = m_step_p(data, s_p, avg_p, prior)
+        p_new, _ = m_step_p(data, s_p, avg_p, prior)
         after = frozen_objective(theta_new.values, p_new.values)
         assert after >= before - 1e-10 * abs(before)
 
@@ -413,3 +417,36 @@ class TestFit:
                                      max_iterations=15, restarts=1, seed=9))
         assert report.theta.n_epochs == 3
         np.testing.assert_allclose(report.theta.values.sum(axis=2), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.0, 4.0, 1000.0])
+    @pytest.mark.parametrize("p_mode", ["dynamic", "static", "fixed"])
+    def test_reported_objective_is_the_log_posterior(self, p_mode, beta):
+        # the engine reads its objective off its own E-step; the reference
+        # objective must agree, prior terms included (fixed p has one slice
+        # per epoch here, so its prior pull counts too)
+        truth = _toy_truth(5, 10, seed=14)
+        data = sample_dataset(truth, 8, seed=14)
+        prior = PriorConfig(beta_theta=beta, beta_p=beta)
+        fixed = BlockTensor(random_blocks(5, 3, 3, seed=15)) if p_mode == "fixed" else None
+        report = fit(data, FitConfig(n_clusters=3, prior=prior, p_mode=p_mode,
+                                     fixed_p=fixed, max_iterations=30, restarts=2,
+                                     seed=10))
+        expected = log_posterior(report.theta, report.p, data, prior)
+        assert report.objective == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p_mode", ["dynamic", "static"])
+    def test_coupling_is_inert_on_a_single_epoch(self, p_mode):
+        # one epoch has no neighbours: its prior is uniform whatever beta is
+        truth = _toy_truth(1, 12, seed=16)
+        data = sample_dataset(truth, 20, seed=16)
+
+        def run(beta):
+            return fit(data, FitConfig(
+                n_clusters=3, prior=PriorConfig(beta_theta=beta, beta_p=beta),
+                p_mode=p_mode, max_iterations=30, restarts=2, seed=11,
+            ))
+
+        coupled, plain = run(5.0), run(0.0)
+        assert np.array_equal(coupled.theta.values, plain.theta.values)
+        assert np.array_equal(coupled.p.values, plain.p.values)
+        assert np.array_equal(coupled.trace, plain.trace)

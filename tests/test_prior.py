@@ -2,17 +2,15 @@
 import numpy as np
 import pytest
 
-from sdsbm import (
-    ContractError,
-    PriorConfig,
-    TemporalCoupling,
+from sdsbm import ContractError, PriorConfig, TemporalCoupling
+
+from conftest import random_memberships
+from prior_reference import (
     concentration,
     dirichlet_mode,
     kernel_weight,
     neighbour_average,
 )
-
-from conftest import random_memberships
 
 
 class TestPriorConfig:
