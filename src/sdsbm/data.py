@@ -97,19 +97,17 @@ class Dataset:
         """Unique triplets plus multiplicities: arrays (epochs, nodes, labels, weights).
 
         Sorted lexicographically by (epoch, node, label); weights are positive
-        ints summing to ``len(self)``.
+        ints summing to ``len(self)``.  Each observation is sorted as one int64
+        key ``(t*I + i)*O + o``, whose order is the lexicographic one.
         """
         if self._compressed is None:
-            if len(self) == 0:
-                empty = np.empty(0, dtype=np.int64)
-                self._compressed = (empty, empty.copy(), empty.copy(), empty.copy())
-            else:
-                stacked = np.stack([self.epochs, self.nodes, self.labels], axis=1)
-                uniq, weights = np.unique(stacked, axis=0, return_counts=True)
-                self._compressed = (
-                    uniq[:, 0].copy(), uniq[:, 1].copy(), uniq[:, 2].copy(),
-                    weights.astype(np.int64),
-                )
+            if self.n_epochs * self.n_items * self.n_labels > np.iinfo(np.int64).max:
+                raise ContractError("extents T*I*O overflow the int64 triplet key")
+            key = (self.epochs * self.n_items + self.nodes) * self.n_labels + self.labels
+            keys, weights = np.unique(key, return_counts=True)
+            epoch_node, labels = np.divmod(keys, self.n_labels)
+            epochs, nodes = np.divmod(epoch_node, self.n_items)
+            self._compressed = (epochs, nodes, labels, weights.astype(np.int64))
         return self._compressed
 
     def subset(self, indices):

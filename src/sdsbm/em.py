@@ -189,12 +189,19 @@ def m_step_p(data, omega_sums, averages, prior, mode="dynamic", current=None):
 
 
 class _Problem:
-    """Immutable per-fit views: compressed triplets, counts, coupling."""
+    """Immutable per-fit views: compressed triplets, flat row keys, counts, coupling.
+
+    ``flat_ti = t*I + i`` and ``flat_to = t*O + o`` index rows of the
+    ``(T*I, K)`` membership and ``(T*O, K)`` block views; a single shared block
+    slice is indexed by the labels alone.
+    """
 
     def __init__(self, data, config):
         self.data = data
         self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
         self.weights = w.astype(float)
+        self.flat_ti = self.epochs_u * data.n_items + self.nodes_u
+        self.flat_to = self.epochs_u * data.n_labels + self.labels_u
         self.coupling = TemporalCoupling(data.epoch_counts, config.prior)
 
 
@@ -202,7 +209,9 @@ def _accumulate(theta, p, problem):
     """One pass over the observations: responsibility sums and log-likelihood.
 
     Returns the sums for both families and ``sum(w * log(normalizer))``, the
-    log-likelihood of (theta, p).  Streams fixed-size blocks so memory stays
+    log-likelihood of (theta, p).  Each block of triplets gathers its rows of
+    the flat ``(T*I, K)`` and ``(T_p*O, K)`` views, and the normalizer adds
+    the K columns left to right.  Streams fixed-size blocks so memory stays
     flat in the number of observations; partial sums merge by addition, so
     sharding the pass over triplet ranges changes nothing beyond float
     associativity.
@@ -210,29 +219,34 @@ def _accumulate(theta, p, problem):
     T, I, K = theta.shape
     O = p.shape[2]
     static_p = p.shape[0] == 1
+    theta_rows = theta.reshape(T * I, K)
+    p_rows = p.transpose(0, 2, 1).reshape(p.shape[0] * O, K)
+    flat_to_all = problem.labels_u if static_p else problem.flat_to
+    n_rows = p_rows.shape[0]
     s_theta = np.zeros((T * I, K))
-    n_rows = O if static_p else T * O
     s_p = np.zeros((n_rows, K))
     loglik = 0.0
-    p0t = p[0].T if static_p else None
     for start in range(0, problem.weights.size, CHUNK):
         sl = slice(start, start + CHUNK)
-        t = problem.epochs_u[sl]
-        i = problem.nodes_u[sl]
-        o = problem.labels_u[sl]
-        omega = theta[t, i, :] * (p0t[o] if static_p else p[t, :, o])
-        denom = omega.sum(axis=1)
+        flat_ti = problem.flat_ti[sl]
+        flat_to = flat_to_all[sl]
+        omega = np.take(theta_rows, flat_ti, axis=0)
+        omega *= np.take(p_rows, flat_to, axis=0)
+        denom = omega[:, 0].copy()
+        for k in range(1, K):
+            denom += omega[:, k]
         if np.any(denom <= 0.0):
-            u = int(np.argmax(denom <= 0.0))
-            raise DegenerateParameterError(int(i[u]), int(o[u]), int(t[u]))
-        loglik += float(problem.weights[sl] @ np.log(denom))
-        omega *= (problem.weights[sl] / denom)[:, None]
-        flat_ti = t * I + i
-        flat_to = o if static_p else t * O + o
+            u = start + int(np.argmax(denom <= 0.0))
+            raise DegenerateParameterError(int(problem.nodes_u[u]),
+                                           int(problem.labels_u[u]),
+                                           int(problem.epochs_u[u]))
+        weights = problem.weights[sl]
+        loglik += float(weights @ np.log(denom))
+        omega *= (weights / denom)[:, None]
         for k in range(K):
             s_theta[:, k] += np.bincount(flat_ti, weights=omega[:, k], minlength=T * I)
             s_p[:, k] += np.bincount(flat_to, weights=omega[:, k], minlength=n_rows)
-    s_p = s_p.reshape(1 if static_p else T, O, K).transpose(0, 2, 1)
+    s_p = s_p.reshape(p.shape[0], O, K).transpose(0, 2, 1)
     return s_theta.reshape(T, I, K), s_p, loglik
 
 

@@ -7,6 +7,7 @@ observations.  Epochs that happen to contain no events are kept.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ def ingest(path, slice_width=None, n_slices=None, delimiter=None):
                 raise IngestError(
                     f"timestamp {parts[2]!r} is not numeric", line_number
                 ) from None
+            if not math.isfinite(stamp):
+                raise IngestError(f"timestamp {parts[2]!r} is not finite", line_number)
             weight = 1
             if len(parts) == 4:
                 try:

@@ -271,6 +271,39 @@ class TestAccumulation:
         assert s_p.sum() == pytest.approx(len(data), abs=1e-9)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 
+    @pytest.mark.parametrize("n_clusters", [1, 3])
+    @pytest.mark.parametrize("n_slices", [3, 1])
+    def test_chunked_pass_matches_one_block(self, monkeypatch, n_clusters, n_slices):
+        # ~80 triplets over 3 epochs; label 5 occurs only in the last epoch,
+        # so every triplet carrying it sits past the first block of 7
+        rng = np.random.default_rng(22)
+        epochs = rng.integers(0, 3, size=200)
+        labels = np.where(epochs == 2, rng.integers(0, 6, size=200),
+                          rng.integers(0, 5, size=200))
+        data = Dataset(rng.integers(0, 6, size=200), labels, epochs,
+                       n_items=6, n_labels=6, n_epochs=3)
+        problem = em._Problem(data, FitConfig(n_clusters=n_clusters, max_iterations=1))
+        assert 70 <= problem.weights.size <= 100
+        theta = random_memberships(3, 6, n_clusters, seed=23)
+        p = random_blocks(n_slices, n_clusters, 6, seed=24)
+        whole = em._accumulate(theta, p, problem)
+        monkeypatch.setattr(em, "CHUNK", 7)
+        chunked = em._accumulate(theta, p, problem)
+        np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-12)
+        np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-12)
+        assert chunked[2] == pytest.approx(whole[2], rel=1e-12)
+
+        # the first triplet (2, i, 5) becomes impossible: its theta row puts all
+        # mass on cluster 0, which never emits label 5
+        u = int(np.argmax((problem.epochs_u == 2) & (problem.labels_u == 5)))
+        assert u >= em.CHUNK
+        i = int(problem.nodes_u[u])
+        theta[2, i] = np.eye(n_clusters)[0]
+        p[0 if n_slices == 1 else 2, 0, 5] = 0.0
+        with pytest.raises(DegenerateParameterError) as info:
+            em._accumulate(theta, p, problem)
+        assert info.value.triplet == (i, 5, 2)
+
 
 def _toy_truth(n_epochs, n_items, seed=0, noise=0.1):
     pattern = PatternSpec(kind="sinusoidal", n_epochs=n_epochs, n_items=n_items,

@@ -14,6 +14,7 @@ from sdsbm import (
     ModelArchive,
     Observation,
     PriorConfig,
+    cli,
     fit,
     ingest,
 )
@@ -159,6 +160,24 @@ class TestIngest:
         assert info.value.line_number == 2
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slicing", [{"slice_width": 1.0}, {"n_slices": 2}])
+    def test_non_finite_timestamps_name_their_line_number(self, tmp_path, stamp,
+                                                          slicing):
+        path = write_events(tmp_path, f"a,x,0\nb,y,1\nc,z,{stamp}\n")
+        with pytest.raises(IngestError, match="not finite") as info:
+            ingest(path, **slicing)
+        assert info.value.line_number == 3
+        assert "line 3" in str(info.value)
+
+    @pytest.mark.parametrize("flag", [["--slice", "1"], ["--slices", "2"]])
+    def test_non_finite_timestamp_exits_3_from_the_cli(self, tmp_path, capsys, flag):
+        path = write_events(tmp_path, "a,x,0\nb,y,nan\n")
+        code = cli.main(["fit", "--data", str(path), *flag, "--clusters", "2",
+                         "--out", str(tmp_path / "model.npz")])
+        assert code == 3
+        assert "line 2: timestamp 'nan' is not finite" in capsys.readouterr().err
+
     def test_empty_file(self, tmp_path):
         path = write_events(tmp_path, "")
         with pytest.raises(IngestError, match="no events"):
@@ -204,6 +223,32 @@ class TestDataset:
         epochs, nodes, labels, _ = data.compressed()
         flat = (epochs * data.n_items + nodes) * data.n_labels + labels
         assert np.all(np.diff(flat) > 0)
+
+    @pytest.mark.parametrize("extents", [
+        (6, 5, 4), (1, 5, 4), (6, 1, 4), (6, 5, 1), (1, 1, 1), (40, 3, 200),
+    ])
+    def test_compressed_matches_row_unique(self, extents):
+        """The single-key sort agrees with ``np.unique`` over stacked rows."""
+        T, I, O = extents
+        for seed in range(5):
+            rng = np.random.default_rng([seed, T, I, O])
+            n = 0 if seed == 0 else int(rng.integers(1, 300))
+            # leave some epochs empty whenever there is more than one
+            live = rng.choice(T, size=max(1, T // 2), replace=False)
+            data = Dataset(rng.integers(0, I, n), rng.integers(0, O, n),
+                           rng.choice(live, n), n_items=I, n_labels=O, n_epochs=T)
+            stacked = np.stack([data.epochs, data.nodes, data.labels], axis=1)
+            rows, counts = np.unique(stacked, axis=0, return_counts=True)
+            got = data.compressed()
+            expected = (rows[:, 0], rows[:, 1], rows[:, 2], counts)
+            for array, reference in zip(got, expected):
+                assert array.dtype == np.int64
+                assert np.array_equal(array, reference)
+
+    def test_compressed_rejects_extents_past_the_int64_key(self):
+        data = Dataset([5], [3], [1], n_items=2**32, n_labels=2**32, n_epochs=2)
+        with pytest.raises(ContractError, match="overflow"):
+            data.compressed()
 
     def test_item_epoch_counts(self):
         data = Dataset([0, 0, 1], [0, 1, 0], [0, 0, 1],
