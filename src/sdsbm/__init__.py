@@ -8,7 +8,7 @@ file ingestion, and model archives.
 """
 
 from .archive import ModelArchive
-from .data import Dataset, Observation
+from .data import Dataset
 from .em import FitConfig, FitReport, fit, m_step_p, m_step_theta, responsibilities
 from .errors import ContractError, DegenerateParameterError, IngestError, SdsbmError
 from .evaluation import (
@@ -64,7 +64,6 @@ __all__ = [
     "IngestResult",
     "MembershipTensor",
     "ModelArchive",
-    "Observation",
     "PatternSpec",
     "PriorConfig",
     "ScoreTable",

@@ -7,20 +7,9 @@ together with its extents: repeated triplets are meaningful and counted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One labeled interaction: node ``node`` produced label ``label`` at epoch ``epoch``."""
-
-    node: int
-    label: int
-    epoch: int
 
 
 class Dataset:
@@ -62,20 +51,8 @@ class Dataset:
         self._item_epoch_counts = None
         self._compressed = None
 
-    @classmethod
-    def from_observations(cls, observations, n_items, n_labels, n_epochs):
-        obs = list(observations)
-        nodes = [o.node for o in obs]
-        labels = [o.label for o in obs]
-        epochs = [o.epoch for o in obs]
-        return cls(nodes, labels, epochs, n_items, n_labels, n_epochs)
-
     def __len__(self):
         return self.nodes.size
-
-    def __iter__(self):
-        for i, o, t in zip(self.nodes, self.labels, self.epochs):
-            yield Observation(int(i), int(o), int(t))
 
     @property
     def item_epoch_counts(self):
@@ -87,11 +64,6 @@ class Dataset:
             counts.setflags(write=False)
             self._item_epoch_counts = counts
         return self._item_epoch_counts
-
-    def labels_for(self, node, epoch):
-        """Multiset of labels node produced at epoch, as a sorted int array."""
-        mask = (self.nodes == node) & (self.epochs == epoch)
-        return np.sort(self.labels[mask])
 
     def compressed(self):
         """Unique triplets plus multiplicities: arrays (epochs, nodes, labels, weights).

@@ -233,10 +233,10 @@ class TestAccumulation:
         s_theta, s_p, loglik = em._accumulate(theta, p, problem)
         expected_theta = np.zeros((3, 4, 2))
         expected_p = np.zeros((3, 2, 3))
-        for obs in data:
-            omega = responsibilities(theta, p, obs.node, obs.label, obs.epoch)
-            expected_theta[obs.epoch, obs.node] += omega
-            expected_p[obs.epoch, :, obs.label] += omega
+        for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
+            omega = responsibilities(theta, p, node, label, epoch)
+            expected_theta[epoch, node] += omega
+            expected_p[epoch, :, label] += omega
         np.testing.assert_allclose(s_theta, expected_theta, atol=1e-10)
         np.testing.assert_allclose(s_p, expected_p, atol=1e-10)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
@@ -250,9 +250,9 @@ class TestAccumulation:
         s_theta, s_p, loglik = em._accumulate(theta, p, problem)
         assert s_p.shape == (1, 2, 3)
         expected_p = np.zeros((2, 3))
-        for obs in data:
-            omega = responsibilities(theta, p, obs.node, obs.label, obs.epoch)
-            expected_p[:, obs.label] += omega
+        for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
+            omega = responsibilities(theta, p, node, label, epoch)
+            expected_p[:, label] += omega
         np.testing.assert_allclose(s_p[0], expected_p, atol=1e-10)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 

@@ -1,4 +1,5 @@
 """Event-file ingestion, dataset container semantics, model archives."""
+import importlib
 import types
 
 import numpy as np
@@ -12,7 +13,6 @@ from sdsbm import (
     IngestError,
     MembershipTensor,
     ModelArchive,
-    Observation,
     PriorConfig,
     cli,
     fit,
@@ -21,6 +21,9 @@ from sdsbm import (
 from sdsbm.archive import TRACE_TAIL
 
 from conftest import random_dataset
+from ingest_reference import ingest as reference_ingest
+
+ingest_module = importlib.import_module("sdsbm.ingest")
 
 
 def write_events(tmp_path, text, name="events.csv"):
@@ -178,6 +181,40 @@ class TestIngest:
         assert code == 3
         assert "line 2: timestamp 'nan' is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,message", [
+        (b"a,x,0,2\nb,y,1,99999999999999999999\n",
+         "line 2: weight '99999999999999999999' exceeds the largest weight, "
+         "9223372036854775807"),
+        (b"a,x,0\ncaf\xe9,y,1\n", "line 2: bytes b'\\xe9' are not valid UTF-8"),
+        (b"caf\xe9,label,timestamp\na,x,0\n",
+         "line 1: bytes b'\\xe9' are not valid UTF-8"),
+    ])
+    def test_unreadable_lines_name_their_line_number(self, tmp_path, capsys, content,
+                                                     message):
+        path = tmp_path / "events.csv"
+        path.write_bytes(content)
+        with pytest.raises(IngestError) as info:
+            ingest(path, slice_width=1)
+        assert str(info.value) == message
+        assert info.value.line_number == int(message.split(":")[0].split()[1])
+        code = cli.main(["fit", "--data", str(path), "--slice", "1", "--clusters", "2",
+                         "--out", str(tmp_path / "model.npz")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_keys_are_decoded_as_utf8(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes("café,日本,0\n\ufeffx,🙂,1\n".encode("utf-8"))
+        result = ingest(path, slice_width=1)
+        assert result.node_keys == ["café", "\ufeffx"]
+        assert result.label_keys == ["日本", "🙂"]
+
+    @pytest.mark.parametrize("delimiter", ["\n", "\r", ",\r\n"])
+    def test_delimiters_with_a_line_break_are_rejected(self, tmp_path, delimiter):
+        path = write_events(tmp_path, "a,x,0\n")
+        with pytest.raises(IngestError, match="contains a line break"):
+            ingest(path, slice_width=1, delimiter=delimiter)
+
     def test_empty_file(self, tmp_path):
         path = write_events(tmp_path, "")
         with pytest.raises(IngestError, match="no events"):
@@ -205,6 +242,133 @@ class TestIngest:
                                       b.dataset.epoch_counts)
         assert a.dataset.n_items == b.dataset.n_items
         assert a.dataset.n_labels == b.dataset.n_labels
+
+
+def _random_stamp(rng):
+    value = float(rng.uniform(-5, 30))
+    kind = int(rng.integers(8))
+    if kind == 0:
+        return str(int(value))
+    if kind == 1:
+        return f"{value:.3f}"
+    if kind == 2:
+        return repr(value)
+    if kind == 3:
+        return f"{value:.4e}".replace("e", str(rng.choice(["e", "E"])))
+    if kind == 4:  # long, leading zeros
+        return "0" * int(rng.integers(1, 40)) + f"{abs(value):.6f}"
+    if kind == 5:  # not numpy-castable digits: Python's float reads these
+        return f"{int(rng.integers(3))}_{int(rng.integers(10))}"
+    if kind == 6:
+        return str(rng.choice([f"+{abs(value):g}", ".5", "7.", "-0"]))
+    return f"{value:g}"
+
+
+def _random_event_file(rng):
+    """Bytes of a random event file, its delimiter and slicing arguments.
+
+    Within the input contract the reference parser shares: ASCII whitespace
+    only, UTF-8 keys, weights that fit in 64 bits.
+    """
+    keys = ["a", "b", "c", "node7", "x_1", "Zeta", "é", "naïve", "日本", "🙂",
+            "k" * 9, "longer-key-" * 3,
+            # differ only by a trailing NUL, which fixed-width byte strings drop
+            "z", "z\x00", "trailing-nul", "trailing-nul\x00"]
+    delimiter = [None, None, None, "", ",", ";", "::", "\t", " ", " | ", "§"][
+        rng.integers(11)]
+    spaces = [" ", "\t", "  ", " \x0b", "\x0c", "\t \t"]
+    blanks = ["", " ", "\t", " \x0b\x0c "]
+    bad_counts = [["a", "x"], ["a", "x", "1", "2", "3"], ["", "", ""]]
+    bad_stamps = ["noon", "1e", "--1", "0x10", "1.2.3", "nan", "inf", "-Infinity",
+                  "1e999", "NaN", "timestamp"]
+    bad_weights = ["heavy", "1.5", "0", "-2", "+-1", "-99999999999999999999"]
+    n_bad = int(rng.choice([0, 0, 1, 2]))
+    bad_at = set(rng.integers(1, 30, n_bad).tolist())
+    lines = []
+    if rng.random() < 0.3:
+        lines.append(["node", "label", "timestamp"] + ["weight"] * int(rng.integers(2)))
+    for number in range(int(rng.integers(1, 30))):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(blanks)))
+            continue
+        # by index: a numpy string array would drop the trailing NULs
+        fields = [keys[rng.integers(len(keys))], keys[rng.integers(len(keys))],
+                  _random_stamp(rng)]
+        if rng.random() < 0.4:
+            fields.append(str(rng.choice(["1", "2", "3", "+2", "07", "1_0"])))
+        if number in bad_at:
+            kind = int(rng.integers(4))
+            if kind == 0:
+                fields = bad_counts[rng.integers(3)]
+            if kind in (1, 3):
+                fields[2] = str(rng.choice(bad_stamps))
+            if kind in (2, 3):  # both: the timestamp is reported
+                fields[3:] = [str(rng.choice(bad_weights))]
+        lines.append(fields)
+    text = []
+    for line in lines:
+        if isinstance(line, list):
+            if delimiter is None and rng.random() < 0.5 or delimiter in ("", " "):
+                line = str(rng.choice(spaces)).join(line)
+            else:
+                sep = "," if delimiter is None else delimiter
+                pad = [str(rng.choice(["", "", " ", "\t "])) for _ in line]
+                line = sep.join(p + field + p[::-1] for p, field in zip(pad, line))
+                if line and rng.random() < 0.1:
+                    line += sep  # a trailing empty field is dropped
+                if delimiter is None and rng.random() < 0.2:
+                    line = line.replace("a", "big node", 1)  # comma keys may hold spaces
+        text.append(line + str(rng.choice(["\n", "\r\n", "\r"])))
+    if text and rng.random() < 0.5:
+        text[-1] = text[-1].rstrip("\r\n")
+    slicing = ({"slice_width": float(rng.choice([0.5, 1.0, 2.5, 7.0]))}
+               if rng.random() < 0.6 else {"n_slices": int(rng.choice([1, 2, 5]))})
+    return "".join(text).encode("utf-8"), delimiter, slicing
+
+
+def _outcome(parse, path, **kwargs):
+    try:
+        result = parse(path, **kwargs)
+    except IngestError as err:
+        return ("error", str(err), err.line_number)
+    data = result.dataset
+    for array in (data.nodes, data.labels, data.epochs):
+        assert array.dtype == np.int64
+    return ("ok", result.node_keys, result.label_keys, result.t_min,
+            result.slice_width, data.n_items, data.n_labels, data.n_epochs,
+            data.nodes.tolist(), data.labels.tolist(), data.epochs.tolist())
+
+
+class TestIngestMatchesReference:
+    """The block parser against the line-by-line reference in ``ingest_reference``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_files(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng([seed, 4])
+        kinds = set()
+        for trial in range(30):
+            content, delimiter, slicing = _random_event_file(rng)
+            path = tmp_path / f"events{trial}.csv"
+            path.write_bytes(content)
+            # small blocks make lines straddle reads and line ends straddle blocks
+            monkeypatch.setattr(ingest_module, "BLOCK",
+                                int(rng.choice([1, 2, 3, 7, 16, 64, 1 << 18])))
+            expected = _outcome(reference_ingest, path, delimiter=delimiter, **slicing)
+            got = _outcome(ingest, path, delimiter=delimiter, **slicing)
+            assert got == expected, (content, delimiter, slicing)
+            kinds.add(expected[0])
+        assert kinds == {"ok", "error"}
+
+    def test_block_size_does_not_change_the_result(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        lines = [f"u{i},g{j},{t:.6f}" for i, j, t in zip(
+            rng.integers(0, 300, 1500), rng.integers(0, 20, 1500),
+            np.sort(rng.uniform(0, 50, 1500)))]
+        path = write_events(tmp_path, "\r\n".join(lines))
+        expected = _outcome(reference_ingest, path, slice_width=1.0)
+        for block in (13, 1000, 1 << 18):
+            monkeypatch.setattr(ingest_module, "BLOCK", block)
+            assert _outcome(ingest, path, slice_width=1.0) == expected
 
 
 class TestDataset:
@@ -257,12 +421,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.item_epoch_counts[0, 0] = 5
 
-    def test_labels_for_returns_the_sorted_multiset(self):
-        data = Dataset([0, 0, 0, 1], [2, 0, 2, 1], [1, 1, 1, 1],
-                       n_items=2, n_labels=3, n_epochs=2)
-        np.testing.assert_array_equal(data.labels_for(0, 1), [0, 2, 2])
-        assert data.labels_for(0, 0).size == 0
-
     def test_subset_keeps_extents(self):
         data = random_dataset(3, 4, 5, 30, seed=61)
         part = data.subset([0, 2, 4])
@@ -277,12 +435,6 @@ class TestDataset:
         assert flat.n_epochs == 1
         np.testing.assert_array_equal(flat.epoch_counts, [40])
         np.testing.assert_array_equal(flat.nodes, data.nodes)
-
-    def test_observation_round_trip(self):
-        data = Dataset([1, 0], [0, 1], [1, 0], n_items=2, n_labels=2, n_epochs=2)
-        rebuilt = Dataset.from_observations(list(data), 2, 2, 2)
-        np.testing.assert_array_equal(rebuilt.nodes, data.nodes)
-        assert next(iter(data)) == Observation(1, 0, 1)
 
     def test_out_of_range_ids_are_named(self):
         with pytest.raises(ContractError, match=r"node id 7 out of range \[0, 3\)"):

@@ -149,8 +149,8 @@ class TestLogPosterior:
         theta = random_memberships(3, 4, 2, seed=8)
         p = random_blocks(3, 2, 5, seed=9)
         expected = sum(
-            np.log(edge_probability(theta, p, obs.node, obs.label, obs.epoch))
-            for obs in data
+            np.log(edge_probability(theta, p, node, label, epoch))
+            for node, label, epoch in zip(data.nodes, data.labels, data.epochs)
         )
         assert log_posterior(theta, p, data) == pytest.approx(expected, rel=1e-12)
 

@@ -178,8 +178,7 @@ class TestSampleDataset:
             PatternSpec(kind="sinusoidal", n_epochs=2, n_items=4),
         )
         data = sample_dataset(truth, 5, seed=3)
-        for obs in data:
-            assert obs.label == assignments[obs.node]
+        np.testing.assert_array_equal(data.labels, assignments[data.nodes])
 
     def test_seeded_sampling_is_deterministic(self):
         truth = _truth()
