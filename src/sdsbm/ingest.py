@@ -72,16 +72,20 @@ class IngestResult:
 
 
 def _blocks(handle):
-    """Yield the file as blocks of whole lines (only the last may lack an ending)."""
-    tail = b""
+    """Yield the file as blocks of whole lines (only the last may lack an ending).
+
+    Each read is searched once and joined once, so a line many reads long
+    costs linear time.
+    """
+    pending = []  # reads since the last cut, with no line end to cut at
     while chunk := handle.read(BLOCK):
-        data = tail + chunk
         # a final "\r" may be the first half of "\r\n", so it waits for the next read
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
-        tail = data[cut:]
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:
-            yield data[:cut]
-    if tail:
+            yield b"".join([*pending, memoryview(chunk)[:cut]])
+            pending = []
+        pending.append(chunk[cut:])
+    if tail := b"".join(pending):
         yield tail
 
 
@@ -118,11 +122,8 @@ def _key_ids(b, data, starts, stops, ids):
     out = np.empty(starts.size, dtype=np.int64)
     firsts, groups, offset = [np.empty(0, dtype=np.intp)], [], 0
     for rows, cells in _length_groups(b, starts, stops - starts):
-        if cells.shape[1] <= 8:  # short keys sort faster as integers
-            cells = np.concatenate(
-                [cells, np.zeros((rows.size, 8 - cells.shape[1]), np.uint8)], axis=1)
-        codes = cells.view(np.uint64 if cells.shape[1] == 8 else f"S{cells.shape[1]}")
-        _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+        codes = cells.view(f"S{cells.shape[1]}").ravel()
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         firsts.append(rows[first])
         groups.append((rows, offset + inverse.ravel()))
         offset += first.size

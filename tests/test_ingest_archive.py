@@ -370,6 +370,29 @@ class TestIngestMatchesReference:
             monkeypatch.setattr(ingest_module, "BLOCK", block)
             assert _outcome(ingest, path, slice_width=1.0) == expected
 
+    def test_lines_many_blocks_long(self, tmp_path, monkeypatch):
+        # The block reader searches each read once and joins it once, so a
+        # line thousands of reads long stays linear; only the result is
+        # asserted here.
+        monkeypatch.setattr(ingest_module, "BLOCK", 5)
+        content = ("a,b,1\r" + "n" * 3000 + "é" * 700 + ",lab,2\r\n" + " " * 999
+                   + "\r\nb,\t" + "日" * 800 + "\t,3,2").encode("utf-8")
+        path = tmp_path / "events.csv"
+        path.write_bytes(content)
+        with open(path, "rb") as handle:
+            blocks = list(ingest_module._blocks(handle))
+        assert b"".join(blocks) == content
+        for block in blocks[:-1]:
+            assert block.endswith(b"\n") or block.endswith(b"\r")
+        assert len(blocks) > 1
+        expected = _outcome(reference_ingest, path, n_slices=2)
+        assert expected[0] == "ok"
+        assert _outcome(ingest, path, n_slices=2) == expected
+        # a long line without any line end fails with its field count
+        path.write_bytes(b"a b " + b"x," * 4000 + b"9")
+        assert _outcome(ingest, path, n_slices=1) == (
+            _outcome(reference_ingest, path, n_slices=1))
+
 
 class TestDataset:
     def test_compressed_merges_repeats(self):
