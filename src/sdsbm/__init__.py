@@ -9,7 +9,7 @@ file ingestion, and model archives.
 
 from .archive import ModelArchive
 from .data import Dataset
-from .em import FitConfig, FitReport, fit, m_step_p, m_step_theta, responsibilities
+from .em import FitConfig, FitReport, fit, m_step_p, m_step_theta
 from .errors import ContractError, DegenerateParameterError, IngestError, SdsbmError
 from .evaluation import (
     DEFAULT_BETA_GRID,
@@ -28,13 +28,7 @@ from .evaluation import (
     write_results,
 )
 from .ingest import IngestResult, ingest
-from .model import (
-    BlockTensor,
-    DegenerateParametersWarning,
-    MembershipTensor,
-    edge_probability,
-    log_posterior,
-)
+from .model import BlockTensor, DegenerateParametersWarning, MembershipTensor, log_posterior
 from .prior import PriorConfig, TemporalCoupling
 from .synthetic import (
     GroundTruth,
@@ -42,7 +36,6 @@ from .synthetic import (
     block_matrix,
     even_schedule,
     generate_memberships,
-    mean_entropy,
     sample_dataset,
 )
 
@@ -74,7 +67,6 @@ __all__ = [
     "block_matrix",
     "coverage_error_normalized",
     "cross_validate",
-    "edge_probability",
     "even_schedule",
     "fit",
     "flow_matrix",
@@ -83,9 +75,7 @@ __all__ = [
     "log_posterior",
     "m_step_p",
     "m_step_theta",
-    "mean_entropy",
     "membership_flows",
-    "responsibilities",
     "rmse_aligned",
     "roc_auc",
     "sample_dataset",

@@ -7,6 +7,7 @@ JSON round-trips exactly).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,27 @@ from .prior import PriorConfig
 FORMAT_VERSION = 1
 #: only this many trailing objective values are kept
 TRACE_TAIL = 50
+
+
+def read_npz(path, names, what):
+    """The arrays ``names`` of the npz file at ``path``, as a dict.
+
+    A file that numpy cannot read as npz, or one that lacks any of the arrays,
+    raises a ContractError naming ``path`` and ``what`` it should have been.
+    File-system errors (no such file, a directory) propagate as OSError.
+    """
+    try:
+        payload = np.load(path, allow_pickle=False)
+        if not isinstance(payload, np.lib.npyio.NpzFile):
+            raise ValueError("a bare .npy array")
+        with payload:
+            arrays = {name: payload[name] for name in names if name in payload.files}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ContractError(f"{path} is not a {what}: numpy cannot read it as npz") from None
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ContractError(f"{path} is not a {what}: it has no {missing[0]!r} array")
+    return arrays
 
 
 @dataclass
@@ -86,21 +108,15 @@ class ModelArchive:
 
     @staticmethod
     def load(path):
-        with np.load(path, allow_pickle=False) as payload:
-            try:
-                meta = json.loads(str(payload["meta"]))
-                theta = payload["theta"]
-                p = payload["p"]
-                trace_tail = payload["trace_tail"]
-            except KeyError as err:
-                raise ContractError(f"not a model archive: missing {err}") from None
+        arrays = read_npz(path, ("meta", "theta", "p", "trace_tail"), "model archive")
+        meta = json.loads(str(arrays["meta"]))
         if meta.get("format_version") != FORMAT_VERSION:
             raise ContractError(
                 f"unsupported archive format {meta.get('format_version')!r}"
             )
         return ModelArchive(
-            theta=MembershipTensor(theta),
-            p=BlockTensor(p),
+            theta=MembershipTensor(arrays["theta"]),
+            p=BlockTensor(arrays["p"]),
             prior=PriorConfig(**meta["prior"]),
             p_mode=meta["p_mode"],
             seed=meta["seed"],
@@ -108,7 +124,7 @@ class ModelArchive:
             label_keys=meta["label_keys"],
             t_min=meta["t_min"],
             slice_width=meta["slice_width"],
-            trace_tail=trace_tail,
+            trace_tail=arrays["trace_tail"],
             converged=meta["converged"],
         )
 

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import ModelArchive
+from .archive import ModelArchive, read_npz
 from .em import FitConfig, fit
 from .errors import ContractError, DegenerateParameterError, IngestError
 from .evaluation import (
     DEFAULT_BETA_GRID,
+    FAMILIES,
     SplitPlan,
     cross_validate,
     membership_flows,
@@ -75,6 +76,19 @@ def _apply_config(argv):
     return argv
 
 
+def _comma_list(convert):
+    """argparse type: a comma-separated list of one or more items, each converted."""
+    def parse(text):
+        items = [item.strip() for item in text.split(",")]
+        if not all(items):
+            raise argparse.ArgumentTypeError(f"empty item in the list {text!r}")
+        try:
+            return tuple(convert(item) for item in items)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad item in the list {text!r}") from None
+    return parse
+
+
 def _read_events(args):
     if args.slices is not None:
         return ingest(args.data, n_slices=args.slices, delimiter=args.delimiter)
@@ -82,46 +96,41 @@ def _read_events(args):
     return ingest(args.data, slice_width=width, delimiter=args.delimiter)
 
 
-def _load_block_file(path, label_keys):
-    """Block tensor from an npz 'p' array, columns reordered to the ingested label ids."""
-    with np.load(path, allow_pickle=False) as payload:
-        if "p" not in payload:
-            raise ContractError(f"{path} has no 'p' array")
-        block = np.asarray(payload["p"], dtype=float)
-    if block.ndim == 2:
-        block = block[None]
+def _key_ids(keys, kind, extent, source):
+    """Integer event-file keys as indices into one axis, of length ``extent``, of a file."""
     try:
-        columns = [int(k) for k in label_keys]
+        ids = [int(k) for k in keys]
     except ValueError:
         raise ContractError(
-            "reordering a block file needs integer label keys in the event file"
+            f"a {source} needs integer {kind} keys in the event file"
         ) from None
-    if max(columns) >= block.shape[2]:
-        raise ContractError(
-            f"event file uses label id {max(columns)}, block file has {block.shape[2]}"
-        )
+    for key in ids:
+        if not 0 <= key < extent:
+            raise ContractError(
+                f"event file uses {kind} id {key}, the {source} has ids 0 to {extent - 1}"
+            )
+    return ids
+
+
+def _load_block_file(path, label_keys):
+    """Block tensor from an npz 'p' array, columns reordered to the ingested label ids."""
+    block = np.asarray(read_npz(path, ("p",), "block file")["p"], dtype=float)
+    if block.ndim == 2:
+        block = block[None]
+    columns = _key_ids(label_keys, "label", block.shape[2], "block file")
     return BlockTensor(block[:, :, columns])
 
 
 def _load_truth(path, node_keys):
     """Planted parameters from a synth run, rows reordered to the ingested node ids."""
-    with np.load(path, allow_pickle=False) as payload:
-        theta = np.asarray(payload["theta"], dtype=float)
-        block = np.asarray(payload["p"], dtype=float)
-        meta = json.loads(str(payload["meta"]))
-    try:
-        rows = [int(k) for k in node_keys]
-    except ValueError:
-        raise ContractError("truth files need integer node keys in the event file") from None
-    if max(rows) >= theta.shape[1]:
-        raise ContractError(
-            f"event file uses node id {max(rows)}, truth has {theta.shape[1]} items"
-        )
-    pattern = PatternSpec(**meta["pattern"])
+    arrays = read_npz(path, ("theta", "p", "meta"), "truth file")
+    theta = np.asarray(arrays["theta"], dtype=float)
+    meta = json.loads(str(arrays["meta"]))
+    rows = _key_ids(node_keys, "node", theta.shape[1], "truth file")
     return GroundTruth(
         theta=MembershipTensor(theta[:, rows, :]),
-        p=BlockTensor(block),
-        pattern=pattern,
+        p=BlockTensor(np.asarray(arrays["p"], dtype=float)),
+        pattern=PatternSpec(**meta["pattern"]),
     )
 
 
@@ -227,19 +236,18 @@ def _cmd_cv(args):
     truth = None
     if args.truth is not None:
         truth = _load_truth(args.truth, result.node_keys)
-    grid = tuple(float(b) for b in args.beta_grid.split(","))
     plan = SplitPlan(
         n_folds=args.folds,
         train_fraction=args.train_fraction,
         validation_fraction=args.val_fraction,
         seed=args.split_seed,
     )
-    families = [name.strip() for name in args.models.split(",") if name.strip()]
     results = []
-    for family in families:
+    for family in args.models:
         results.append(
             cross_validate(
-                result.dataset, family, grid, plan, template=template, truth=truth
+                result.dataset, family, args.beta_grid, plan, template=template,
+                truth=truth,
             )
         )
     dataset_name = Path(args.data).stem
@@ -355,12 +363,13 @@ def _build_parser():
     _add_config_option(cv)
     _add_data_options(cv)
     _add_engine_options(cv)
-    cv.add_argument("--beta-grid", default=",".join(str(b) for b in DEFAULT_BETA_GRID))
+    cv.add_argument("--beta-grid", type=_comma_list(float), default=DEFAULT_BETA_GRID,
+                    help="comma-separated coupling strengths to select from")
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--train-fraction", type=float, default=0.8)
     cv.add_argument("--val-fraction", type=float, default=0.1)
     cv.add_argument("--split-seed", type=int, default=0)
-    cv.add_argument("--models", default="sdsbm,nc,static",
+    cv.add_argument("--models", type=_comma_list(str), default=FAMILIES,
                     help="comma-separated families to evaluate")
     cv.add_argument("--truth", default=None,
                     help="truth.npz from synth; adds membership recovery error")
@@ -399,7 +408,7 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.handler(args)
-    except (ContractError, IngestError, IndexError, FileNotFoundError) as err:
+    except (ContractError, IngestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (DegenerateParameterError, FloatingPointError) as err:

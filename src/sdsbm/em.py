@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractError, DegenerateParameterError
-from .model import BlockTensor, MembershipTensor, _arrays, _check_triplet, _prior_pull
+from .model import BlockTensor, MembershipTensor, _prior_pull
 from .prior import PriorConfig, TemporalCoupling
 
 _log = logging.getLogger(__name__)
@@ -91,22 +91,6 @@ class FitReport:
     @property
     def objective(self):
         return float(self.trace[-1])
-
-
-def responsibilities(theta, p, node, label, epoch):
-    """Posterior cluster weights of one observation, a length-K simplex vector.
-
-    Entry k is ``theta[t, i, k] * p_k(o)`` renormalized over clusters.  A zero
-    normalizer means the observation is impossible under the parameters and
-    raises DegenerateParameterError carrying the triplet.
-    """
-    th, pv = _arrays(theta, p)
-    t_p = _check_triplet(th, pv, node, label, epoch)
-    weights = th[epoch, node] * pv[t_p, :, label]
-    total = weights.sum()
-    if total <= 0:
-        raise DegenerateParameterError(node, label, epoch)
-    return weights / total
 
 
 def _block(values):

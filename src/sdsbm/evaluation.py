@@ -8,7 +8,6 @@ since cluster order is arbitrary.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
 from dataclasses import dataclass, replace
@@ -26,8 +25,6 @@ _log = logging.getLogger(__name__)
 
 DEFAULT_BETA_GRID = (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 FAMILIES = ("sdsbm", "nc", "static")
-#: exhaustive permutation alignment is used up to this many clusters
-MAX_FACTORIAL_CLUSTERS = 8
 
 
 @dataclass(frozen=True)
@@ -203,9 +200,10 @@ def rmse_aligned(estimate, truth):
     """Root-mean-square membership error under the best global cluster relabeling.
 
     One permutation is applied to the estimate's cluster axis for all epochs
-    and items at once; the search is exhaustive up to 8 clusters and solved as
-    an assignment problem (same objective) above that.  A single-slice
-    estimate is compared against every epoch of the truth.
+    and items at once.  The squared error of a relabeling is a sum of
+    per-cluster-pair costs, so the best one solves a K x K linear assignment
+    problem exactly.  A single-slice estimate is compared against every epoch
+    of the truth.
     """
     est = estimate.values if isinstance(estimate, MembershipTensor) else np.asarray(estimate, float)
     tru = truth.values if isinstance(truth, MembershipTensor) else np.asarray(truth, float)
@@ -224,16 +222,8 @@ def rmse_aligned(estimate, truth):
     for a in range(n_clusters):
         diff = flat_est[:, a, None] - flat_tru
         cost[a] = np.einsum("nk,nk->k", diff, diff)
-    if n_clusters <= MAX_FACTORIAL_CLUSTERS:
-        columns = np.arange(n_clusters)
-        best = min(
-            cost[list(perm), columns].sum()
-            for perm in itertools.permutations(range(n_clusters))
-        )
-    else:
-        rows, cols = linear_sum_assignment(cost)
-        best = cost[rows, cols].sum()
-    return float(np.sqrt(best / flat_tru.size))
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].sum() / flat_tru.size))
 
 
 def flow_matrix(source, target):

@@ -124,26 +124,6 @@ def _arrays(theta, p):
     return th, pv
 
 
-def _check_triplet(th, pv, node, label, epoch):
-    """Range-check a triplet against tensor extents; returns the block-slice index."""
-    n_epochs, n_items, _ = th.shape
-    n_labels = pv.shape[2]
-    if not 0 <= node < n_items:
-        raise IndexError(f"node id {node} out of range for I={n_items}")
-    if not 0 <= label < n_labels:
-        raise IndexError(f"label id {label} out of range for O={n_labels}")
-    if not 0 <= epoch < n_epochs:
-        raise IndexError(f"epoch {epoch} out of range for T={n_epochs}")
-    return 0 if pv.shape[0] == 1 else epoch
-
-
-def edge_probability(theta, p, node, label, epoch):
-    """Probability that ``node`` produces ``label`` at ``epoch`` (mixture over clusters)."""
-    th, pv = _arrays(theta, p)
-    t_p = _check_triplet(th, pv, node, label, epoch)
-    return float(th[epoch, node] @ pv[t_p, :, label])
-
-
 def _mixtures(th, pv, epochs, nodes, labels):
     """Mixture probability of each (node, label, epoch) triplet, vectorized."""
     t_p = np.zeros_like(epochs) if pv.shape[0] == 1 else epochs

@@ -44,13 +44,6 @@ class PriorConfig:
         if self.window is not None and self.window < 1:
             raise ContractError(f"window must be >= 1 when given, got {self.window}")
 
-    def beta_for(self, family):
-        if family == "theta":
-            return self.beta_theta
-        if family == "p":
-            return self.beta_p
-        raise ContractError(f"unknown parameter family {family!r}")
-
 
 class TemporalCoupling:
     """Row-normalized neighbour weights for all epochs at once.

@@ -73,21 +73,6 @@ def block_matrix(noise):
     )
 
 
-def mean_entropy(p):
-    """Mean Shannon entropy (nats) of the block tensor's rows.
-
-    Zero for deterministic rows, ``log O`` for uniform ones; ``0 * log 0``
-    counts as zero.
-    """
-    values = p.values if isinstance(p, BlockTensor) else np.asarray(p, dtype=float)
-    if values.ndim == 2:
-        values = values[None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(values > 0, values * np.log(values), 0.0)
-    n_rows = values.shape[0] * values.shape[1]
-    return float(-terms.sum() / n_rows)
-
-
 def _sinusoidal(spec, rng):
     T, I, K = spec.n_epochs, spec.n_items, spec.n_clusters
     if K == 1:

@@ -100,7 +100,7 @@ def concentration(param, counts, config, t, family="theta"):
     ``family`` picks which beta applies ("theta" or "p").  With beta = 0 this
     is exactly the flat all-ones concentration.
     """
-    beta = config.beta_for(family)
+    beta = {"theta": config.beta_theta, "p": config.beta_p}[family]
     avg = neighbour_average(param, counts, config, t)
     return 1.0 + beta * avg.values
 

@@ -30,7 +30,6 @@ from sdsbm import (
     log_posterior,
     m_step_p,
     m_step_theta,
-    responsibilities,
     rmse_aligned,
     roc_auc,
     sample_dataset,
@@ -38,6 +37,7 @@ from sdsbm import (
 from sdsbm.evaluation import FAMILIES
 
 from conftest import random_blocks, random_memberships
+from model_reference import responsibilities
 from prior_reference import concentration, dirichlet_mode
 
 

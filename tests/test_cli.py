@@ -303,6 +303,85 @@ class TestCrossValidationCommand:
         assert len(payload["models"]["sdsbm"]["folds"]) == 2
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--beta-grid", "1,,2"),
+        ("--beta-grid", ""),
+        ("--beta-grid", "1,x"),
+        ("--models", ","),
+        ("--models", "sdsbm,,nc"),
+    ])
+    def test_bad_comma_list_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        events = small_events(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["cv", "--data", str(events), "--clusters", "2",
+                      "--folds", "1", "--max-iter", "2", "--restarts", "1",
+                      flag, value, "--out", str(tmp_path / "cv.csv")])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "cv.csv").exists()
+
+    def test_negative_node_key_is_rejected_by_the_truth(self, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        code, _, _ = run(
+            capsys, "synth", "--epochs", "2", "--items", "3",
+            "--obs-per-epoch", "4", "--out", str(bench),
+        )
+        assert code == 0
+        events = make_events(tmp_path, ["-1,0,0", "0,1,0", "1,2,1", "2,0,1"])
+        code, _, stderr = run(
+            capsys, "cv", "--data", str(events), "--slice", "1", "--clusters", "3",
+            "--truth", str(bench / "truth.npz"), "--folds", "1",
+            "--beta-grid", "0", "--models", "nc", "--max-iter", "2",
+            "--restarts", "1", "--out", str(tmp_path / "cv.csv"),
+        )
+        assert code == 3
+        assert "node id -1" in stderr
+
+
+def _npz_command(flag, events, path, out):
+    """A command line that reads ``path`` through ``flag`` before any fitting."""
+    if flag == "--model":
+        return ["predict", "--model", path, "--node", "n0", "--epoch", "0"]
+    if flag == "--fixed-p":
+        return ["fit", "--data", events, "--clusters", "2", "--fixed-p", path,
+                "--out", out]
+    return ["cv", "--data", events, "--clusters", "2", "--truth", path,
+            "--folds", "1", "--out", out]
+
+
+class TestUnreadableNpzInputs:
+    @pytest.mark.parametrize("flag", ["--model", "--fixed-p", "--truth"])
+    @pytest.mark.parametrize("kind", ["csv", "empty", "npy", "directory"])
+    def test_exit_3_naming_the_path(self, tmp_path, capsys, flag, kind):
+        events = small_events(tmp_path)
+        if kind == "csv":
+            path = events
+        elif kind == "empty":
+            path = tmp_path / "empty.npz"
+            path.write_bytes(b"")
+        elif kind == "npy":
+            path = tmp_path / "bare.npy"
+            np.save(path, np.full((2, 3), 1 / 3))
+        else:
+            path = tmp_path / "folder.npz"
+            path.mkdir()
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, *_npz_command(flag, str(events), str(path), str(out)))
+        assert code == 3
+        assert "error:" in stderr and str(path) in stderr
+        assert not out.exists()
+
+    def test_truth_without_theta_exits_3(self, tmp_path, capsys):
+        events = small_events(tmp_path)
+        path = tmp_path / "truth.npz"
+        np.savez(path, p=np.eye(3))
+        code, _, stderr = run(
+            capsys, *_npz_command("--truth", str(events), str(path), str(tmp_path / "o"))
+        )
+        assert code == 3
+        assert "no 'theta' array" in stderr
+
+
 class TestBlockFileLoading:
     def test_columns_follow_the_event_file_vocabulary(self, tmp_path):
         path = tmp_path / "blocks.npz"
@@ -337,3 +416,17 @@ class TestBlockFileLoading:
         archive = ModelArchive.load(out)
         assert archive.p_mode == "fixed"
         np.testing.assert_array_equal(archive.p.values[0], original[:, [1, 0]])
+
+    def test_negative_label_key_is_rejected(self, tmp_path, capsys):
+        events = make_events(tmp_path, ["a,-1,0", "a,0,0", "b,1,1", "b,0,1"])
+        blocks = tmp_path / "blocks.npz"
+        np.savez(blocks, p=np.full((2, 3), 1 / 3))
+        out = tmp_path / "model.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--data", str(events), "--slice", "1",
+            "--clusters", "2", "--fixed-p", str(blocks), "--max-iter", "5",
+            "--restarts", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert "label id -1" in stderr
+        assert not out.exists()

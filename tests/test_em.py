@@ -15,18 +15,17 @@ from sdsbm import (
     PriorConfig,
     TemporalCoupling,
     block_matrix,
-    edge_probability,
     fit,
     generate_memberships,
     log_posterior,
     m_step_p,
     m_step_theta,
-    responsibilities,
     rmse_aligned,
     sample_dataset,
 )
 
 from conftest import random_blocks, random_dataset, random_memberships
+from model_reference import edge_probability, responsibilities
 
 
 class TestFitConfig:

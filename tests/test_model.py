@@ -9,11 +9,11 @@ from sdsbm import (
     DegenerateParametersWarning,
     MembershipTensor,
     PriorConfig,
-    edge_probability,
     log_posterior,
 )
 
 from conftest import random_blocks, random_dataset, random_memberships
+from model_reference import edge_probability
 
 
 class TestTensorValidation:
@@ -66,13 +66,13 @@ class TestTensorValidation:
         theta = random_memberships(2, 3, 2)
         p = random_blocks(2, 3, 4)  # K=3 against theta's K=2
         with pytest.raises(ContractError, match="cluster axes"):
-            edge_probability(theta, p, 0, 0, 0)
+            log_posterior(theta, p, random_dataset(2, 3, 4, 10))
 
     def test_epoch_extent_mismatch(self):
         theta = random_memberships(3, 2, 2)
         p = random_blocks(2, 2, 4)  # neither 1 nor 3 slices
-        with pytest.raises(ContractError, match="epochs"):
-            edge_probability(theta, p, 0, 0, 0)
+        with pytest.raises(ContractError, match="must have 1 or 3 epochs"):
+            log_posterior(theta, p, random_dataset(3, 2, 4, 10))
 
 
 class TestEdgeProbability:

@@ -26,13 +26,6 @@ class TestPriorConfig:
         with pytest.raises(ContractError):
             PriorConfig(**bad)
 
-    def test_beta_for_family(self):
-        config = PriorConfig(beta_theta=2.0, beta_p=5.0)
-        assert config.beta_for("theta") == 2.0
-        assert config.beta_for("p") == 5.0
-        with pytest.raises(ContractError):
-            config.beta_for("q")
-
 
 class TestKernelWeight:
     COUNTS = [2, 10, 7, 3, 10]

