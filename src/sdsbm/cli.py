@@ -97,26 +97,36 @@ def _read_events(args):
 
 
 def _key_ids(keys, kind, extent, source):
-    """Integer event-file keys as indices into one axis, of length ``extent``, of a file."""
+    """Integer event-file keys as indices into one axis, of length ``extent``, of a file.
+
+    Distinct keys naming one index, such as "1" and "01", are refused.
+    """
     try:
         ids = [int(k) for k in keys]
     except ValueError:
         raise ContractError(
             f"a {source} needs integer {kind} keys in the event file"
         ) from None
-    for key in ids:
-        if not 0 <= key < extent:
+    seen = {}
+    for key, index in zip(keys, ids):
+        if not 0 <= index < extent:
             raise ContractError(
-                f"event file uses {kind} id {key}, the {source} has ids 0 to {extent - 1}"
+                f"event file uses {kind} id {index}, the {source} has ids 0 to {extent - 1}"
+            )
+        if seen.setdefault(index, key) != key:
+            raise ContractError(
+                f"event file {kind} keys {seen[index]!r} and {key!r} are both id {index}"
             )
     return ids
 
 
 def _load_block_file(path, label_keys):
     """Block tensor from an npz 'p' array, columns reordered to the ingested label ids."""
-    block = np.asarray(read_npz(path, ("p",), "block file")["p"], dtype=float)
-    if block.ndim == 2:
-        block = block[None]
+    arrays = read_npz(path, ("p",), "block file")
+    try:
+        block = BlockTensor(arrays["p"]).values
+    except (TypeError, ValueError) as err:
+        raise ContractError(f"{path} is not a block file: {type(err).__name__}: {err}") from None
     columns = _key_ids(label_keys, "label", block.shape[2], "block file")
     return BlockTensor(block[:, :, columns])
 
@@ -124,14 +134,14 @@ def _load_block_file(path, label_keys):
 def _load_truth(path, node_keys):
     """Planted parameters from a synth run, rows reordered to the ingested node ids."""
     arrays = read_npz(path, ("theta", "p", "meta"), "truth file")
-    theta = np.asarray(arrays["theta"], dtype=float)
-    meta = json.loads(str(arrays["meta"]))
+    try:
+        theta = MembershipTensor(arrays["theta"]).values
+        block = BlockTensor(arrays["p"])
+        pattern = PatternSpec(**json.loads(str(arrays["meta"]))["pattern"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ContractError(f"{path} is not a truth file: {type(err).__name__}: {err}") from None
     rows = _key_ids(node_keys, "node", theta.shape[1], "truth file")
-    return GroundTruth(
-        theta=MembershipTensor(theta[:, rows, :]),
-        p=BlockTensor(np.asarray(arrays["p"], dtype=float)),
-        pattern=PatternSpec(**meta["pattern"]),
-    )
+    return GroundTruth(theta=MembershipTensor(theta[:, rows, :]), p=block, pattern=pattern)
 
 
 def _fit_config(args, label_keys, betas=(0.0, 0.0)):

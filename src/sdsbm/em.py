@@ -1,13 +1,12 @@
-"""EM inference for dynamic mixed-membership parameters.
+"""EM inference for dynamic mixed-membership parameters: M-steps, sweeps, restarts.
 
 Each sweep applies the coordinate updates ``m_step_theta`` and ``m_step_p``,
-then makes one pass over the compressed observations at the new parameters.
-That pass gives both the next sweep's responsibility sums and the objective:
-the log of its normalizers is the log-likelihood, and the prior pull is taken
-at the neighbour averages the next M-step needs anyway.  With zero coupling
-every epoch decouples into plain maximum likelihood; with positive coupling
-the numerator gains ``beta * <x>`` and the denominator ``beta``, pulling each
-row toward its neighbour average.
+then runs the forward-model pass of ``sdsbm.model`` (``_e_step``) at the new
+parameters.  That one pass gives both the next sweep's responsibility sums
+and the objective that ``log_posterior`` reports.  With zero coupling every
+epoch decouples into plain maximum likelihood; with positive coupling the
+numerator gains ``beta * <x>`` and the denominator ``beta``, pulling each row
+toward its neighbour average.
 """
 from __future__ import annotations
 
@@ -19,16 +18,13 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractError, DegenerateParameterError
-from .model import BlockTensor, MembershipTensor, _prior_pull
-from .prior import PriorConfig, TemporalCoupling
+from .model import BlockTensor, MembershipTensor, _e_step, _Problem
+from .prior import PriorConfig
 
 _log = logging.getLogger(__name__)
 
 #: updated probabilities are floored here, then rows renormalized
 PROB_FLOOR = 1e-12
-#: observations stream through the E-step in blocks of this many unique triplets
-CHUNK = 1 << 16
-
 P_MODES = ("dynamic", "static", "fixed")
 
 
@@ -172,85 +168,6 @@ def m_step_p(data, omega_sums, averages, prior, mode="dynamic", current=None):
     return BlockTensor(out), dead
 
 
-class _Problem:
-    """Immutable per-fit views: compressed triplets, flat row keys, counts, coupling.
-
-    ``flat_ti = t*I + i`` and ``flat_to = t*O + o`` index rows of the
-    ``(T*I, K)`` membership and ``(T*O, K)`` block views; a single shared block
-    slice is indexed by the labels alone.
-    """
-
-    def __init__(self, data, config):
-        self.data = data
-        self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
-        self.weights = w.astype(float)
-        self.flat_ti = self.epochs_u * data.n_items + self.nodes_u
-        self.flat_to = self.epochs_u * data.n_labels + self.labels_u
-        self.coupling = TemporalCoupling(data.epoch_counts, config.prior)
-
-
-def _accumulate(theta, p, problem):
-    """One pass over the observations: responsibility sums and log-likelihood.
-
-    Returns the sums for both families and ``sum(w * log(normalizer))``, the
-    log-likelihood of (theta, p).  Each block of triplets gathers its rows of
-    the flat ``(T*I, K)`` and ``(T_p*O, K)`` views, and the normalizer adds
-    the K columns left to right.  Streams fixed-size blocks so memory stays
-    flat in the number of observations; partial sums merge by addition, so
-    sharding the pass over triplet ranges changes nothing beyond float
-    associativity.
-    """
-    T, I, K = theta.shape
-    O = p.shape[2]
-    static_p = p.shape[0] == 1
-    theta_rows = theta.reshape(T * I, K)
-    p_rows = p.transpose(0, 2, 1).reshape(p.shape[0] * O, K)
-    flat_to_all = problem.labels_u if static_p else problem.flat_to
-    n_rows = p_rows.shape[0]
-    s_theta = np.zeros((T * I, K))
-    s_p = np.zeros((n_rows, K))
-    loglik = 0.0
-    for start in range(0, problem.weights.size, CHUNK):
-        sl = slice(start, start + CHUNK)
-        flat_ti = problem.flat_ti[sl]
-        flat_to = flat_to_all[sl]
-        omega = np.take(theta_rows, flat_ti, axis=0)
-        omega *= np.take(p_rows, flat_to, axis=0)
-        denom = omega[:, 0].copy()
-        for k in range(1, K):
-            denom += omega[:, k]
-        if np.any(denom <= 0.0):
-            u = start + int(np.argmax(denom <= 0.0))
-            raise DegenerateParameterError(int(problem.nodes_u[u]),
-                                           int(problem.labels_u[u]),
-                                           int(problem.epochs_u[u]))
-        weights = problem.weights[sl]
-        loglik += float(weights @ np.log(denom))
-        omega *= (weights / denom)[:, None]
-        for k in range(K):
-            s_theta[:, k] += np.bincount(flat_ti, weights=omega[:, k], minlength=T * I)
-            s_p[:, k] += np.bincount(flat_to, weights=omega[:, k], minlength=n_rows)
-    s_p = s_p.reshape(p.shape[0], O, K).transpose(0, 2, 1)
-    return s_theta.reshape(T, I, K), s_p, loglik
-
-
-def _e_step(theta, p, problem, prior):
-    """Responsibility sums, neighbour averages and objective at (theta, p).
-
-    The objective is ``log_posterior(theta, p, data, prior)``.  An average is
-    None for a family that is uncoupled or has a single shared slice.
-    """
-    s_theta, s_p, objective = _accumulate(theta.values, p.values, problem)
-    averages = []
-    for values, beta in ((theta.values, prior.beta_theta), (p.values, prior.beta_p)):
-        avg = None
-        if beta > 0 and values.shape[0] == problem.coupling.n_epochs:
-            avg = problem.coupling.average(values)
-            objective += _prior_pull(values, *avg, beta)
-        averages.append(avg)
-    return s_theta, s_p, averages, objective
-
-
 def _initial(problem, config, restart):
     """Dirichlet(1) start for every epoch slice, streams keyed by (seed, restart, epoch)."""
     data = problem.data
@@ -283,14 +200,15 @@ def _run_chain(problem, config, restart):
     dead_total = 0
     converged = False
     started = time.perf_counter()
-    s_theta, s_p, (avg_theta, avg_p), _ = _e_step(theta, p, problem, prior)
+    s_theta, s_p, (avg_theta, avg_p), _ = _e_step(theta.values, p.values, problem, prior)
     for _ in range(config.max_iterations):
         theta = m_step_theta(problem.data, s_theta, avg_theta, prior,
                              previous=theta.values)
         p, dead = m_step_p(problem.data, s_p, avg_p, prior, mode=config.p_mode,
                            current=p)
         dead_total += dead
-        s_theta, s_p, (avg_theta, avg_p), objective = _e_step(theta, p, problem, prior)
+        s_theta, s_p, (avg_theta, avg_p), objective = _e_step(
+            theta.values, p.values, problem, prior)
         trace.append(objective)
         if len(trace) > 1:
             rel = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
@@ -328,10 +246,8 @@ def fit(data, config):
                 f"need K={config.n_clusters}, O={data.n_labels}"
             )
         if pv.shape[0] not in (1, data.n_epochs):
-            raise ContractError(
-                f"fixed block tensor must have 1 or {data.n_epochs} epochs"
-            )
-    problem = _Problem(data, config)
+            raise ContractError(f"fixed block tensor must have 1 or {data.n_epochs} epochs")
+    problem = _Problem(data, config.prior)
     best = None
     aborted = 0
     last_error = None

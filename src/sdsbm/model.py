@@ -6,19 +6,24 @@ per-cluster label distributions:
     P(node -> label | t) = sum_k theta[t, node, k] * p[t_p, k, label]
 
 where the block tensor either carries one slice per epoch or a single slice
-shared by all of them.
+shared by all of them.  This module owns the one pass over the compressed
+observations, ``_e_step``: it yields EM's responsibility sums and the objective.
+``fit`` runs it every sweep, and ``log_posterior`` is a thin call of it.
 """
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError
-from .prior import TemporalCoupling
+from .errors import ContractError, DegenerateParameterError
+from .prior import PriorConfig, TemporalCoupling
 
 #: constructors accept rows whose sums deviate from 1 by at most this much
 ROW_SUM_TOL = 1e-9
+#: observations stream through the E-step in blocks of this many unique triplets
+CHUNK = 1 << 16
 
 
 class DegenerateParametersWarning(UserWarning):
@@ -124,17 +129,92 @@ def _arrays(theta, p):
     return th, pv
 
 
-def _mixtures(th, pv, epochs, nodes, labels):
-    """Mixture probability of each (node, label, epoch) triplet, vectorized."""
-    t_p = np.zeros_like(epochs) if pv.shape[0] == 1 else epochs
-    return np.einsum("uk,uk->u", th[epochs, nodes, :], pv[t_p, :, labels])
+class _Problem:
+    """Immutable per-fit views: compressed triplets, flat row keys, counts, coupling.
+
+    ``flat_ti = t*I + i`` and ``flat_to = t*O + o`` index rows of the
+    ``(T*I, K)`` membership and ``(T*O, K)`` block views; a single shared block
+    slice is indexed by the labels alone.  The (T, T) coupling is built on
+    first use, so an uncoupled objective never pays for it.
+    """
+
+    def __init__(self, data, prior):
+        self.data = data
+        self.prior = prior
+        self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
+        self.weights = w.astype(float)
+        self.flat_ti = self.epochs_u * data.n_items + self.nodes_u
+        self.flat_to = self.epochs_u * data.n_labels + self.labels_u
+
+    @cached_property
+    def coupling(self):
+        return TemporalCoupling(self.data.epoch_counts, self.prior)
 
 
-def _prior_pull(values, avg, fallback, beta):
-    """beta * sum(<x> * log x) over epochs that have neighbours."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(avg > 0, avg * np.log(values), 0.0)
-    return beta * contrib[~fallback].sum()
+def _accumulate(theta, p, problem):
+    """One pass over the observations: responsibility sums and log-likelihood.
+
+    Returns the sums for both families and ``sum(w * log(normalizer))``, the
+    log-likelihood of (theta, p).  Each block of triplets gathers its rows of
+    the flat ``(T*I, K)`` and ``(T_p*O, K)`` views, and the normalizer adds
+    the K columns left to right.  Streams fixed-size blocks so memory stays
+    flat in the number of observations; partial sums merge by addition, so
+    sharding the pass over triplet ranges changes nothing beyond float
+    associativity.
+    """
+    T, I, K = theta.shape
+    O = p.shape[2]
+    static_p = p.shape[0] == 1
+    theta_rows = theta.reshape(T * I, K)
+    p_rows = p.transpose(0, 2, 1).reshape(p.shape[0] * O, K)
+    flat_to_all = problem.labels_u if static_p else problem.flat_to
+    n_rows = p_rows.shape[0]
+    s_theta = np.zeros((T * I, K))
+    s_p = np.zeros((n_rows, K))
+    loglik = 0.0
+    for start in range(0, problem.weights.size, CHUNK):
+        sl = slice(start, start + CHUNK)
+        flat_ti = problem.flat_ti[sl]
+        flat_to = flat_to_all[sl]
+        omega = np.take(theta_rows, flat_ti, axis=0)
+        omega *= np.take(p_rows, flat_to, axis=0)
+        denom = omega[:, 0].copy()
+        for k in range(1, K):
+            denom += omega[:, k]
+        if np.any(denom <= 0.0):
+            u = start + int(np.argmax(denom <= 0.0))
+            raise DegenerateParameterError(int(problem.nodes_u[u]),
+                                           int(problem.labels_u[u]),
+                                           int(problem.epochs_u[u]))
+        weights = problem.weights[sl]
+        loglik += float(weights @ np.log(denom))
+        omega *= (weights / denom)[:, None]
+        for k in range(K):
+            s_theta[:, k] += np.bincount(flat_ti, weights=omega[:, k], minlength=T * I)
+            s_p[:, k] += np.bincount(flat_to, weights=omega[:, k], minlength=n_rows)
+    s_p = s_p.reshape(p.shape[0], O, K).transpose(0, 2, 1)
+    return s_theta.reshape(T, I, K), s_p, loglik
+
+
+def _e_step(theta, p, problem, prior):
+    """Responsibility sums, neighbour averages and objective at (theta, p) arrays.
+
+    The objective is the log-likelihood plus, for each coupled family, the
+    prior pull ``beta * sum(<x> * log x)`` over epochs that have neighbours,
+    taken at the averages the next M-step needs.  An average is None for a
+    family that is uncoupled or has a single shared slice.
+    """
+    s_theta, s_p, objective = _accumulate(theta, p, problem)
+    averages = []
+    for values, beta in ((theta, prior.beta_theta), (p, prior.beta_p)):
+        avg = None
+        if beta > 0 and values.shape[0] == problem.coupling.n_epochs:
+            mean, fallback = avg = problem.coupling.average(values)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pull = np.where(mean > 0, mean * np.log(values), 0.0)
+            objective += beta * pull[~fallback].sum()
+        averages.append(avg)
+    return s_theta, s_p, averages, objective
 
 
 def log_posterior(theta, p, data, prior=None):
@@ -144,37 +224,27 @@ def log_posterior(theta, p, data, prior=None):
     parameter family with per-epoch slices and a positive coupling — the prior
     pull ``beta * sum(<x> * log x)`` where ``<x>`` is the kernel-weighted
     neighbour average of the family itself.  Epochs with no weighted
-    neighbours contribute nothing (their prior is uniform).
+    neighbours contribute nothing (their prior is uniform).  The parameters
+    must have the data's extents; the value is the objective of the E-step
+    pass that ``fit`` runs.
 
     Returns ``-inf``, and emits a DegenerateParametersWarning naming the first
     offending triplet, when any observed triplet has zero mixture probability.
     """
     th, pv = _arrays(theta, p)
-    if th.shape[0] != data.n_epochs:
-        raise ContractError(
-            f"memberships cover {th.shape[0]} epochs, data has {data.n_epochs}"
+    have = (th.shape[0], th.shape[1], pv.shape[2])
+    need = (data.n_epochs, data.n_items, data.n_labels)
+    if have != need:
+        raise ContractError(f"parameters cover (epochs, items, labels) = {have}, data {need}")
+    prior = PriorConfig() if prior is None else prior
+    try:
+        *_, objective = _e_step(th, pv, _Problem(data, prior), prior)
+    except DegenerateParameterError as err:
+        warnings.warn(
+            "zero mixture probability for observed triplet "
+            "(node={}, label={}, epoch={})".format(*err.triplet),
+            DegenerateParametersWarning,
+            stacklevel=2,
         )
-    if th.shape[1] < data.n_items or pv.shape[2] < data.n_labels:
-        raise ContractError("parameter extents are smaller than the data extents")
-
-    epochs, nodes, labels, weights = data.compressed()
-    total = 0.0
-    if len(epochs):
-        mix = _mixtures(th, pv, epochs, nodes, labels)
-        if np.any(mix <= 0.0):
-            u = int(np.argmax(mix <= 0.0))
-            warnings.warn(
-                f"zero mixture probability for observed triplet (node={nodes[u]}, "
-                f"label={labels[u]}, epoch={epochs[u]})",
-                DegenerateParametersWarning,
-                stacklevel=2,
-            )
-            return float("-inf")
-        total += float(weights @ np.log(mix))
-
-    if prior is not None:
-        coupling = TemporalCoupling(data.epoch_counts, prior)
-        for values, beta in ((th, prior.beta_theta), (pv, prior.beta_p)):
-            if beta > 0 and values.shape[0] > 1:
-                total += _prior_pull(values, *coupling.average(values), beta)
-    return total
+        return float("-inf")
+    return objective

@@ -61,19 +61,22 @@ class TemporalCoupling:
             raise ContractError("need at least one epoch")
         if np.any(counts < 0):
             raise ContractError("epoch counts must be >= 0")
-        t_idx = np.arange(counts.size)
-        gap = np.abs(t_idx[:, None] - t_idx[None, :])
+        # one (T, T) float buffer: gaps, then their powers, then the weights
+        t_idx = np.arange(counts.size, dtype=float)
+        w = np.subtract.outer(t_idx, t_idx)
+        np.abs(w, out=w)
+        if config.window is not None:
+            w[w > config.window] = np.inf  # outside the window: weight 0
+        w **= config.kernel_exponent
         # the diagonal divides by gap 0 and is discarded right after
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = counts[None, :] / gap.astype(float) ** config.kernel_exponent
+            np.divide(counts, w, out=w)
         np.fill_diagonal(w, 0.0)
-        if config.window is not None:
-            w[gap > config.window] = 0.0
         row_sums = w.sum(axis=1)
         self.fallback = row_sums == 0
-        safe = np.where(self.fallback, 1.0, row_sums)
-        self.matrix = w / safe[:, None]
-        self.matrix[self.fallback] = 0.0
+        w /= np.where(self.fallback, 1.0, row_sums)[:, None]
+        w[self.fallback] = 0.0
+        self.matrix = w
         self.n_epochs = counts.size
 
     def average(self, param):

@@ -1,12 +1,19 @@
 """Scalar reference versions of the forward model, used as test oracles.
 
 One observation at a time and written for clarity: the mixture probability of
-a single ``(node, label, epoch)`` triplet and its posterior cluster weights.
-The engine evaluates both for all triplets at once in ``em._accumulate`` and
-``log_posterior``; the tests check those against these.
+a single ``(node, label, epoch)`` triplet, its posterior cluster weights, and
+the objective as a sum over observations plus a per-epoch prior term.  The
+engine evaluates all of them for all triplets at once in one pass,
+``sdsbm.model._e_step``, which both ``fit`` and ``log_posterior`` run; the
+tests check that pass against these.
 """
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
+from prior_reference import neighbour_average
 from sdsbm import DegenerateParameterError
 from sdsbm.model import _arrays
 
@@ -45,3 +52,29 @@ def responsibilities(theta, p, node, label, epoch):
     if total <= 0:
         raise DegenerateParameterError(node, label, epoch)
     return weights / total
+
+
+def log_posterior(theta, p, data, prior=None):
+    """Objective of (theta, p): log-likelihood plus ``beta * sum(<x> * log x)``.
+
+    The log-likelihood adds ``log edge_probability`` over every observation,
+    repeats included.  The prior term covers each family with one slice per
+    epoch and a positive beta, at every epoch that is not a fallback epoch,
+    with ``<x>`` from ``neighbour_average``.
+    """
+    th, pv = _arrays(theta, p)
+    terms = [
+        math.log(edge_probability(th, pv, node, label, epoch))
+        for node, label, epoch in zip(data.nodes, data.labels, data.epochs)
+    ]
+    if prior is not None:
+        for values, beta in ((th, prior.beta_theta), (pv, prior.beta_p)):
+            if beta == 0 or values.shape[0] != data.n_epochs:
+                continue
+            for t in range(data.n_epochs):
+                avg = neighbour_average(values, data.epoch_counts, prior, t)
+                if avg.fallback:
+                    continue
+                mass = avg.values > 0
+                terms.append(beta * float(np.sum(avg.values[mass] * np.log(values[t][mass]))))
+    return math.fsum(terms)

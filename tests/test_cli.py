@@ -337,6 +337,25 @@ class TestCrossValidationCommand:
         assert code == 3
         assert "node id -1" in stderr
 
+    def test_node_keys_naming_one_truth_row_are_rejected(self, tmp_path, capsys):
+        # "+1" and "1" are two nodes of the event file but one planted row
+        bench = tmp_path / "bench"
+        code, _, _ = run(
+            capsys, "synth", "--epochs", "2", "--items", "3",
+            "--obs-per-epoch", "4", "--out", str(bench),
+        )
+        assert code == 0
+        events = make_events(tmp_path, ["+1,0,0", "0,1,0", "1,2,1", "2,0,1"])
+        code, _, stderr = run(
+            capsys, "cv", "--data", str(events), "--slice", "1", "--clusters", "3",
+            "--truth", str(bench / "truth.npz"), "--folds", "1",
+            "--beta-grid", "0", "--models", "nc", "--max-iter", "2",
+            "--restarts", "1", "--out", str(tmp_path / "cv.csv"),
+        )
+        assert code == 3
+        assert "'+1' and '1'" in stderr
+        assert not (tmp_path / "cv.csv").exists()
+
 
 def _npz_command(flag, events, path, out):
     """A command line that reads ``path`` through ``flag`` before any fitting."""
@@ -382,6 +401,26 @@ class TestUnreadableNpzInputs:
         assert "no 'theta' array" in stderr
 
 
+    @pytest.mark.parametrize("content", ["string p", "meta not json", "meta without pattern"])
+    def test_npz_with_wrong_content_exits_3(self, tmp_path, capsys, content):
+        events = small_events(tmp_path)
+        path = tmp_path / "input.npz"
+        theta = np.full((3, 4, 2), 0.5)
+        meta = {"pattern": {"kind": "sinusoidal", "n_epochs": 3, "n_items": 4}}
+        if content == "string p":
+            flag = "--fixed-p"
+            np.savez(path, p=np.array([["a", "b"], ["c", "d"]]))
+        else:
+            flag = "--truth"
+            text = "{not json" if content == "meta not json" else json.dumps({"noise": 0.1})
+            np.savez(path, theta=theta, p=np.eye(2), meta=np.array(text))
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, *_npz_command(flag, str(events), str(path), str(out)))
+        assert code == 3
+        assert "error:" in stderr and str(path) in stderr
+        assert not out.exists()
+
+
 class TestBlockFileLoading:
     def test_columns_follow_the_event_file_vocabulary(self, tmp_path):
         path = tmp_path / "blocks.npz"
@@ -416,6 +455,21 @@ class TestBlockFileLoading:
         archive = ModelArchive.load(out)
         assert archive.p_mode == "fixed"
         np.testing.assert_array_equal(archive.p.values[0], original[:, [1, 0]])
+
+    def test_label_keys_naming_one_column_are_rejected(self, tmp_path, capsys):
+        # "1" and "01" are two labels of the event file but one block column
+        events = make_events(tmp_path, ["a,1,0", "a,01,0", "b,0,1", "b,1,1"])
+        blocks = tmp_path / "blocks.npz"
+        np.savez(blocks, p=np.full((2, 3), 1 / 3))
+        out = tmp_path / "model.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--data", str(events), "--slice", "1",
+            "--clusters", "2", "--fixed-p", str(blocks), "--max-iter", "5",
+            "--restarts", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert "'1' and '01'" in stderr
+        assert not out.exists()
 
     def test_negative_label_key_is_rejected(self, tmp_path, capsys):
         events = make_events(tmp_path, ["a,-1,0", "a,0,0", "b,1,1", "b,0,1"])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-import sdsbm.em as em
+import sdsbm.model as model
 from sdsbm import (
     BlockTensor,
     ContractError,
@@ -17,7 +17,6 @@ from sdsbm import (
     block_matrix,
     fit,
     generate_memberships,
-    log_posterior,
     m_step_p,
     m_step_theta,
     rmse_aligned,
@@ -25,7 +24,7 @@ from sdsbm import (
 )
 
 from conftest import random_blocks, random_dataset, random_memberships
-from model_reference import edge_probability, responsibilities
+from model_reference import edge_probability, log_posterior, responsibilities
 
 
 class TestFitConfig:
@@ -227,9 +226,8 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 80, seed=13)
         theta = random_memberships(3, 4, 2, seed=14)
         p = random_blocks(3, 2, 3, seed=15)
-        config = FitConfig(n_clusters=2, max_iterations=1)
-        problem = em._Problem(data, config)
-        s_theta, s_p, loglik = em._accumulate(theta, p, problem)
+        problem = model._Problem(data, PriorConfig())
+        s_theta, s_p, loglik = model._accumulate(theta, p, problem)
         expected_theta = np.zeros((3, 4, 2))
         expected_p = np.zeros((3, 2, 3))
         for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
@@ -244,9 +242,8 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 60, seed=16)
         theta = random_memberships(3, 4, 2, seed=17)
         p = random_blocks(1, 2, 3, seed=18)
-        config = FitConfig(n_clusters=2, max_iterations=1)
-        problem = em._Problem(data, config)
-        s_theta, s_p, loglik = em._accumulate(theta, p, problem)
+        problem = model._Problem(data, PriorConfig())
+        s_theta, s_p, loglik = model._accumulate(theta, p, problem)
         assert s_p.shape == (1, 2, 3)
         expected_p = np.zeros((2, 3))
         for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
@@ -259,9 +256,8 @@ class TestAccumulation:
         data = random_dataset(2, 3, 2, 40, seed=19)
         theta = random_memberships(2, 3, 3, seed=20)
         p = random_blocks(2, 3, 2, seed=21)
-        config = FitConfig(n_clusters=3, max_iterations=1)
-        problem = em._Problem(data, config)
-        s_theta, s_p, loglik = em._accumulate(theta, p, problem)
+        problem = model._Problem(data, PriorConfig())
+        s_theta, s_p, loglik = model._accumulate(theta, p, problem)
         # every observation contributes exactly one unit of responsibility
         np.testing.assert_allclose(
             s_theta.sum(axis=2), data.item_epoch_counts, atol=1e-9
@@ -281,13 +277,13 @@ class TestAccumulation:
                           rng.integers(0, 5, size=200))
         data = Dataset(rng.integers(0, 6, size=200), labels, epochs,
                        n_items=6, n_labels=6, n_epochs=3)
-        problem = em._Problem(data, FitConfig(n_clusters=n_clusters, max_iterations=1))
+        problem = model._Problem(data, PriorConfig())
         assert 70 <= problem.weights.size <= 100
         theta = random_memberships(3, 6, n_clusters, seed=23)
         p = random_blocks(n_slices, n_clusters, 6, seed=24)
-        whole = em._accumulate(theta, p, problem)
-        monkeypatch.setattr(em, "CHUNK", 7)
-        chunked = em._accumulate(theta, p, problem)
+        whole = model._accumulate(theta, p, problem)
+        monkeypatch.setattr(model, "CHUNK", 7)
+        chunked = model._accumulate(theta, p, problem)
         np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-12)
         np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-12)
         assert chunked[2] == pytest.approx(whole[2], rel=1e-12)
@@ -295,12 +291,12 @@ class TestAccumulation:
         # the first triplet (2, i, 5) becomes impossible: its theta row puts all
         # mass on cluster 0, which never emits label 5
         u = int(np.argmax((problem.epochs_u == 2) & (problem.labels_u == 5)))
-        assert u >= em.CHUNK
+        assert u >= model.CHUNK
         i = int(problem.nodes_u[u])
         theta[2, i] = np.eye(n_clusters)[0]
         p[0 if n_slices == 1 else 2, 0, 5] = 0.0
         with pytest.raises(DegenerateParameterError) as info:
-            em._accumulate(theta, p, problem)
+            model._accumulate(theta, p, problem)
         assert info.value.triplet == (i, 5, 2)
 
 
@@ -386,9 +382,7 @@ class TestFit:
         truth = _toy_truth(5, 10, seed=8)
         data = sample_dataset(truth, 12, seed=8)
         prior = PriorConfig(beta_theta=4.0, beta_p=4.0)
-        config = FitConfig(n_clusters=3, prior=prior, max_iterations=3, restarts=1,
-                           seed=5)
-        problem = em._Problem(data, config)
+        problem = model._Problem(data, prior)
         theta = random_memberships(5, 10, 3, seed=9)
         p = random_blocks(5, 3, 3, seed=10)
         coupling = problem.coupling
@@ -403,7 +397,7 @@ class TestFit:
             return value
 
         before = frozen_objective(theta, p)
-        s_theta, s_p, _ = em._accumulate(theta, p, problem)
+        s_theta, s_p, _ = model._accumulate(theta, p, problem)
         theta_new = m_step_theta(data, s_theta, avg_theta, prior, previous=theta)
         p_new, _ = m_step_p(data, s_p, avg_p, prior)
         after = frozen_objective(theta_new.values, p_new.values)
@@ -453,9 +447,9 @@ class TestFit:
     @pytest.mark.parametrize("beta", [0.0, 4.0, 1000.0])
     @pytest.mark.parametrize("p_mode", ["dynamic", "static", "fixed"])
     def test_reported_objective_is_the_log_posterior(self, p_mode, beta):
-        # the engine reads its objective off its own E-step; the reference
-        # objective must agree, prior terms included (fixed p has one slice
-        # per epoch here, so its prior pull counts too)
+        # the engine reads its objective off its own E-step; the per-observation
+        # reference objective must agree, prior terms included (fixed p has one
+        # slice per epoch here, so its prior pull counts too)
         truth = _toy_truth(5, 10, seed=14)
         data = sample_dataset(truth, 8, seed=14)
         prior = PriorConfig(beta_theta=beta, beta_p=beta)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import sdsbm.model as model
 from sdsbm import (
     BlockTensor,
     ContractError,
@@ -174,7 +175,12 @@ class TestLogPosterior:
         value = log_posterior(theta, p, data, prior)
         assert value == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_coupling_matches_no_prior(self):
+    def test_zero_coupling_matches_no_prior(self, monkeypatch):
+        # an uncoupled objective never builds the (T, T) coupling matrix
+        def no_coupling(*args):
+            raise AssertionError("TemporalCoupling built for an uncoupled objective")
+
+        monkeypatch.setattr(model, "TemporalCoupling", no_coupling)
         data = random_dataset(3, 4, 3, 30, seed=12)
         theta = random_memberships(3, 4, 2, seed=13)
         p = random_blocks(3, 2, 3, seed=14)
@@ -195,6 +201,16 @@ class TestLogPosterior:
         with pytest.warns(DegenerateParametersWarning, match="node=0, label=1, epoch=0"):
             value = log_posterior(theta, p, data)
         assert value == -np.inf
+
+    @pytest.mark.parametrize("axis", ["items", "labels"])
+    def test_parameters_need_the_data_extents(self, axis):
+        # the pass indexes flat (epoch, item) and (epoch, label) rows of the
+        # data's extents, so a larger parameter tensor is refused
+        data = random_dataset(2, 3, 4, 10, seed=19)
+        theta = random_memberships(2, 4 if axis == "items" else 3, 2)
+        p = random_blocks(2, 2, 5 if axis == "labels" else 4)
+        with pytest.raises(ContractError, match=r"data \(2, 3, 4\)"):
+            log_posterior(theta, p, data)
 
     def test_epoch_extent_check(self):
         data = random_dataset(5, 2, 2, 10, seed=18)

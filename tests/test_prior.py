@@ -1,4 +1,6 @@
 """Temporal coupling: kernel weights, neighbour averages, concentrations, modes."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,32 @@ class TestTemporalCoupling:
     def test_rejects_negative_counts(self):
         with pytest.raises(ContractError):
             TemporalCoupling([3, -1], PriorConfig())
+
+    @pytest.mark.parametrize("exponent,window", [(1, None), (2, None), (3, 7), (1, 1)])
+    def test_built_in_one_buffer_with_the_kernel_formula(self, exponent, window):
+        # T = 1000 empty and populated epochs: the construction peaks near one
+        # (T, T) float matrix, and the matrix is bit for bit the plain formula
+        T = 1000
+        counts = np.random.default_rng(7).integers(0, 4, size=T)
+        config = PriorConfig(kernel_exponent=exponent, window=window)
+        tracemalloc.start()
+        try:
+            matrix = TemporalCoupling(counts, config).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * T * T * 8
+
+        gap = np.abs(np.arange(T)[:, None] - np.arange(T)[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = counts[None, :] / gap.astype(float) ** exponent
+        np.fill_diagonal(w, 0.0)
+        if window is not None:
+            w[gap > window] = 0.0
+        row_sums = w.sum(axis=1)
+        expected = w / np.where(row_sums == 0, 1.0, row_sums)[:, None]
+        expected[row_sums == 0] = 0.0
+        assert np.array_equal(matrix, expected)
 
 
 class TestConcentration:
