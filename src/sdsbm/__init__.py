@@ -9,7 +9,7 @@ file ingestion, and model archives.
 
 from .archive import ModelArchive
 from .data import Dataset
-from .em import FitConfig, FitReport, fit, m_step_p, m_step_theta
+from .em import FitConfig, FitReport, fit
 from .errors import ContractError, DegenerateParameterError, IngestError, SdsbmError
 from .evaluation import (
     DEFAULT_BETA_GRID,
@@ -73,8 +73,6 @@ __all__ = [
     "generate_memberships",
     "ingest",
     "log_posterior",
-    "m_step_p",
-    "m_step_theta",
     "membership_flows",
     "rmse_aligned",
     "roc_auc",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .model import BlockTensor, MembershipTensor
+from .model import BlockTensor, MembershipTensor, _arrays
 from .prior import PriorConfig
 
 FORMAT_VERSION = 1
@@ -108,25 +108,40 @@ class ModelArchive:
 
     @staticmethod
     def load(path):
+        """The archive saved at ``path``; content that does not make one is a ContractError."""
         arrays = read_npz(path, ("meta", "theta", "p", "trace_tail"), "model archive")
-        meta = json.loads(str(arrays["meta"]))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise ContractError(
-                f"unsupported archive format {meta.get('format_version')!r}"
+        try:
+            meta = json.loads(str(arrays["meta"]))
+            if meta.get("format_version") != FORMAT_VERSION:
+                raise ContractError(
+                    f"unsupported archive format {meta.get('format_version')!r}"
+                )
+            archive = ModelArchive(
+                theta=MembershipTensor(arrays["theta"]),
+                p=BlockTensor(arrays["p"]),
+                prior=PriorConfig(**meta["prior"]),
+                p_mode=meta["p_mode"],
+                seed=meta["seed"],
+                node_keys=meta["node_keys"],
+                label_keys=meta["label_keys"],
+                t_min=meta["t_min"],
+                slice_width=meta["slice_width"],
+                trace_tail=arrays["trace_tail"],
+                converged=meta["converged"],
             )
-        return ModelArchive(
-            theta=MembershipTensor(arrays["theta"]),
-            p=BlockTensor(arrays["p"]),
-            prior=PriorConfig(**meta["prior"]),
-            p_mode=meta["p_mode"],
-            seed=meta["seed"],
-            node_keys=meta["node_keys"],
-            label_keys=meta["label_keys"],
-            t_min=meta["t_min"],
-            slice_width=meta["slice_width"],
-            trace_tail=arrays["trace_tail"],
-            converged=meta["converged"],
-        )
+            _arrays(archive.theta, archive.p)
+            extents = (archive.theta.n_items, archive.p.n_labels)
+            keys = (len(archive.node_keys), len(archive.label_keys))
+            if keys != extents:
+                raise ContractError(
+                    f"{keys[0]} node and {keys[1]} label keys for "
+                    f"{extents[0]} nodes and {extents[1]} labels"
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise ContractError(
+                f"{path} is not a model archive: {type(err).__name__}: {err}"
+            ) from None
+        return archive
 
     def node_id(self, key):
         try:

@@ -1,7 +1,7 @@
-"""EM inference for dynamic mixed-membership parameters: M-steps, sweeps, restarts.
+"""EM inference for dynamic mixed-membership parameters: the M-step, sweeps, restarts.
 
-Each sweep applies the coordinate updates ``m_step_theta`` and ``m_step_p``,
-then runs the forward-model pass of ``sdsbm.model`` (``_e_step``) at the new
+Each sweep applies the coordinate updates of ``_m_step`` to plain arrays, then
+runs the forward-model pass of ``sdsbm.model`` (``_e_step``) at the new
 parameters.  That one pass gives both the next sweep's responsibility sums
 and the objective that ``log_posterior`` reports.  With zero coupling every
 epoch decouples into plain maximum likelihood; with positive coupling the
@@ -89,10 +89,6 @@ class FitReport:
         return float(self.trace[-1])
 
 
-def _block(values):
-    return values if isinstance(values, BlockTensor) else BlockTensor(values)
-
-
 def _coordinate_update(sums, counts, averages, beta, previous=None):
     """Row update ``(sums + beta*<x>) / (counts + beta)`` of (T, R, C) sums.
 
@@ -118,59 +114,30 @@ def _coordinate_update(sums, counts, averages, beta, previous=None):
     return out, int(dead.sum())
 
 
-def m_step_theta(data, omega_sums, averages, prior, previous=None):
-    """Coordinate update of the membership tensor.
+def _m_step(s_theta, s_p, averages, theta, p, counts, prior, p_mode):
+    """The M-step on plain arrays, from what ``_e_step`` returned at ``(theta, p)``.
 
-    Parameters
-    ----------
-    data : Dataset
-    omega_sums : (T, I, K) array
-        Responsibility sums per (epoch, item, cluster).
-    averages : (values, fallback) pair from ``TemporalCoupling.average``, or
-        None when the membership coupling is zero.
-    prior : PriorConfig
-    previous : optional (T, I, K) array used for rows with no data and no pull.
+    ``counts`` holds the (T, I) observation counts as floats.  The block
+    tensor follows ``p_mode``: ``dynamic`` updates one slice per epoch,
+    ``static`` pools every epoch into one slice with no temporal prior,
+    ``fixed`` returns ``p`` as it came.  Returns ``(theta, p, rows_reset)``,
+    where ``rows_reset`` counts the cluster rows of ``p`` with no mass and no
+    prior pull, which were reset to uniform.
     """
-    omega_sums = np.asarray(omega_sums, dtype=float)
-    T, I, K = omega_sums.shape
-    if T != data.n_epochs or I != data.n_items:
-        raise ContractError("omega sums do not match the data extents")
-    out, _ = _coordinate_update(
-        omega_sums, data.item_epoch_counts.astype(float), averages,
-        prior.beta_theta, previous,
-    )
-    return MembershipTensor(out)
-
-
-def m_step_p(data, omega_sums, averages, prior, mode="dynamic", current=None):
-    """Coordinate update of the block tensor for the requested mode.
-
-    ``dynamic`` updates one slice per epoch, ``static`` pools every epoch into
-    a single slice (the same update with no temporal prior), ``fixed`` returns
-    ``current`` untouched.  Returns ``(BlockTensor, rows_reset)``, where
-    ``rows_reset`` counts the cluster rows whose responsibility mass and prior
-    pull were both zero and which were reset to uniform.
-    """
-    if mode not in P_MODES:
-        raise ContractError(f"mode must be one of {P_MODES}, got {mode!r}")
-    if mode == "fixed":
-        if current is None:
-            raise ContractError("fixed mode requires the current block tensor")
-        return _block(current), 0
-    omega_sums = np.asarray(omega_sums, dtype=float)
-    if omega_sums.ndim != 3 or omega_sums.shape[2] != data.n_labels:
-        raise ContractError("omega sums must be (T, K, O) matching the data labels")
+    avg_theta, avg_p = averages
+    theta, _ = _coordinate_update(s_theta, counts, avg_theta, prior.beta_theta, theta)
+    if p_mode == "fixed":
+        return theta, p, 0
     beta = prior.beta_p
-    if mode == "static":
-        omega_sums = omega_sums.sum(axis=0, keepdims=True)
-        averages, beta = None, 0.0
-    out, dead = _coordinate_update(omega_sums, omega_sums.sum(axis=2), averages, beta)
-    return BlockTensor(out), dead
+    if p_mode == "static":
+        s_p = s_p.sum(axis=0, keepdims=True)
+        avg_p, beta = None, 0.0
+    p, dead = _coordinate_update(s_p, s_p.sum(axis=2), avg_p, beta)
+    return theta, p, dead
 
 
-def _initial(problem, config, restart):
-    """Dirichlet(1) start for every epoch slice, streams keyed by (seed, restart, epoch)."""
-    data = problem.data
+def _initial(data, config, restart, fixed_p):
+    """Dirichlet(1) start arrays, streams keyed by (seed, restart, epoch); ``fixed_p`` as is."""
     T, I, O = data.n_epochs, data.n_items, data.n_labels
     K = config.n_clusters
     theta = np.empty((T, I, K))
@@ -188,27 +155,27 @@ def _initial(problem, config, restart):
         )
         p = rng.dirichlet(np.ones(O), size=K)[None]
     elif config.p_mode == "fixed":
-        p = config.fixed_p
-    return MembershipTensor(theta), _block(p)
+        p = fixed_p
+    return theta, p
 
 
-def _run_chain(problem, config, restart):
-    """One EM chain from the start drawn for ``restart``, as a report of its own."""
-    theta, p = _initial(problem, config, restart)
+def _run_chain(problem, config, restart, counts, fixed_p):
+    """One EM chain on plain arrays from the start drawn for ``restart``.
+
+    Returns a report of its own, whose tensors validate the final arrays once.
+    """
+    theta, p = _initial(problem.data, config, restart, fixed_p)
     prior = config.prior
     trace = []
     dead_total = 0
     converged = False
     started = time.perf_counter()
-    s_theta, s_p, (avg_theta, avg_p), _ = _e_step(theta.values, p.values, problem, prior)
+    s_theta, s_p, averages, _ = _e_step(theta, p, problem, prior)
     for _ in range(config.max_iterations):
-        theta = m_step_theta(problem.data, s_theta, avg_theta, prior,
-                             previous=theta.values)
-        p, dead = m_step_p(problem.data, s_p, avg_p, prior, mode=config.p_mode,
-                           current=p)
+        theta, p, dead = _m_step(s_theta, s_p, averages, theta, p, counts, prior,
+                                 config.p_mode)
         dead_total += dead
-        s_theta, s_p, (avg_theta, avg_p), objective = _e_step(
-            theta.values, p.values, problem, prior)
+        s_theta, s_p, averages, objective = _e_step(theta, p, problem, prior)
         trace.append(objective)
         if len(trace) > 1:
             rel = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
@@ -217,8 +184,8 @@ def _run_chain(problem, config, restart):
                 break
     seconds = time.perf_counter() - started
     return FitReport(
-        theta=theta,
-        p=p,
+        theta=MembershipTensor(theta),
+        p=BlockTensor(p),
         trace=np.asarray(trace),
         n_iterations=len(trace),
         converged=converged,
@@ -236,24 +203,30 @@ def fit(data, config):
 
     Restarts that hit degenerate parameters are aborted, logged and counted;
     the fit fails only if every chain aborts.  Returns a FitReport whose trace
-    belongs to the winning restart.
+    belongs to the winning restart; its tensors are validated once, when the
+    chain ends.  ``diagnostics["fallback_epochs"]`` counts the epochs with no
+    weighted neighbours; it is 0 when both betas are zero, since no epoch then
+    has a coupled prior to fall back from.
     """
+    fixed_p = None
     if config.p_mode == "fixed":
-        pv = _block(config.fixed_p).values
-        if pv.shape[1] != config.n_clusters or pv.shape[2] != data.n_labels:
+        fixed = config.fixed_p
+        fixed_p = (fixed if isinstance(fixed, BlockTensor) else BlockTensor(fixed)).values
+        if fixed_p.shape[1] != config.n_clusters or fixed_p.shape[2] != data.n_labels:
             raise ContractError(
-                f"fixed block tensor is {pv.shape[1]}x{pv.shape[2]}, "
+                f"fixed block tensor is {fixed_p.shape[1]}x{fixed_p.shape[2]}, "
                 f"need K={config.n_clusters}, O={data.n_labels}"
             )
-        if pv.shape[0] not in (1, data.n_epochs):
+        if fixed_p.shape[0] not in (1, data.n_epochs):
             raise ContractError(f"fixed block tensor must have 1 or {data.n_epochs} epochs")
     problem = _Problem(data, config.prior)
+    counts = data.item_epoch_counts.astype(float)
     best = None
     aborted = 0
     last_error = None
     for restart in range(config.restarts):
         try:
-            report = _run_chain(problem, config, restart)
+            report = _run_chain(problem, config, restart, counts, fixed_p)
         except DegenerateParameterError as err:
             aborted += 1
             last_error = err
@@ -263,9 +236,10 @@ def fit(data, config):
             best = report
     if best is None:
         raise last_error
+    coupled = config.prior.beta_theta > 0 or config.prior.beta_p > 0
     best.diagnostics.update(
         aborted_restarts=aborted,
-        fallback_epochs=int(problem.coupling.fallback.sum()),
+        fallback_epochs=int(problem.coupling.fallback.sum()) if coupled else 0,
     )
     if best.diagnostics["dead_cluster_resets"]:
         _log.warning(

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from sdsbm import ModelArchive, cli, flow_matrix
+from sdsbm import BlockTensor, MembershipTensor, ModelArchive, PriorConfig, cli, flow_matrix
+
+from conftest import random_blocks, random_memberships
 
 
 def run(capsys, *argv):
@@ -419,6 +421,56 @@ class TestUnreadableNpzInputs:
         assert code == 3
         assert "error:" in stderr and str(path) in stderr
         assert not out.exists()
+
+
+def _archive_with(path, content):
+    """A saved archive (T=4, 3 nodes, K=3, 3 labels) with one part replaced by ``content``."""
+    ModelArchive(
+        theta=MembershipTensor(random_memberships(4, 3, 3, seed=1)),
+        p=BlockTensor(random_blocks(4, 3, 3, seed=2)),
+        prior=PriorConfig(), p_mode="dynamic", seed=0,
+        node_keys=["n0", "n1", "n2"], label_keys=["a", "b", "c"],
+    ).save(path)
+    with np.load(path) as payload:
+        arrays = dict(payload)
+    meta = json.loads(str(arrays["meta"]))
+    if content == "meta a list":
+        meta = [meta]
+    elif content == "meta without prior":
+        del meta["prior"]
+    elif content == "string theta":
+        arrays["theta"] = np.full((4, 3, 3), "x")
+    elif content == "p with K=2":
+        arrays["p"] = random_blocks(4, 2, 3, seed=3)
+    elif content == "p with 2 of 4 epochs":
+        arrays["p"] = random_blocks(2, 3, 3, seed=3)
+    elif content == "short node_keys":
+        meta["node_keys"] = ["n0", "n1"]
+    elif content == "short label_keys":
+        meta["label_keys"] = ["a"]
+    text = "{not json" if content == "meta not json" else json.dumps(meta)
+    arrays["meta"] = np.array(text)
+    np.savez(path, **arrays)
+
+
+class TestArchiveContent:
+    @pytest.mark.parametrize("command", ["predict", "export-flows"])
+    @pytest.mark.parametrize("content", [
+        "meta not json", "meta a list", "meta without prior", "string theta",
+        "p with K=2", "p with 2 of 4 epochs", "short node_keys", "short label_keys",
+    ])
+    def test_bad_archive_exits_3_naming_the_path(self, tmp_path, capsys, command, content):
+        path = tmp_path / "model.npz"
+        _archive_with(path, content)
+        out = tmp_path / "flows.csv"
+        if command == "predict":
+            argv = ["predict", "--model", str(path), "--node", "n0", "--epoch", "0"]
+        else:
+            argv = ["export-flows", "--model", str(path), "--out", str(out)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 3
+        assert "error:" in stderr and str(path) in stderr
+        assert stdout == "" and not out.exists()
 
 
 class TestBlockFileLoading:

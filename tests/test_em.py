@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import sdsbm.em as em
 import sdsbm.model as model
 from sdsbm import (
     BlockTensor,
@@ -17,8 +18,6 @@ from sdsbm import (
     block_matrix,
     fit,
     generate_memberships,
-    m_step_p,
-    m_step_theta,
     rmse_aligned,
     sample_dataset,
 )
@@ -97,12 +96,28 @@ def _two_label_dataset():
     return Dataset([0, 0], [0, 1], [0, 0], n_items=1, n_labels=2, n_epochs=1)
 
 
+def _theta_step(data, omega_sums, averages, prior, previous=None):
+    """Membership half of the engine's M-step; the block tensor is held fixed."""
+    theta, _, _ = em._m_step(omega_sums, None, (averages, None), previous, None,
+                             data.item_epoch_counts.astype(float), prior, "fixed")
+    return theta
+
+
+def _block_step(data, omega_sums, averages, prior, mode="dynamic", current=None):
+    """Block half of the engine's M-step: ``(p, rows_reset)``."""
+    T, K, _ = np.shape(omega_sums)
+    counts = data.item_epoch_counts.astype(float)
+    _, p, reset = em._m_step(np.zeros((T, data.n_items, K)), omega_sums, (None, averages),
+                             None, current, counts, prior, mode)
+    return p, reset
+
+
 class TestMembershipUpdate:
     def test_plain_maximum_likelihood(self):
         data = _two_label_dataset()
         omega_sums = np.array([[[1.5, 0.5]]])
-        theta = m_step_theta(data, omega_sums, None, PriorConfig())
-        np.testing.assert_allclose(theta.values, [[[0.75, 0.25]]], atol=1e-15)
+        theta = _theta_step(data, omega_sums, None, PriorConfig())
+        np.testing.assert_allclose(theta, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_unobserved_row_equals_the_neighbour_average(self):
         data = Dataset([0], [0], [1], n_items=1, n_labels=1, n_epochs=2)
@@ -111,9 +126,9 @@ class TestMembershipUpdate:
         avg = np.array([[[0.7, 0.3]], [[0.5, 0.5]]])
         fallback = np.array([False, False])
         prior = PriorConfig(beta_theta=2.0)
-        theta = m_step_theta(data, omega_sums, (avg, fallback), prior)
+        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
         # epoch 0 has no observations: numerator and denominator are all prior
-        np.testing.assert_allclose(theta.values[0], [[0.7, 0.3]], atol=1e-12)
+        np.testing.assert_allclose(theta[0], [[0.7, 0.3]], atol=1e-12)
 
     def test_strong_coupling_pins_rows_to_the_average(self):
         data = _two_label_dataset()
@@ -121,8 +136,8 @@ class TestMembershipUpdate:
         avg = np.array([[[0.1, 0.9]]])
         fallback = np.array([False])
         prior = PriorConfig(beta_theta=1e9)
-        theta = m_step_theta(data, omega_sums, (avg, fallback), prior)
-        np.testing.assert_allclose(theta.values, avg, atol=1e-6)
+        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
+        np.testing.assert_allclose(theta, avg, atol=1e-6)
 
     def test_fallback_epoch_ignores_the_coupling(self):
         data = _two_label_dataset()
@@ -130,8 +145,8 @@ class TestMembershipUpdate:
         avg = np.array([[[0.5, 0.5]]])
         fallback = np.array([True])
         prior = PriorConfig(beta_theta=100.0)
-        theta = m_step_theta(data, omega_sums, (avg, fallback), prior)
-        np.testing.assert_allclose(theta.values, [[[0.75, 0.25]]], atol=1e-15)
+        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
+        np.testing.assert_allclose(theta, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
         data = random_dataset(3, 5, 4, 50, seed=5)
@@ -144,63 +159,58 @@ class TestMembershipUpdate:
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
         avg, fallback = coupling.average(random_memberships(3, 5, 4, seed=7))
         prior = PriorConfig(beta_theta=2.5)
-        theta = m_step_theta(data, omega_sums, (avg, fallback), prior)
-        np.testing.assert_allclose(theta.values.sum(axis=2), 1.0, atol=1e-9)
+        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
+        np.testing.assert_allclose(theta.sum(axis=2), 1.0, atol=1e-9)
 
     def test_requires_averages_when_coupled(self):
         data = _two_label_dataset()
         with pytest.raises(ContractError):
-            m_step_theta(data, np.ones((1, 1, 2)), None, PriorConfig(beta_theta=1.0))
-
-    def test_shape_mismatch_rejected(self):
-        data = _two_label_dataset()
-        with pytest.raises(ContractError):
-            m_step_theta(data, np.ones((2, 1, 2)), None, PriorConfig())
+            _theta_step(data, np.ones((1, 1, 2)), None, PriorConfig(beta_theta=1.0))
 
 
 class TestBlockUpdate:
     def test_single_cluster_single_label(self):
         data = Dataset([0], [0], [0], n_items=1, n_labels=1, n_epochs=1)
-        p, reset = m_step_p(data, np.array([[[2.0]]]), None, PriorConfig())
-        np.testing.assert_array_equal(p.values, [[[1.0]]])
+        p, reset = _block_step(data, np.array([[[2.0]]]), None, PriorConfig())
+        np.testing.assert_array_equal(p, [[[1.0]]])
         assert reset == 0
 
     def test_plain_maximum_likelihood(self):
         data = random_dataset(1, 2, 2, 4, seed=8)
         omega_sums = np.array([[[3.0, 1.0]]])
-        p, _ = m_step_p(data, omega_sums, None, PriorConfig())
-        np.testing.assert_allclose(p.values, [[[0.75, 0.25]]], atol=1e-15)
+        p, _ = _block_step(data, omega_sums, None, PriorConfig())
+        np.testing.assert_allclose(p, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_fixed_mode_returns_the_input_untouched(self):
         data = _two_label_dataset()
-        current = BlockTensor([[0.3, 0.7], [0.9, 0.1]])
-        result, reset = m_step_p(data, np.ones((1, 2, 2)), None, PriorConfig(),
-                                 mode="fixed", current=current)
+        current = BlockTensor([[0.3, 0.7], [0.9, 0.1]]).values
+        result, reset = _block_step(data, np.ones((1, 2, 2)), None, PriorConfig(),
+                                    mode="fixed", current=current)
         assert result is current
         assert reset == 0
 
     def test_dead_cluster_resets_to_uniform(self):
         data = _two_label_dataset()
         omega_sums = np.array([[[3.0, 1.0], [0.0, 0.0]]])
-        p, rows_reset = m_step_p(data, omega_sums, None, PriorConfig())
-        np.testing.assert_allclose(p.values[0, 1], [0.5, 0.5], atol=1e-15)
+        p, rows_reset = _block_step(data, omega_sums, None, PriorConfig())
+        np.testing.assert_allclose(p[0, 1], [0.5, 0.5], atol=1e-15)
         assert rows_reset == 1
 
     def test_static_mode_pools_epochs(self):
         data = random_dataset(2, 2, 2, 8, seed=9)
         omega_sums = np.array([[[3.0, 1.0]], [[1.0, 3.0]]])
-        p, _ = m_step_p(data, omega_sums, None, PriorConfig(), mode="static")
-        assert p.static
-        np.testing.assert_allclose(p.values, [[[0.5, 0.5]]], atol=1e-15)
+        p, _ = _block_step(data, omega_sums, None, PriorConfig(), mode="static")
+        assert p.shape[0] == 1
+        np.testing.assert_allclose(p, [[[0.5, 0.5]]], atol=1e-15)
 
     def test_coupled_update_mixes_in_the_average(self):
         data = _two_label_dataset()
         omega_sums = np.array([[[3.0, 1.0]]])
         avg = np.array([[[0.5, 0.5]]])
         fallback = np.array([False])
-        p, _ = m_step_p(data, omega_sums, (avg, fallback), PriorConfig(beta_p=4.0))
+        p, _ = _block_step(data, omega_sums, (avg, fallback), PriorConfig(beta_p=4.0))
         # (3 + 4*0.5) / (4 + 4) and (1 + 4*0.5) / 8
-        np.testing.assert_allclose(p.values, [[[0.625, 0.375]]], atol=1e-15)
+        np.testing.assert_allclose(p, [[[0.625, 0.375]]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
         data = random_dataset(3, 4, 5, 60, seed=10)
@@ -208,17 +218,8 @@ class TestBlockUpdate:
         omega_sums = rng.random((3, 2, 5))
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
         avg, fallback = coupling.average(random_blocks(3, 2, 5, seed=12))
-        p, _ = m_step_p(data, omega_sums, (avg, fallback), PriorConfig(beta_p=1.5))
-        np.testing.assert_allclose(p.values.sum(axis=2), 1.0, atol=1e-9)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ContractError):
-            m_step_p(_two_label_dataset(), np.ones((1, 1, 2)), None, PriorConfig(),
-                     mode="pooled")
-
-    def test_label_extent_checked(self):
-        with pytest.raises(ContractError):
-            m_step_p(_two_label_dataset(), np.ones((1, 2, 3)), None, PriorConfig())
+        p, _ = _block_step(data, omega_sums, (avg, fallback), PriorConfig(beta_p=1.5))
+        np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-9)
 
 
 class TestAccumulation:
@@ -398,9 +399,10 @@ class TestFit:
 
         before = frozen_objective(theta, p)
         s_theta, s_p, _ = model._accumulate(theta, p, problem)
-        theta_new = m_step_theta(data, s_theta, avg_theta, prior, previous=theta)
-        p_new, _ = m_step_p(data, s_p, avg_p, prior)
-        after = frozen_objective(theta_new.values, p_new.values)
+        theta_new, p_new, _ = em._m_step(s_theta, s_p, (avg_theta, avg_p), theta, p,
+                                         data.item_epoch_counts.astype(float), prior,
+                                         "dynamic")
+        after = frozen_objective(theta_new, p_new)
         assert after >= before - 1e-10 * abs(before)
 
     def test_fixed_block_mode_never_updates_it(self):
@@ -435,6 +437,40 @@ class TestFit:
             assert key in report.diagnostics
         assert report.diagnostics["aborted_restarts"] == 0
         assert report.n_iterations == len(report.trace)
+
+    @pytest.mark.parametrize("p_mode", ["dynamic", "static", "fixed"])
+    def test_tensors_are_validated_only_where_parameters_leave_a_chain(
+        self, monkeypatch, p_mode
+    ):
+        # the sweep runs on plain arrays: each chain validates its two final
+        # tensors, and fit validates a fixed block tensor once on the way in
+        truth = _toy_truth(3, 8, seed=17)
+        data = sample_dataset(truth, 6, seed=17)
+        fixed = random_blocks(3, 3, 3, seed=18) if p_mode == "fixed" else None
+        calls = []
+        validated = model._validated
+
+        def counting(*args):
+            calls.append(args[2])
+            return validated(*args)
+
+        monkeypatch.setattr(model, "_validated", counting)
+        report = fit(data, FitConfig(
+            n_clusters=3, prior=PriorConfig(beta_theta=2.0, beta_p=2.0), p_mode=p_mode,
+            fixed_p=fixed, max_iterations=50, tol=1e-300, restarts=2, seed=12,
+        ))
+        assert report.n_iterations == 50
+        assert len(calls) <= 2 * 2 + (p_mode == "fixed")
+
+    def test_uncoupled_fit_builds_no_coupling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("TemporalCoupling built for an uncoupled fit")
+
+        monkeypatch.setattr(model, "TemporalCoupling", refuse)
+        truth = _toy_truth(4, 8, seed=19)
+        data = sample_dataset(truth, 6, seed=19)
+        report = fit(data, FitConfig(n_clusters=3, max_iterations=5, restarts=1, seed=13))
+        assert report.diagnostics["fallback_epochs"] == 0
 
     def test_empty_epoch_in_range_is_handled(self):
         data = Dataset([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 2, 2],
