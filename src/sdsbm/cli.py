@@ -61,14 +61,16 @@ def load_config(path):
 
 
 def _apply_config(argv):
-    """Expand --config FILE into flags placed before the user's own flags."""
-    if "--config" not in argv:
-        return argv
-    position = argv.index("--config")
-    if position + 1 >= len(argv):
-        return argv  # argparse will report the missing value
+    """Expand --config FILE or --config=FILE into flags placed before the user's own flags."""
+    for position, token in enumerate(argv):
+        flag, equals, path = token.partition("=")
+        if flag == "--config" and (equals or position + 1 < len(argv)):
+            path = path if equals else argv[position + 1]
+            break
+    else:
+        return argv  # no config, or argparse will report the missing value
     injected = []
-    for key, value in load_config(argv[position + 1]):
+    for key, value in load_config(path):
         injected.extend([f"--{key.replace('_', '-')}", value])
     for anchor, token in enumerate(argv):
         if not token.startswith("-"):
@@ -252,14 +254,8 @@ def _cmd_cv(args):
         validation_fraction=args.val_fraction,
         seed=args.split_seed,
     )
-    results = []
-    for family in args.models:
-        results.append(
-            cross_validate(
-                result.dataset, family, args.beta_grid, plan, template=template,
-                truth=truth,
-            )
-        )
+    results = cross_validate(result.dataset, args.models, args.beta_grid, plan,
+                             template=template, truth=truth)
     dataset_name = Path(args.data).stem
     write_results(results, dataset_name, args.out, json_path=args.json_out)
     for outcome in results:

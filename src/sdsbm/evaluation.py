@@ -74,14 +74,12 @@ class ScoreTable:
 
 @dataclass
 class FittedModel:
-    """Fitted tensors plus what scoring needs: training coverage and epoch mapping."""
+    """Fitted tensors plus training coverage; a single-slice model stands for every epoch."""
 
     theta: MembershipTensor
     p: BlockTensor
     prior: object
     train_epoch_counts: np.ndarray
-    collapse: bool = False
-    report: object = None
 
     def evaluation_tensors(self):
         """Tensors used to score held-out data.
@@ -92,7 +90,7 @@ class FittedModel:
         """
         th = self.theta.values
         pv = self.p.values
-        if self.collapse or th.shape[0] == 1:
+        if th.shape[0] == 1:
             return th, pv
         unseen = np.asarray(self.train_epoch_counts) == 0
         if unseen.any():
@@ -111,12 +109,13 @@ def score_test_set(model, test):
     """Score every test observation the model can address.
 
     Observations whose node, label, or epoch lies outside the model's extents
-    are skipped and counted (a model cannot rank what it never indexed).
+    are skipped and counted (a model cannot rank what it never indexed).  A
+    single-slice model scores every epoch with its one slice.
     """
     th, pv = model.evaluation_tensors()
     n_epochs, n_items, _ = th.shape
     n_labels = pv.shape[2]
-    epochs = np.zeros(len(test), dtype=np.int64) if model.collapse else test.epochs
+    epochs = np.zeros(len(test), dtype=np.int64) if n_epochs == 1 else test.epochs
     keep = (test.nodes < n_items) & (test.labels < n_labels) & (epochs < n_epochs)
     skipped = int((~keep).sum())
     if skipped:
@@ -303,64 +302,66 @@ def _family_config(template, family, beta):
     return replace(template, prior=prior)
 
 
-def _fit_family(train, family, beta, template):
-    fit_data = train.collapse_epochs() if family == "static" else train
-    config = _family_config(template, family, beta)
-    report = fit(fit_data, config)
-    return FittedModel(
-        theta=report.theta,
-        p=report.p,
-        prior=config.prior,
-        train_epoch_counts=fit_data.epoch_counts,
-        collapse=family == "static",
-        report=report,
-    )
-
-
-def cross_validate(data, family, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
+def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
                    template, truth=None):
-    """Cross-validated evaluation of one model family.
+    """Cross-validated evaluation of model families, one result each, in order.
 
-    Per fold: split the observations, fit one model per candidate coupling on
-    the training split (the grid collapses to {0} for the decoupled and static
-    families), pick the candidate with the best validation ROC-AUC (first one
-    wins ties), and report test metrics for the pick.  With planted truth
-    available, membership recovery error is reported as well.
+    Per fold: split the observations once, fit one model per candidate
+    coupling on the training split (the grid collapses to {0} for the
+    decoupled and static families), pick each family's candidate with the
+    best validation ROC-AUC (its first one wins ties), and report test metrics
+    for the pick.  A model that several families list, such as the decoupled
+    family's and the coupled family's beta = 0, is fitted once per fold.  With
+    planted truth available, membership recovery error is reported as well.
 
     ``template`` supplies everything but the coupling strengths: cluster
     count, block mode, kernel shape, iteration budget, restarts, seed.
     """
-    if family not in FAMILIES:
-        raise ContractError(f"family must be one of {FAMILIES}, got {family!r}")
-    plan = plan if plan is not None else SplitPlan()
-    candidates = tuple(float(b) for b in beta_grid) if family == "sdsbm" else (0.0,)
-    if not candidates:
+    names = () if isinstance(families, str) else tuple(families)
+    if not names or len(set(names)) < len(names) or not set(names) <= set(FAMILIES):
+        raise ContractError(f"families must be distinct names from {FAMILIES}, got {families!r}")
+    beta_grid = tuple(float(beta) for beta in beta_grid)
+    if "sdsbm" in names and not beta_grid:
         raise ContractError("beta grid is empty")
-    outcomes = []
+    plan = plan if plan is not None else SplitPlan()
+    # Models are keyed by (epochs collapsed, prior); walking sdsbm's grid
+    # first visits every family's candidates in that family's own order.
+    configs, betas = {}, {}
+    for family in sorted(names, key=lambda name: name != "sdsbm"):
+        for beta in beta_grid if family == "sdsbm" else (0.0,):
+            config = _family_config(template, family, beta)
+            key = (family == "static", config.prior)
+            configs.setdefault(key, config)
+            betas.setdefault(family, {}).setdefault(key, beta)
+    results = [EvalResult(family, []) for family in names]
     for fold in range(plan.n_folds):
         train, val, test = plan.split(data, fold)
-        best = None
-        for beta in candidates:
-            model = _fit_family(train, family, beta, template)
+        best = {}
+        for key, config in configs.items():
+            fit_data = train.collapse_epochs() if key[0] else train
+            report = fit(fit_data, config)
+            model = FittedModel(report.theta, report.p, config.prior, fit_data.epoch_counts)
             val_auc = roc_auc(score_test_set(model, val))
-            if best is None or val_auc > best[0]:
-                best = (val_auc, beta, model)
-        _, beta, model = best
-        table = score_test_set(model, test)
-        metrics = {
-            "roc": roc_auc(table),
-            "ap": average_precision(table),
-            "nce": coverage_error_normalized(table),
-        }
-        if truth is not None:
-            estimate, _ = model.evaluation_tensors()
-            metrics["rmse"] = rmse_aligned(estimate, truth.theta)
-        outcomes.append(FoldOutcome(fold=fold, beta=beta, metrics=metrics))
-        _log.info(
-            "fold %d %s: beta=%g %s", fold, family,
-            beta, {k: round(v, 4) for k, v in metrics.items()},
-        )
-    return EvalResult(family, outcomes)
+            for family, candidates in betas.items():
+                if key in candidates and (family not in best or val_auc > best[family][0]):
+                    best[family] = (val_auc, candidates[key], model)
+        for result in results:
+            _, beta, model = best[result.family]
+            table = score_test_set(model, test)
+            metrics = {
+                "roc": roc_auc(table),
+                "ap": average_precision(table),
+                "nce": coverage_error_normalized(table),
+            }
+            if truth is not None:
+                estimate, _ = model.evaluation_tensors()
+                metrics["rmse"] = rmse_aligned(estimate, truth.theta)
+            result.folds.append(FoldOutcome(fold=fold, beta=beta, metrics=metrics))
+            _log.info(
+                "fold %d %s: beta=%g %s", fold, result.family,
+                beta, {k: round(v, 4) for k, v in metrics.items()},
+            )
+    return results
 
 
 RESULT_COLUMNS = ("model", "dataset", "fold", "beta", "roc", "ap", "nce", "rmse")

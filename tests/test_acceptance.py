@@ -148,9 +148,9 @@ def test_criterion_3_smooth_pattern_recovery(acceptance):
                          max_iterations=60, tol=1e-5, restarts=2, seed=0)
     plan = SplitPlan(seed=0)
     results = {
-        family: cross_validate(data, family, (1.0, 10.0, 100.0), plan,
-                               template=template, truth=truth)
-        for family in FAMILIES
+        result.family: result
+        for result in cross_validate(data, FAMILIES, (1.0, 10.0, 100.0), plan,
+                                     template=template, truth=truth)
     }
     rmse = {f: [o.metrics["rmse"] for o in results[f].folds] for f in FAMILIES}
     roc = {f: [o.metrics["roc"] for o in results[f].folds] for f in FAMILIES}
@@ -194,10 +194,8 @@ def test_criterion_4_scarcity_sweep(acceptance):
     rmse, gap = {}, {}
     for count in (1, 10, 100):
         data = sample_dataset(truth, count, seed=200 + count)
-        coupled = cross_validate(data, "sdsbm", (10.0, 100.0), plan,
-                                 template=template, truth=truth)
-        decoupled = cross_validate(data, "nc", plan=plan, template=template,
-                                   truth=truth)
+        coupled, decoupled = cross_validate(data, ("sdsbm", "nc"), (10.0, 100.0), plan,
+                                            template=template, truth=truth)
         rmse[count] = coupled.mean("rmse")
         gap[count] = coupled.mean("roc") - decoupled.mean("roc")
     monotone = rmse[1] > rmse[10] > rmse[100]
@@ -233,9 +231,9 @@ def test_criterion_5_entropy_sweep(acceptance):
         data = sample_dataset(truth, 10, seed=int(1000 * noise))
         template = FitConfig(n_clusters=3, p_mode="fixed", fixed_p=truth.p,
                              max_iterations=60, tol=1e-5, restarts=1, seed=0)
-        for family in FAMILIES:
-            result = cross_validate(data, family, (3.0, 30.0), plan,
-                                    template=template, truth=truth)
+        for result in cross_validate(data, FAMILIES, (3.0, 30.0), plan,
+                                     template=template, truth=truth):
+            family = result.family
             for outcome in result.folds:
                 xs[family].append(noise)
                 rocs[family].append(outcome.metrics["roc"])

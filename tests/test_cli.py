@@ -166,6 +166,19 @@ class TestConfigFiles:
         assert archive.prior.beta_theta == 5.0
         assert archive.seed == 4  # explicit flag wins over the config value
 
+    def test_config_given_with_equals_is_read(self, tmp_path, capsys):
+        events = small_events(tmp_path)
+        config = tmp_path / "it.cfg"
+        config.write_text("beta_theta = 5.0\nmax_iter = 3\ntol = 1e-15\nrestarts = 1\n")
+        out = tmp_path / "model.npz"
+        code, stdout, _ = run(
+            capsys, "fit", f"--config={config}", "--data", str(events),
+            "--slice", "1", "--clusters", "2", "--out", str(out),
+        )
+        assert code == 0
+        assert "iterations=3 " in stdout
+        assert ModelArchive.load(out).prior.beta_theta == 5.0
+
     def test_malformed_config_exits_3(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"
         config.write_text("beta_theta 5\n")
@@ -304,6 +317,16 @@ class TestCrossValidationCommand:
         assert set(payload["models"]) == {"sdsbm", "nc"}
         assert len(payload["models"]["sdsbm"]["folds"]) == 2
 
+    def test_repeated_family_exits_3(self, tmp_path, capsys):
+        events = small_events(tmp_path)
+        code, _, stderr = run(
+            capsys, "cv", "--data", str(events), "--clusters", "2", "--folds", "1",
+            "--max-iter", "2", "--restarts", "1", "--models", "nc,nc",
+            "--out", str(tmp_path / "cv.csv"),
+        )
+        assert code == 3
+        assert "('nc', 'nc')" in stderr
+        assert not (tmp_path / "cv.csv").exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--beta-grid", "1,,2"),

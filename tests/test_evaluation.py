@@ -30,7 +30,8 @@ from sdsbm import (
     score_test_set,
     write_results,
 )
-from sdsbm.evaluation import EvalResult, FoldOutcome, _family_config
+from sdsbm import evaluation
+from sdsbm.evaluation import FAMILIES, EvalResult, FoldOutcome, _family_config
 
 from conftest import random_blocks, random_dataset, random_memberships
 
@@ -156,7 +157,6 @@ class TestScoreTestSet:
             p=BlockTensor(p),
             prior=PriorConfig(),
             train_epoch_counts=np.array([10]),
-            collapse=True,
         )
         test = random_dataset(6, 3, 3, 30, seed=15)
         table = score_test_set(model, test)
@@ -435,8 +435,8 @@ class TestCrossValidate:
                              seed=0)
         plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
                          seed=1)
-        result = cross_validate(data, "sdsbm", (0.0, 10.0), plan, template=template,
-                                truth=truth)
+        [result] = cross_validate(data, ("sdsbm",), (0.0, 10.0), plan,
+                                  template=template, truth=truth)
         assert result.family == "sdsbm"
         assert [o.fold for o in result.folds] == [0, 1]
         for outcome in result.folds:
@@ -452,8 +452,8 @@ class TestCrossValidate:
         plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
                          seed=2)
         for family in ("nc", "static"):
-            result = cross_validate(data, family, (5.0, 50.0), plan,
-                                    template=template)
+            [result] = cross_validate(data, (family,), (5.0, 50.0), plan,
+                                      template=template)
             assert all(o.beta == 0.0 for o in result.folds)
             assert set(result.folds[0].metrics) == {"roc", "ap", "nce"}
 
@@ -463,8 +463,8 @@ class TestCrossValidate:
                              seed=0)
         plan = SplitPlan(n_folds=1, train_fraction=0.7, validation_fraction=0.15,
                          seed=3)
-        result = cross_validate(data, "static", plan=plan, template=template,
-                                truth=truth)
+        [result] = cross_validate(data, ("static",), plan=plan, template=template,
+                                  truth=truth)
         # recovery error against the full dynamic truth is still defined
         assert result.folds[0].metrics["rmse"] > 0
 
@@ -472,9 +472,50 @@ class TestCrossValidate:
         _, data = _small_benchmark(seed=4)
         template = FitConfig(n_clusters=3)
         with pytest.raises(ContractError):
-            cross_validate(data, "mmsbm", template=template)
+            cross_validate(data, ("mmsbm",), template=template)
         with pytest.raises(ContractError):
-            cross_validate(data, "sdsbm", (), template=template)
+            cross_validate(data, ("sdsbm",), (), template=template)
+        # empty or repeated families, and a bare string read as letters
+        for families in ((), ("nc", "nc"), ("sdsbm", "nc", "sdsbm"), "sdsbm", "nc"):
+            with pytest.raises(ContractError):
+                cross_validate(data, families, template=template)
+
+    def test_each_fold_is_split_once_and_each_model_fitted_once(self, monkeypatch):
+        truth, data = _small_benchmark(seed=5)
+        template = FitConfig(n_clusters=3, max_iterations=10, tol=1e-4, restarts=1,
+                             seed=0)
+        plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
+                         seed=5)
+        calls = {"fit": 0, "split": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "fit", counted("fit", evaluation.fit))
+        monkeypatch.setattr(SplitPlan, "split", counted("split", SplitPlan.split))
+        results = cross_validate(data, FAMILIES, (0.0, 10.0), plan, template=template,
+                                 truth=truth)
+        assert [r.family for r in results] == list(FAMILIES)
+        # per fold: sdsbm at beta 0 and 10 (nc reuses beta 0), then static
+        assert calls == {"fit": 6, "split": 2}
+
+    def test_shared_pass_matches_one_family_at_a_time(self):
+        truth, data = _small_benchmark(seed=6)
+        template = FitConfig(n_clusters=3, max_iterations=15, tol=1e-4, restarts=2,
+                             seed=1)
+        plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
+                         seed=6)
+        grid = (10.0, 0.0, 3.0)
+        together = cross_validate(data, FAMILIES[::-1], grid, plan, template=template,
+                                  truth=truth)
+        assert [r.family for r in together] == list(FAMILIES[::-1])
+        for result in together:
+            [alone] = cross_validate(data, (result.family,), grid, plan,
+                                     template=template, truth=truth)
+            assert result.folds == alone.folds
 
 
 class TestWriteResults:
