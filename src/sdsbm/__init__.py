@@ -14,7 +14,6 @@ from .errors import ContractError, DegenerateParameterError, IngestError, SdsbmE
 from .evaluation import (
     DEFAULT_BETA_GRID,
     EvalResult,
-    FittedModel,
     ScoreTable,
     SplitPlan,
     average_precision,
@@ -51,7 +50,6 @@ __all__ = [
     "EvalResult",
     "FitConfig",
     "FitReport",
-    "FittedModel",
     "GroundTruth",
     "IngestError",
     "IngestResult",

@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -198,18 +199,7 @@ def _cmd_synth(args):
         writer = csv.writer(handle)
         writer.writerow(["node", "label", "timestamp", "weight"])
         writer.writerows(zip(nodes, labels, epochs, weights))
-    meta = {
-        "pattern": {
-            "kind": pattern.kind,
-            "n_epochs": pattern.n_epochs,
-            "n_items": pattern.n_items,
-            "n_clusters": pattern.n_clusters,
-            "cycles": pattern.cycles,
-            "seed": pattern.seed,
-        },
-        "noise": args.noise,
-        "sample_seed": args.seed,
-    }
+    meta = {"pattern": asdict(pattern), "noise": args.noise, "sample_seed": args.seed}
     np.savez(
         out_dir / "truth.npz",
         theta=theta.values,
@@ -331,14 +321,18 @@ def _add_engine_options(parser):
 
 
 def _build_parser():
+    # Flags must be spelled in full: a prefix such as --conf would otherwise be
+    # taken as --config, which _apply_config only recognizes spelled out.
     parser = argparse.ArgumentParser(
         prog="sdsbm",
         description="Dynamic mixed-membership block models for labeled interaction data.",
+        allow_abbrev=False,
     )
     parser.add_argument("-v", "--verbose", action="count", default=0)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    synth = commands.add_parser("synth", help="generate a synthetic dataset with planted truth")
+    synth = commands.add_parser("synth", help="generate a synthetic dataset with planted truth",
+                                allow_abbrev=False)
     _add_config_option(synth)
     synth.add_argument("--pattern", choices=("sinusoidal", "broken_line"),
                        default="sinusoidal")
@@ -356,7 +350,8 @@ def _build_parser():
     synth.add_argument("--out", required=True, help="output directory")
     synth.set_defaults(handler=_cmd_synth)
 
-    fit_cmd = commands.add_parser("fit", help="fit one model and save an archive")
+    fit_cmd = commands.add_parser("fit", help="fit one model and save an archive",
+                                  allow_abbrev=False)
     _add_config_option(fit_cmd)
     _add_data_options(fit_cmd)
     _add_engine_options(fit_cmd)
@@ -365,7 +360,8 @@ def _build_parser():
     fit_cmd.add_argument("--out", required=True, help="archive path (.npz)")
     fit_cmd.set_defaults(handler=_cmd_fit)
 
-    cv = commands.add_parser("cv", help="cross-validated comparison of model families")
+    cv = commands.add_parser("cv", help="cross-validated comparison of model families",
+                             allow_abbrev=False)
     _add_config_option(cv)
     _add_data_options(cv)
     _add_engine_options(cv)
@@ -383,14 +379,15 @@ def _build_parser():
     cv.add_argument("--json-out", default=None, help="optional JSON mirror")
     cv.set_defaults(handler=_cmd_cv)
 
-    predict = commands.add_parser("predict", help="label distribution for a node at an epoch")
+    predict = commands.add_parser("predict", help="label distribution for a node at an epoch",
+                                  allow_abbrev=False)
     _add_config_option(predict)
     predict.add_argument("--model", required=True)
     predict.add_argument("--node", required=True, help="node key as it appears in the event file")
     predict.add_argument("--epoch", type=int, required=True)
     predict.set_defaults(handler=_cmd_predict)
 
-    flows = commands.add_parser("export-flows",
+    flows = commands.add_parser("export-flows", allow_abbrev=False,
                                 help="per-node cluster mass transfers between consecutive epochs")
     _add_config_option(flows)
     flows.add_argument("--model", required=True)

@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from .em import fit
 from .errors import ContractError
-from .model import BlockTensor, MembershipTensor
+from .model import MembershipTensor, _arrays
 from .prior import TemporalCoupling
 
 _log = logging.getLogger(__name__)
@@ -69,65 +69,45 @@ class ScoreTable:
 
     scores: np.ndarray
     true_labels: np.ndarray
-    skipped: int = 0
 
 
-@dataclass
-class FittedModel:
-    """Fitted tensors plus training coverage; a single-slice model stands for every epoch."""
+def _scoring_tensors(theta, p, prior, train_epoch_counts):
+    """Fitted arrays as used to score held-out data.
 
-    theta: MembershipTensor
-    p: BlockTensor
-    prior: object
-    train_epoch_counts: np.ndarray
-
-    def evaluation_tensors(self):
-        """Tensors used to score held-out data.
-
-        Epochs with no training observations take their neighbour average
-        (uniform when nothing carries weight), so prediction at a never-seen
-        slice borrows from the slices around it.
-        """
-        th = self.theta.values
-        pv = self.p.values
-        if th.shape[0] == 1:
-            return th, pv
-        unseen = np.asarray(self.train_epoch_counts) == 0
-        if unseen.any():
-            coupling = TemporalCoupling(self.train_epoch_counts, self.prior)
-            avg, _ = coupling.average(th)
-            th = np.array(th)
-            th[unseen] = avg[unseen]
-            if pv.shape[0] == th.shape[0]:
-                avg_p, _ = coupling.average(pv)
-                pv = np.array(pv)
-                pv[unseen] = avg_p[unseen]
-        return th, pv
-
-
-def score_test_set(model, test):
-    """Score every test observation the model can address.
-
-    Observations whose node, label, or epoch lies outside the model's extents
-    are skipped and counted (a model cannot rank what it never indexed).  A
-    single-slice model scores every epoch with its one slice.
+    Epochs with no training observations take their neighbour average
+    (uniform when nothing carries weight), so prediction at a never-seen
+    slice borrows from the slices around it.
     """
-    th, pv = model.evaluation_tensors()
-    n_epochs, n_items, _ = th.shape
-    n_labels = pv.shape[2]
-    epochs = np.zeros(len(test), dtype=np.int64) if n_epochs == 1 else test.epochs
-    keep = (test.nodes < n_items) & (test.labels < n_labels) & (epochs < n_epochs)
-    skipped = int((~keep).sum())
-    if skipped:
-        _log.warning("skipping %d observations outside the model extents", skipped)
-    nodes = test.nodes[keep]
-    labels = test.labels[keep]
-    epochs = epochs[keep]
-    scores = np.empty((nodes.size, n_labels))
+    unseen = np.asarray(train_epoch_counts) == 0
+    if unseen.any():
+        coupling = TemporalCoupling(train_epoch_counts, prior)
+        avg, _ = coupling.average(theta)
+        theta = np.array(theta)
+        theta[unseen] = avg[unseen]
+        if p.shape[0] == theta.shape[0]:
+            avg_p, _ = coupling.average(p)
+            p = np.array(p)
+            p[unseen] = avg_p[unseen]
+    return theta, p
+
+
+def score_test_set(theta, p, test):
+    """Score every test observation with the mixture ``theta[t, i] @ p[t]``.
+
+    The arrays must have the test set's extents; a single-slice model (one
+    epoch of ``theta``) scores every epoch with its one slice.
+    """
+    th, pv = _arrays(theta, p)
+    have = (th.shape[0], th.shape[1], pv.shape[2])
+    need = (th.shape[0] if th.shape[0] == 1 else test.n_epochs, test.n_items, test.n_labels)
+    if have != need:
+        raise ContractError(f"model covers (epochs, items, labels) = {have}, test set {need}")
+    epochs = np.zeros(len(test), dtype=np.int64) if th.shape[0] == 1 else test.epochs
+    scores = np.empty((len(test), pv.shape[2]))
     for t in np.unique(epochs):
         idx = epochs == t
-        scores[idx] = th[t, nodes[idx], :] @ pv[0 if pv.shape[0] == 1 else t]
-    return ScoreTable(scores, labels, skipped)
+        scores[idx] = th[t, test.nodes[idx], :] @ pv[0 if pv.shape[0] == 1 else t]
+    return ScoreTable(scores, test.labels)
 
 
 def _check_table(table):
@@ -311,7 +291,8 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
     decoupled and static families), pick each family's candidate with the
     best validation ROC-AUC (its first one wins ties), and report test metrics
     for the pick.  A model that several families list, such as the decoupled
-    family's and the coupled family's beta = 0, is fitted once per fold.  With
+    family's and the coupled family's beta = 0, is fitted once per fold, and
+    scored on the test split once when several families pick it.  With
     planted truth available, membership recovery error is reported as well.
 
     ``template`` supplies everything but the coupling strengths: cluster
@@ -340,22 +321,26 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
         for key, config in configs.items():
             fit_data = train.collapse_epochs() if key[0] else train
             report = fit(fit_data, config)
-            model = FittedModel(report.theta, report.p, config.prior, fit_data.epoch_counts)
-            val_auc = roc_auc(score_test_set(model, val))
+            tensors = _scoring_tensors(report.theta.values, report.p.values, config.prior,
+                                       fit_data.epoch_counts)
+            val_auc = roc_auc(score_test_set(*tensors, val))
             for family, candidates in betas.items():
                 if key in candidates and (family not in best or val_auc > best[family][0]):
-                    best[family] = (val_auc, candidates[key], model)
+                    best[family] = (val_auc, key, tensors)
+        tested = {}
         for result in results:
-            _, beta, model = best[result.family]
-            table = score_test_set(model, test)
-            metrics = {
-                "roc": roc_auc(table),
-                "ap": average_precision(table),
-                "nce": coverage_error_normalized(table),
-            }
-            if truth is not None:
-                estimate, _ = model.evaluation_tensors()
-                metrics["rmse"] = rmse_aligned(estimate, truth.theta)
+            _, key, (th, pv) = best[result.family]
+            if key not in tested:
+                table = score_test_set(th, pv, test)
+                tested[key] = {
+                    "roc": roc_auc(table),
+                    "ap": average_precision(table),
+                    "nce": coverage_error_normalized(table),
+                }
+                if truth is not None:
+                    tested[key]["rmse"] = rmse_aligned(th, truth.theta)
+            beta = betas[result.family][key]
+            metrics = dict(tested[key])
             result.folds.append(FoldOutcome(fold=fold, beta=beta, metrics=metrics))
             _log.info(
                 "fold %d %s: beta=%g %s", fold, result.family,

@@ -51,7 +51,11 @@ class TestSynth:
         assert payload["theta"].shape == (4, 6, 3)
         assert payload["p"].shape[1:] == (3, 3)
         meta = json.loads(str(payload["meta"]))
-        assert meta["pattern"]["kind"] == "sinusoidal"
+        # the field order is PatternSpec's, which _load_truth reads back
+        assert list(meta["pattern"].items()) == [
+            ("kind", "sinusoidal"), ("n_epochs", 4), ("n_items", 6),
+            ("n_clusters", 3), ("cycles", 1.0), ("seed", 2),
+        ]
         assert meta["noise"] == 0.05
 
     def test_total_budget_is_spread_evenly(self, tmp_path, capsys):
@@ -146,6 +150,21 @@ class TestFit:
 
 
 class TestConfigFiles:
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--conf", "it.cfg", "--clusters", "2"),
+        ("fit", "--config", "it.cfg", "--clust", "2"),
+        ("--verb", "fit", "--clusters", "2"),
+    ])
+    def test_abbreviated_flags_are_usage_errors(self, tmp_path, argv):
+        # a prefix such as --conf must not pass for --config, whose file would go unread
+        config = tmp_path / "it.cfg"
+        config.write_text("max_iter = 3\nrestarts = 1\n")
+        argv = [str(config) if token == "it.cfg" else token for token in argv]
+        argv += ["--data", str(small_events(tmp_path)), "--out", str(tmp_path / "m.npz")]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         events = small_events(tmp_path)
         config = tmp_path / "fit.conf"

@@ -10,7 +10,6 @@ from sdsbm import (
     BlockTensor,
     ContractError,
     FitConfig,
-    FittedModel,
     GroundTruth,
     MembershipTensor,
     PatternSpec,
@@ -31,7 +30,13 @@ from sdsbm import (
     write_results,
 )
 from sdsbm import evaluation
-from sdsbm.evaluation import FAMILIES, EvalResult, FoldOutcome, _family_config
+from sdsbm.evaluation import (
+    FAMILIES,
+    EvalResult,
+    FoldOutcome,
+    _family_config,
+    _scoring_tensors,
+)
 
 from conftest import random_blocks, random_dataset, random_memberships
 
@@ -122,63 +127,48 @@ class TestScoreTestSet:
     def test_scores_are_the_model_mixtures(self):
         theta = random_memberships(2, 3, 2, seed=7)
         p = random_blocks(2, 2, 4, seed=8)
-        model = FittedModel(
-            theta=MembershipTensor(theta),
-            p=BlockTensor(p),
-            prior=PriorConfig(),
-            train_epoch_counts=np.array([5, 5]),
-        )
         test = random_dataset(2, 3, 4, 20, seed=9)
-        table = score_test_set(model, test)
-        assert table.skipped == 0
+        table = score_test_set(theta, p, test)
         expected = np.einsum("nk,nko->no", theta[test.epochs, test.nodes],
                              p[test.epochs])
         np.testing.assert_allclose(table.scores, expected, atol=1e-12)
         np.testing.assert_array_equal(table.true_labels, test.labels)
 
-    def test_rows_outside_the_extents_are_skipped(self):
-        model = FittedModel(
-            theta=MembershipTensor(random_memberships(2, 2, 2, seed=10)),
-            p=BlockTensor(random_blocks(2, 2, 3, seed=11)),
-            prior=PriorConfig(),
-            train_epoch_counts=np.array([5, 5]),
-        )
-        test = random_dataset(4, 5, 3, 40, seed=12)  # wider than the model
-        table = score_test_set(model, test)
-        keep = (test.nodes < 2) & (test.epochs < 2)
-        assert table.skipped == int((~keep).sum()) > 0
-        assert table.scores.shape == (int(keep.sum()), 3)
+    def test_other_extents_are_rejected(self):
+        theta = random_memberships(2, 2, 2, seed=10)
+        p = random_blocks(2, 2, 3, seed=11)
+        # wider on every axis, then on one axis at a time, then fewer epochs
+        for extents in ((4, 5, 3), (4, 2, 3), (2, 5, 3), (2, 2, 4), (1, 2, 3)):
+            test = random_dataset(*extents, 40, seed=12)
+            with pytest.raises(ContractError, match="covers"):
+                score_test_set(theta, p, test)
 
     def test_collapsed_model_scores_every_epoch_with_its_single_slice(self):
         theta = random_memberships(1, 3, 2, seed=13)
         p = random_blocks(1, 2, 3, seed=14)
-        model = FittedModel(
-            theta=MembershipTensor(theta),
-            p=BlockTensor(p),
-            prior=PriorConfig(),
-            train_epoch_counts=np.array([10]),
-        )
         test = random_dataset(6, 3, 3, 30, seed=15)
-        table = score_test_set(model, test)
-        assert table.skipped == 0
+        table = score_test_set(theta, p, test)
+        assert table.scores.shape == (len(test), 3)
         expected = theta[0, test.nodes] @ p[0]
+        np.testing.assert_allclose(table.scores, expected, atol=1e-12)
+
+    def test_accepts_tensors_and_a_shared_block_slice(self):
+        theta = random_memberships(3, 3, 2, seed=19)
+        p = random_blocks(1, 2, 4, seed=20)
+        test = random_dataset(3, 3, 4, 25, seed=21)
+        table = score_test_set(MembershipTensor(theta), BlockTensor(p), test)
+        expected = np.einsum("nk,ko->no", theta[test.epochs, test.nodes], p[0])
         np.testing.assert_allclose(table.scores, expected, atol=1e-12)
 
     def test_unseen_epochs_borrow_their_neighbour_average(self):
         theta = random_memberships(3, 2, 2, seed=16)
         p = random_blocks(3, 2, 3, seed=17)
-        model = FittedModel(
-            theta=MembershipTensor(theta),
-            p=BlockTensor(p),
-            prior=PriorConfig(),
-            train_epoch_counts=np.array([5, 0, 5]),
-        )
-        th_eval, p_eval = model.evaluation_tensors()
+        th_eval, p_eval = _scoring_tensors(theta, p, PriorConfig(), np.array([5, 0, 5]))
         np.testing.assert_allclose(th_eval[1], (theta[0] + theta[2]) / 2, atol=1e-12)
         np.testing.assert_allclose(p_eval[1], (p[0] + p[2]) / 2, atol=1e-12)
         np.testing.assert_array_equal(th_eval[0], theta[0])
         test = random_dataset(3, 2, 3, 15, seed=18)
-        table = score_test_set(model, test)
+        table = score_test_set(th_eval, p_eval, test)
         at_unseen = test.epochs == 1
         expected = th_eval[1][test.nodes[at_unseen]] @ p_eval[1]
         np.testing.assert_allclose(table.scores[at_unseen], expected, atol=1e-12)
@@ -501,6 +491,36 @@ class TestCrossValidate:
         assert [r.family for r in results] == list(FAMILIES)
         # per fold: sdsbm at beta 0 and 10 (nc reuses beta 0), then static
         assert calls == {"fit": 6, "split": 2}
+
+    def test_each_pick_is_tested_once_and_each_fit_filled_once(self, monkeypatch):
+        spec = PatternSpec(kind="sinusoidal", n_epochs=4, n_items=12, seed=0)
+        truth = GroundTruth(generate_memberships(spec), block_matrix(0.1), spec)
+        # epoch 2 is never observed, so every dynamic fit has an unseen epoch
+        data = sample_dataset(truth, np.array([40, 40, 0, 40]), seed=0)
+        template = FitConfig(n_clusters=3, max_iterations=10, tol=1e-4, restarts=1,
+                             seed=0)
+        plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
+                         seed=0)
+        calls = {"score": 0, "coupling": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "score_test_set",
+                            counted("score", evaluation.score_test_set))
+        monkeypatch.setattr(evaluation, "TemporalCoupling",
+                            counted("coupling", evaluation.TemporalCoupling))
+        results = cross_validate(data, FAMILIES, (0.0, 10.0), plan, template=template,
+                                 truth=truth)
+        # sdsbm and nc both pick the shared beta = 0 fit in every fold
+        assert [[o.beta for o in r.folds] for r in results] == [[0.0, 0.0]] * 3
+        assert results[0].folds == results[1].folds
+        # per fold: 3 fits scored on validation, 2 distinct picks on test, and
+        # one fill for each of the 2 dynamic fits (the static fit has no gap)
+        assert calls == {"score": 2 * (3 + 2), "coupling": 2 * 2}
 
     def test_shared_pass_matches_one_family_at_a_time(self):
         truth, data = _small_benchmark(seed=6)
