@@ -94,7 +94,7 @@ def _coordinate_update(sums, counts, averages, beta, previous=None):
 
     ``beta`` is dropped at fallback epochs (their prior is uniform).  Rows
     with a zero denominator — no mass and no prior pull — take ``previous``
-    (uniform without one).  Returns the floored rows and how many were reset.
+    (uniform without one).  Returns the floored rows and the mask of reset rows.
     """
     if beta > 0:
         if averages is None:
@@ -111,7 +111,7 @@ def _coordinate_update(sums, counts, averages, beta, previous=None):
         out[dead] = (1.0 / sums.shape[2]) if previous is None else previous[dead]
     np.maximum(out, PROB_FLOOR, out=out)
     out /= out.sum(axis=-1, keepdims=True)
-    return out, int(dead.sum())
+    return out, dead
 
 
 def _m_step(s_theta, s_p, averages, theta, p, counts, prior, p_mode):
@@ -122,7 +122,8 @@ def _m_step(s_theta, s_p, averages, theta, p, counts, prior, p_mode):
     ``static`` pools every epoch into one slice with no temporal prior,
     ``fixed`` returns ``p`` as it came.  Returns ``(theta, p, rows_reset)``,
     where ``rows_reset`` counts the cluster rows of ``p`` with no mass and no
-    prior pull, which were reset to uniform.
+    prior pull, which were reset to uniform.  Rows of an epoch with no
+    observations are reset too but not counted: they had no mass to lose.
     """
     avg_theta, avg_p = averages
     theta, _ = _coordinate_update(s_theta, counts, avg_theta, prior.beta_theta, theta)
@@ -133,7 +134,9 @@ def _m_step(s_theta, s_p, averages, theta, p, counts, prior, p_mode):
         s_p = s_p.sum(axis=0, keepdims=True)
         avg_p, beta = None, 0.0
     p, dead = _coordinate_update(s_p, s_p.sum(axis=2), avg_p, beta)
-    return theta, p, dead
+    if p_mode == "dynamic":
+        dead = dead[counts.any(axis=1)]
+    return theta, p, int(dead.sum())
 
 
 def _initial(data, config, restart, fixed_p):
@@ -159,12 +162,11 @@ def _initial(data, config, restart, fixed_p):
     return theta, p
 
 
-def _run_chain(problem, config, restart, counts, fixed_p):
-    """One EM chain on plain arrays from the start drawn for ``restart``.
+def _run_chain(problem, config, restart, counts, theta, p):
+    """One EM chain on plain arrays from the start ``(theta, p)``, numbered ``restart``.
 
     Returns a report of its own, whose tensors validate the final arrays once.
     """
-    theta, p = _initial(problem.data, config, restart, fixed_p)
     prior = config.prior
     trace = []
     dead_total = 0
@@ -198,7 +200,7 @@ def _run_chain(problem, config, restart, counts, fixed_p):
     )
 
 
-def fit(data, config):
+def fit(data, config, *, start=None):
     """Run ``config.restarts`` EM chains on ``data`` and keep the best.
 
     Restarts that hit degenerate parameters are aborted, logged and counted;
@@ -207,6 +209,11 @@ def fit(data, config):
     chain ends.  ``diagnostics["fallback_epochs"]`` counts the epochs with no
     weighted neighbours; it is 0 when both betas are zero, since no epoch then
     has a coupled prior to fall back from.
+
+    ``start=(theta, p)``, such as the arrays of a fit at a nearby coupling,
+    runs exactly one chain (restart 0) from those arrays instead of the
+    Dirichlet starts.  They must have the data's extents (a ``ContractError``
+    otherwise); with ``p_mode="fixed"`` the block tensor stays ``fixed_p``.
     """
     fixed_p = None
     if config.p_mode == "fixed":
@@ -219,14 +226,26 @@ def fit(data, config):
             )
         if fixed_p.shape[0] not in (1, data.n_epochs):
             raise ContractError(f"fixed block tensor must have 1 or {data.n_epochs} epochs")
+    if start is None:
+        starts = (_initial(data, config, restart, fixed_p) for restart in range(config.restarts))
+    else:
+        theta, p = (np.asarray(values, dtype=float) for values in start)
+        T, K, O = data.n_epochs, config.n_clusters, data.n_labels
+        need = {"dynamic": (T, K, O), "static": (1, K, O)}.get(config.p_mode, np.shape(fixed_p))
+        if theta.shape != (T, data.n_items, K) or p.shape != need:
+            raise ContractError(
+                f"start arrays have shapes {theta.shape} and {p.shape}, "
+                f"need {(T, data.n_items, K)} and {need}"
+            )
+        starts = [(theta, p if fixed_p is None else fixed_p)]
     problem = _Problem(data, config.prior)
     counts = data.item_epoch_counts.astype(float)
     best = None
     aborted = 0
     last_error = None
-    for restart in range(config.restarts):
+    for restart, (theta, p) in enumerate(starts):
         try:
-            report = _run_chain(problem, config, restart, counts, fixed_p)
+            report = _run_chain(problem, config, restart, counts, theta, p)
         except DegenerateParameterError as err:
             aborted += 1
             last_error = err

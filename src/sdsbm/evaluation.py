@@ -241,9 +241,12 @@ def membership_flows(theta):
 
 @dataclass
 class FoldOutcome:
+    """One family's pick in one fold; ``start`` is the beta whose fit started it (None: cold)."""
+
     fold: int
     beta: float
     metrics: dict
+    start: float | None = None
 
 
 @dataclass
@@ -289,11 +292,19 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
     Per fold: split the observations once, fit one model per candidate
     coupling on the training split (the grid collapses to {0} for the
     decoupled and static families), pick each family's candidate with the
-    best validation ROC-AUC (its first one wins ties), and report test metrics
-    for the pick.  A model that several families list, such as the decoupled
-    family's and the coupled family's beta = 0, is fitted once per fold, and
-    scored on the test split once when several families pick it.  With
-    planted truth available, membership recovery error is reported as well.
+    best validation ROC-AUC, and report test metrics for the pick.  A model
+    that several families list, such as the decoupled family's and the
+    coupled family's beta = 0, is fitted once per fold, and scored on the
+    test split once when several families pick it.  With planted truth
+    available, membership recovery error is reported as well; its extents
+    are checked before anything is fitted.
+
+    The coupled family's grid is one path in ascending beta: the smallest
+    beta is fitted with the template's restarts, and each larger one runs a
+    single chain started from the previous beta's fit, since neighbouring
+    couplings have neighbouring solutions.  So a validation tie goes to the
+    smaller beta, and results do not depend on the order of the grid.  The
+    decoupled and static families are always fitted cold.
 
     ``template`` supplies everything but the coupling strengths: cluster
     count, block mode, kernel shape, iteration budget, restarts, seed.
@@ -304,25 +315,39 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
     beta_grid = tuple(float(beta) for beta in beta_grid)
     if "sdsbm" in names and not beta_grid:
         raise ContractError("beta grid is empty")
+    if truth is not None:
+        need = (data.n_epochs, data.n_items, template.n_clusters)
+        if truth.theta.shape != need:
+            raise ContractError(
+                f"truth memberships have shape {truth.theta.shape}, the data and "
+                f"template need {need}"
+            )
     plan = plan if plan is not None else SplitPlan()
-    # Models are keyed by (epochs collapsed, prior); walking sdsbm's grid
-    # first visits every family's candidates in that family's own order.
-    configs, betas = {}, {}
+    # Models are keyed by (epochs collapsed, prior).  sdsbm's grid is walked
+    # first, in ascending beta, so the fit walked just before a warm sdsbm
+    # model is the one at its start beta.
+    configs, betas, starts = {}, {}, {}
+    previous = None
     for family in sorted(names, key=lambda name: name != "sdsbm"):
-        for beta in beta_grid if family == "sdsbm" else (0.0,):
+        for beta in sorted(beta_grid) if family == "sdsbm" else (0.0,):
             config = _family_config(template, family, beta)
             key = (family == "static", config.prior)
-            configs.setdefault(key, config)
+            if key not in configs:
+                configs[key] = config
+                starts[key] = previous if family == "sdsbm" else None
             betas.setdefault(family, {}).setdefault(key, beta)
+            if family == "sdsbm":
+                previous = beta
     results = [EvalResult(family, []) for family in names]
     for fold in range(plan.n_folds):
         train, val, test = plan.split(data, fold)
         best = {}
+        fitted = None
         for key, config in configs.items():
             fit_data = train.collapse_epochs() if key[0] else train
-            report = fit(fit_data, config)
-            tensors = _scoring_tensors(report.theta.values, report.p.values, config.prior,
-                                       fit_data.epoch_counts)
+            report = fit(fit_data, config, start=None if starts[key] is None else fitted)
+            fitted = (report.theta.values, report.p.values)
+            tensors = _scoring_tensors(*fitted, config.prior, fit_data.epoch_counts)
             val_auc = roc_auc(score_test_set(*tensors, val))
             for family, candidates in betas.items():
                 if key in candidates and (family not in best or val_auc > best[family][0]):
@@ -341,10 +366,11 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
                     tested[key]["rmse"] = rmse_aligned(th, truth.theta)
             beta = betas[result.family][key]
             metrics = dict(tested[key])
-            result.folds.append(FoldOutcome(fold=fold, beta=beta, metrics=metrics))
+            result.folds.append(FoldOutcome(fold=fold, beta=beta, metrics=metrics,
+                                            start=starts[key]))
             _log.info(
-                "fold %d %s: beta=%g %s", fold, result.family,
-                beta, {k: round(v, 4) for k, v in metrics.items()},
+                "fold %d %s: beta=%g start=%s %s", fold, result.family,
+                beta, starts[key], {k: round(v, 4) for k, v in metrics.items()},
             )
     return results
 
@@ -370,7 +396,8 @@ def write_results(results, dataset_name, csv_path, json_path=None):
             "models": {
                 result.family: {
                     "folds": [
-                        {"fold": o.fold, "beta": o.beta, **o.metrics}
+                        {"fold": o.fold, "beta": o.beta, "start_beta": o.start,
+                         **o.metrics}
                         for o in result.folds
                     ],
                     "aggregates": result.summary(),

@@ -335,6 +335,25 @@ class TestCrossValidationCommand:
         payload = json.loads(json_out.read_text())
         assert set(payload["models"]) == {"sdsbm", "nc"}
         assert len(payload["models"]["sdsbm"]["folds"]) == 2
+        # beta = 10 starts from the beta = 0 fit; beta = 0 and nc start cold
+        for fold in payload["models"]["sdsbm"]["folds"]:
+            assert fold["start_beta"] == (0.0 if fold["beta"] == 10.0 else None)
+        assert all(f["start_beta"] is None for f in payload["models"]["nc"]["folds"])
+
+    def test_truth_of_a_scarce_sample_is_rejected_before_fitting(self, tmp_path, capsys):
+        # 12 observations per item land in the first 12 of 30 planted epochs,
+        # so the event file spans 12 epochs; the mismatch is reported up front
+        bench = tmp_path / "bench"
+        assert run(capsys, "synth", "--epochs", "30", "--items", "10",
+                   "--obs-total", "12", "--out", str(bench))[0] == 0
+        code, _, stderr = run(
+            capsys, "cv", "--data", str(bench / "events.csv"), "--clusters", "3",
+            "--truth", str(bench / "truth.npz"), "--out", str(tmp_path / "cv.csv"),
+        )
+        assert code == 3
+        assert "truth memberships have shape (30, 10, 3)" in stderr
+        assert "need (12, 10, 3)" in stderr
+        assert not (tmp_path / "cv.csv").exists()
 
     def test_repeated_family_exits_3(self, tmp_path, capsys):
         events = small_events(tmp_path)

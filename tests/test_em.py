@@ -1,4 +1,6 @@
 """EM engine: responsibilities, coordinate updates, full fits."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -472,6 +474,17 @@ class TestFit:
         report = fit(data, FitConfig(n_clusters=3, max_iterations=5, restarts=1, seed=13))
         assert report.diagnostics["fallback_epochs"] == 0
 
+    def test_empty_epoch_resets_no_dead_clusters(self, caplog):
+        # epoch 2 has no observations: at beta_p = 0 its block rows have no
+        # mass and no pull on every sweep, which is not a dead cluster
+        truth = _toy_truth(4, 12, seed=0)
+        data = sample_dataset(truth, np.array([40, 40, 0, 40]), seed=0)
+        with caplog.at_level("WARNING", logger="sdsbm.em"):
+            report = fit(data, FitConfig(n_clusters=3, max_iterations=10, restarts=2,
+                                         seed=0))
+        assert report.diagnostics["dead_cluster_resets"] == 0
+        assert not caplog.records
+
     def test_empty_epoch_in_range_is_handled(self):
         data = Dataset([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 2, 2],
                        n_items=2, n_labels=2, n_epochs=3)
@@ -512,3 +525,74 @@ class TestFit:
         assert np.array_equal(coupled.theta.values, plain.theta.values)
         assert np.array_equal(coupled.p.values, plain.p.values)
         assert np.array_equal(coupled.trace, plain.trace)
+
+
+class TestFitFromAStart:
+    """``fit(..., start=(theta, p))``: one chain from given arrays."""
+
+    @staticmethod
+    def _bench():
+        truth = _toy_truth(4, 10, seed=20)
+        return sample_dataset(truth, 8, seed=20)
+
+    @pytest.mark.parametrize("p_mode", ["dynamic", "static"])
+    def test_one_repeatable_chain_from_the_given_arrays(self, monkeypatch, p_mode):
+        data = self._bench()
+        prior = PriorConfig(beta_theta=3.0, beta_p=3.0 if p_mode == "dynamic" else 0.0)
+        config = FitConfig(n_clusters=3, prior=prior, p_mode=p_mode,
+                           max_iterations=15, restarts=4, seed=14)
+        cold = fit(data, config)
+        start = (cold.theta.values, cold.p.values)
+        chains = []
+        run_chain = em._run_chain
+
+        def counting(*args):
+            chains.append(args[2])
+            return run_chain(*args)
+
+        monkeypatch.setattr(em, "_run_chain", counting)
+        warm = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
+                   start=start)
+        again = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
+                    start=start)
+        assert chains == [0, 0]
+        assert warm.best_restart == 0
+        assert np.array_equal(warm.theta.values, again.theta.values)
+        assert np.array_equal(warm.p.values, again.p.values)
+        assert np.array_equal(warm.trace, again.trace)
+        assert not np.array_equal(warm.theta.values, cold.theta.values)
+
+    def test_a_converged_start_stays_converged(self):
+        data = self._bench()
+        config = FitConfig(n_clusters=3, max_iterations=400, tol=1e-9, restarts=1, seed=15)
+        cold = fit(data, config)
+        warm = fit(data, config, start=(cold.theta.values, cold.p.values))
+        assert warm.converged and warm.n_iterations < cold.n_iterations
+        assert warm.objective >= cold.objective - 1e-9 * abs(cold.objective)
+
+    def test_fixed_blocks_stay_fixed(self):
+        data = self._bench()
+        fixed = random_blocks(4, 3, 3, seed=21)
+        config = FitConfig(n_clusters=3, p_mode="fixed", fixed_p=fixed,
+                           max_iterations=10, restarts=1, seed=16)
+        start = (random_memberships(4, 10, 3, seed=22), random_blocks(4, 3, 3, seed=23))
+        report = fit(data, config, start=start)
+        assert np.array_equal(report.p.values, fixed)
+
+    @pytest.mark.parametrize("p_mode,theta_shape,p_shape", [
+        ("dynamic", (3, 10, 3), (4, 3, 3)),   # one epoch short
+        ("dynamic", (4, 9, 3), (4, 3, 3)),    # one item short
+        ("dynamic", (4, 10, 2), (4, 2, 3)),   # K differs from the config
+        ("dynamic", (4, 10, 3), (1, 3, 3)),   # a shared slice for per-epoch blocks
+        ("dynamic", (4, 10, 3), (4, 3, 4)),   # one label too many
+        ("static", (4, 10, 3), (4, 3, 3)),    # per-epoch slices for a shared block
+        ("fixed", (4, 10, 3), (1, 3, 3)),     # not the fixed tensor's extents
+    ])
+    def test_start_arrays_of_other_extents_are_rejected(self, p_mode, theta_shape, p_shape):
+        data = self._bench()
+        fixed = random_blocks(4, 3, 3, seed=24) if p_mode == "fixed" else None
+        config = FitConfig(n_clusters=3, p_mode=p_mode, fixed_p=fixed, max_iterations=5,
+                           restarts=1)
+        start = (random_memberships(*theta_shape, seed=25), random_blocks(*p_shape, seed=26))
+        with pytest.raises(ContractError, match="start arrays"):
+            fit(data, config, start=start)

@@ -2,6 +2,7 @@
 import csv
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -513,7 +514,8 @@ class TestCrossValidate:
                             counted("score", evaluation.score_test_set))
         monkeypatch.setattr(evaluation, "TemporalCoupling",
                             counted("coupling", evaluation.TemporalCoupling))
-        results = cross_validate(data, FAMILIES, (0.0, 10.0), plan, template=template,
+        # beta = 100, started from the beta = 0 fit, loses to it on validation
+        results = cross_validate(data, FAMILIES, (0.0, 100.0), plan, template=template,
                                  truth=truth)
         # sdsbm and nc both pick the shared beta = 0 fit in every fold
         assert [[o.beta for o in r.folds] for r in results] == [[0.0, 0.0]] * 3
@@ -521,6 +523,74 @@ class TestCrossValidate:
         # per fold: 3 fits scored on validation, 2 distinct picks on test, and
         # one fill for each of the 2 dynamic fits (the static fit has no gap)
         assert calls == {"score": 2 * (3 + 2), "coupling": 2 * 2}
+
+    @pytest.mark.parametrize("grid", [(3.0, 0.0, 10.0), (10.0, 3.0, 1.0)])
+    def test_the_coupled_grid_is_one_warm_path(self, monkeypatch, grid):
+        # only the smallest sdsbm beta starts cold; each larger one starts from
+        # the fit just before it, and nc and static are always cold, also when
+        # nc has no beta = 0 fit to share
+        _, data = _small_benchmark(seed=7)
+        template = FitConfig(n_clusters=3, max_iterations=8, tol=1e-4, restarts=2,
+                             seed=0)
+        plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
+                         seed=7)
+        calls = []
+        fitted = {}
+        real_fit = evaluation.fit
+
+        def recording(data, config, *, start=None):
+            beta = config.prior.beta_theta
+            family = ("static" if data.n_epochs == 1 else
+                      "nc" if beta == 0 and 0.0 not in grid else "sdsbm")
+            warm_from = None if start is None else next(
+                b for b, arrays in fitted.items()
+                if all(np.array_equal(x, y) for x, y in zip(arrays, start))
+            )
+            calls.append((family, beta, warm_from))
+            report = real_fit(data, config, start=start)
+            if family == "sdsbm":
+                fitted[beta] = (report.theta.values, report.p.values)
+            return report
+
+        monkeypatch.setattr(evaluation, "fit", recording)
+        results = cross_validate(data, FAMILIES, grid, plan, template=template)
+        path = sorted(grid)
+        sdsbm = [("sdsbm", path[0], None)] + [
+            ("sdsbm", beta, before) for before, beta in zip(path, path[1:])
+        ]
+        baselines = ([] if 0.0 in grid else [("nc", 0.0, None)]) + [("static", 0.0, None)]
+        assert calls == (sdsbm + baselines) * 2
+        starts = dict(zip(path, [None] + path[:-1]))
+        for outcome in results[0].folds:
+            assert outcome.start == starts[outcome.beta]
+        assert all(o.start is None for result in results[1:] for o in result.folds)
+
+    def test_results_do_not_depend_on_the_grid_order(self):
+        truth, data = _small_benchmark(seed=8)
+        template = FitConfig(n_clusters=3, max_iterations=12, tol=1e-4, restarts=2,
+                             seed=2)
+        plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
+                         seed=8)
+        shuffled = cross_validate(data, FAMILIES, (10.0, 0.0, 3.0), plan,
+                                  template=template, truth=truth)
+        ascending = cross_validate(data, FAMILIES, (0.0, 3.0, 10.0), plan,
+                                   template=template, truth=truth)
+        for a, b in zip(shuffled, ascending):
+            assert a.family == b.family
+            assert a.folds == b.folds
+
+    def test_truth_of_other_extents_is_rejected_before_any_fit(self, monkeypatch):
+        truth, data = _small_benchmark(seed=9)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fitted before the truth was checked")
+
+        monkeypatch.setattr(evaluation, "fit", refuse)
+        template = FitConfig(n_clusters=3, restarts=1)
+        for other, config in ((data.collapse_epochs(), template),
+                              (data, replace(template, n_clusters=2))):
+            with pytest.raises(ContractError, match="truth memberships have shape"):
+                cross_validate(other, FAMILIES, (0.0, 1.0), template=config, truth=truth)
 
     def test_shared_pass_matches_one_family_at_a_time(self):
         truth, data = _small_benchmark(seed=6)
@@ -545,7 +615,7 @@ class TestWriteResults:
                 FoldOutcome(0, 10.0, {"roc": 0.9, "ap": 0.8, "nce": 0.1,
                                       "rmse": 0.05}),
                 FoldOutcome(1, 30.0, {"roc": 0.92, "ap": 0.82, "nce": 0.09,
-                                      "rmse": 0.04}),
+                                      "rmse": 0.04}, start=10.0),
             ]),
             EvalResult("nc", [
                 FoldOutcome(0, 0.0, {"roc": 0.85, "ap": 0.75, "nce": 0.15}),
@@ -567,5 +637,9 @@ class TestWriteResults:
         payload = json.loads(json_path.read_text())
         assert payload["dataset"] == "bench"
         assert payload["models"]["sdsbm"]["folds"][0]["roc"] == 0.9
+        # the fold records name the start of each pick; metrics leave it out
+        folds = payload["models"]["sdsbm"]["folds"]
+        assert [f["start_beta"] for f in folds] == [None, 10.0]
         aggregates = payload["models"]["sdsbm"]["aggregates"]
         assert aggregates["roc"]["mean"] == pytest.approx(0.91)
+        assert set(aggregates) == {"roc", "ap", "nce", "rmse"}
