@@ -89,12 +89,12 @@ class FitReport:
         return float(self.trace[-1])
 
 
-def _coordinate_update(sums, counts, averages, beta, previous=None):
+def _coordinate_update(sums, counts, averages, beta):
     """Row update ``(sums + beta*<x>) / (counts + beta)`` of (T, R, C) sums.
 
     ``beta`` is dropped at fallback epochs (their prior is uniform).  Rows
-    with a zero denominator — no mass and no prior pull — take ``previous``
-    (uniform without one).  Returns the floored rows and the mask of reset rows.
+    with a zero denominator — no mass and no prior pull — become uniform, the
+    mode of their flat prior.  Returns the floored rows and the mask of reset rows.
     """
     if beta > 0:
         if averages is None:
@@ -107,26 +107,27 @@ def _coordinate_update(sums, counts, averages, beta, previous=None):
         numer, denom = sums, counts
     dead = denom == 0
     out = numer / np.where(dead, 1.0, denom)[:, :, None]
-    if dead.any():
-        out[dead] = (1.0 / sums.shape[2]) if previous is None else previous[dead]
+    out[dead] = 1.0 / sums.shape[2]
     np.maximum(out, PROB_FLOOR, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out, dead
 
 
-def _m_step(s_theta, s_p, averages, theta, p, counts, prior, p_mode):
+def _m_step(s_theta, s_p, averages, p, counts, prior, p_mode):
     """The M-step on plain arrays, from what ``_e_step`` returned at ``(theta, p)``.
 
-    ``counts`` holds the (T, I) observation counts as floats.  The block
-    tensor follows ``p_mode``: ``dynamic`` updates one slice per epoch,
-    ``static`` pools every epoch into one slice with no temporal prior,
-    ``fixed`` returns ``p`` as it came.  Returns ``(theta, p, rows_reset)``,
-    where ``rows_reset`` counts the cluster rows of ``p`` with no mass and no
-    prior pull, which were reset to uniform.  Rows of an epoch with no
-    observations are reset too but not counted: they had no mass to lose.
+    ``counts`` holds the (T, I) observation counts as floats.  A row with no
+    observations takes its neighbour average when coupled and is uniform
+    otherwise.  The block tensor follows ``p_mode``: ``dynamic`` updates one
+    slice per epoch, ``static`` pools every epoch into one slice with no
+    temporal prior, ``fixed`` returns ``p`` as it came.  Returns
+    ``(theta, p, rows_reset)``, where ``rows_reset`` counts the cluster rows of
+    ``p`` with no mass and no prior pull, which were reset to uniform.  Rows of
+    an epoch with no observations are reset too but not counted: they had no
+    mass to lose.
     """
     avg_theta, avg_p = averages
-    theta, _ = _coordinate_update(s_theta, counts, avg_theta, prior.beta_theta, theta)
+    theta, _ = _coordinate_update(s_theta, counts, avg_theta, prior.beta_theta)
     if p_mode == "fixed":
         return theta, p, 0
     beta = prior.beta_p
@@ -174,8 +175,7 @@ def _run_chain(problem, config, restart, counts, theta, p):
     started = time.perf_counter()
     s_theta, s_p, averages, _ = _e_step(theta, p, problem, prior)
     for _ in range(config.max_iterations):
-        theta, p, dead = _m_step(s_theta, s_p, averages, theta, p, counts, prior,
-                                 config.p_mode)
+        theta, p, dead = _m_step(s_theta, s_p, averages, p, counts, prior, config.p_mode)
         dead_total += dead
         s_theta, s_p, averages, objective = _e_step(theta, p, problem, prior)
         trace.append(objective)

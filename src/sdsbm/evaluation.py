@@ -19,7 +19,6 @@ from scipy.stats import rankdata
 from .em import fit
 from .errors import ContractError
 from .model import MembershipTensor, _arrays
-from .prior import TemporalCoupling
 
 _log = logging.getLogger(__name__)
 
@@ -69,26 +68,6 @@ class ScoreTable:
 
     scores: np.ndarray
     true_labels: np.ndarray
-
-
-def _scoring_tensors(theta, p, prior, train_epoch_counts):
-    """Fitted arrays as used to score held-out data.
-
-    Epochs with no training observations take their neighbour average
-    (uniform when nothing carries weight), so prediction at a never-seen
-    slice borrows from the slices around it.
-    """
-    unseen = np.asarray(train_epoch_counts) == 0
-    if unseen.any():
-        coupling = TemporalCoupling(train_epoch_counts, prior)
-        avg, _ = coupling.average(theta)
-        theta = np.array(theta)
-        theta[unseen] = avg[unseen]
-        if p.shape[0] == theta.shape[0]:
-            avg_p, _ = coupling.average(p)
-            p = np.array(p)
-            p[unseen] = avg_p[unseen]
-    return theta, p
 
 
 def score_test_set(theta, p, test):
@@ -347,11 +326,10 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
             fit_data = train.collapse_epochs() if key[0] else train
             report = fit(fit_data, config, start=None if starts[key] is None else fitted)
             fitted = (report.theta.values, report.p.values)
-            tensors = _scoring_tensors(*fitted, config.prior, fit_data.epoch_counts)
-            val_auc = roc_auc(score_test_set(*tensors, val))
+            val_auc = roc_auc(score_test_set(*fitted, val))
             for family, candidates in betas.items():
                 if key in candidates and (family not in best or val_auc > best[family][0]):
-                    best[family] = (val_auc, key, tensors)
+                    best[family] = (val_auc, key, fitted)
         tested = {}
         for result in results:
             _, key, (th, pv) = best[result.family]

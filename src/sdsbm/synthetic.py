@@ -117,12 +117,16 @@ def generate_memberships(pattern):
 
 
 def even_schedule(total_per_item, n_epochs):
-    """Spread a per-item observation budget over epochs as evenly as possible."""
+    """Spread a per-item observation budget over epochs as evenly as possible.
+
+    The remainder goes to epochs evenly spaced from the first to the last, so
+    a budget below the epoch count still spans the whole range.
+    """
     if total_per_item < 0 or n_epochs < 1:
         raise ContractError("need total_per_item >= 0 and n_epochs >= 1")
     base, remainder = divmod(int(total_per_item), int(n_epochs))
     schedule = np.full(n_epochs, base, dtype=np.int64)
-    schedule[:remainder] += 1
+    schedule[np.round(np.linspace(0, n_epochs - 1, remainder)).astype(np.int64)] += 1
     return schedule
 
 

@@ -88,8 +88,8 @@ def test_criterion_1_static_recovery(acceptance):
     counts = data.item_epoch_counts.astype(float)
     theta_formula = s_theta / counts[:, :, None]
     p_formula = s_p / s_p.sum(axis=2, keepdims=True)
-    theta_step, p_step, _ = _m_step(s_theta, s_p, (None, None), report.theta.values,
-                                    report.p.values, counts, config.prior, "dynamic")
+    theta_step, p_step, _ = _m_step(s_theta, s_p, (None, None), report.p.values, counts,
+                                    config.prior, "dynamic")
     formula_ok = (
         np.allclose(theta_step, theta_formula, atol=1e-12)
         and np.allclose(p_step, p_formula, atol=1e-12)
@@ -273,8 +273,7 @@ def test_criterion_6_property_suite(acceptance):
     s_theta, s_p = omega_sums(theta0, p0, data)
     coupling = TemporalCoupling(data.epoch_counts, prior)
     theta1, p1, _ = _m_step(s_theta, s_p, (coupling.average(theta0), coupling.average(p0)),
-                            theta0, p0, data.item_epoch_counts.astype(float), prior,
-                            "dynamic")
+                            p0, data.item_epoch_counts.astype(float), prior, "dynamic")
     report = fit(data, FitConfig(n_clusters=3, prior=prior, max_iterations=25,
                                  restarts=1, seed=33))
     checks["rows"] = (

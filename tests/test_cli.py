@@ -340,20 +340,35 @@ class TestCrossValidationCommand:
             assert fold["start_beta"] == (0.0 if fold["beta"] == 10.0 else None)
         assert all(f["start_beta"] is None for f in payload["models"]["nc"]["folds"])
 
-    def test_truth_of_a_scarce_sample_is_rejected_before_fitting(self, tmp_path, capsys):
-        # 12 observations per item land in the first 12 of 30 planted epochs,
-        # so the event file spans 12 epochs; the mismatch is reported up front
-        bench = tmp_path / "bench"
+    def test_scarce_sample_is_scored_and_a_longer_truth_rejected(self, tmp_path, capsys):
+        # 12 observations per item are spread over all 30 planted epochs, the
+        # first and last included, so the event file spans the truth's epochs
+        bench, longer = tmp_path / "bench", tmp_path / "longer"
         assert run(capsys, "synth", "--epochs", "30", "--items", "10",
                    "--obs-total", "12", "--out", str(bench))[0] == 0
+        assert run(capsys, "synth", "--epochs", "40", "--items", "10",
+                   "--obs-total", "12", "--out", str(longer))[0] == 0
+        fast = ("--folds", "1", "--beta-grid", "0,10", "--max-iter", "10",
+                "--restarts", "1")
+        csv_out = tmp_path / "cv.csv"
+        code, _, _ = run(
+            capsys, "cv", "--data", str(bench / "events.csv"), "--clusters", "3",
+            "--truth", str(bench / "truth.npz"), *fast, "--out", str(csv_out),
+        )
+        assert code == 0
+        with open(csv_out) as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(row["rmse"] != "" for row in rows)
+        # a truth spanning more epochs than the event file is reported up front
         code, _, stderr = run(
             capsys, "cv", "--data", str(bench / "events.csv"), "--clusters", "3",
-            "--truth", str(bench / "truth.npz"), "--out", str(tmp_path / "cv.csv"),
+            "--truth", str(longer / "truth.npz"), *fast,
+            "--out", str(tmp_path / "cv_longer.csv"),
         )
         assert code == 3
-        assert "truth memberships have shape (30, 10, 3)" in stderr
-        assert "need (12, 10, 3)" in stderr
-        assert not (tmp_path / "cv.csv").exists()
+        assert "truth memberships have shape (40, 10, 3)" in stderr
+        assert "need (30, 10, 3)" in stderr
+        assert not (tmp_path / "cv_longer.csv").exists()
 
     def test_repeated_family_exits_3(self, tmp_path, capsys):
         events = small_events(tmp_path)

@@ -98,9 +98,9 @@ def _two_label_dataset():
     return Dataset([0, 0], [0, 1], [0, 0], n_items=1, n_labels=2, n_epochs=1)
 
 
-def _theta_step(data, omega_sums, averages, prior, previous=None):
+def _theta_step(data, omega_sums, averages, prior):
     """Membership half of the engine's M-step; the block tensor is held fixed."""
-    theta, _, _ = em._m_step(omega_sums, None, (averages, None), previous, None,
+    theta, _, _ = em._m_step(omega_sums, None, (averages, None), None,
                              data.item_epoch_counts.astype(float), prior, "fixed")
     return theta
 
@@ -110,7 +110,7 @@ def _block_step(data, omega_sums, averages, prior, mode="dynamic", current=None)
     T, K, _ = np.shape(omega_sums)
     counts = data.item_epoch_counts.astype(float)
     _, p, reset = em._m_step(np.zeros((T, data.n_items, K)), omega_sums, (None, averages),
-                             None, current, counts, prior, mode)
+                             current, counts, prior, mode)
     return p, reset
 
 
@@ -131,6 +131,16 @@ class TestMembershipUpdate:
         theta = _theta_step(data, omega_sums, (avg, fallback), prior)
         # epoch 0 has no observations: numerator and denominator are all prior
         np.testing.assert_allclose(theta[0], [[0.7, 0.3]], atol=1e-12)
+
+    def test_uncoupled_row_without_observations_is_uniform(self):
+        # item 1 is never seen at epoch 1: with no count and no prior pull, one
+        # M-step makes its row the mode of the flat prior, whatever the start
+        data = Dataset([0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1],
+                       n_items=2, n_labels=2, n_epochs=2)
+        for seed in range(3):
+            report = fit(data, FitConfig(n_clusters=3, max_iterations=1, restarts=1,
+                                         seed=seed))
+            np.testing.assert_array_equal(report.theta.values[1, 1], np.full(3, 1 / 3))
 
     def test_strong_coupling_pins_rows_to_the_average(self):
         data = _two_label_dataset()
@@ -401,7 +411,7 @@ class TestFit:
 
         before = frozen_objective(theta, p)
         s_theta, s_p, _ = model._accumulate(theta, p, problem)
-        theta_new, p_new, _ = em._m_step(s_theta, s_p, (avg_theta, avg_p), theta, p,
+        theta_new, p_new, _ = em._m_step(s_theta, s_p, (avg_theta, avg_p), p,
                                          data.item_epoch_counts.astype(float), prior,
                                          "dynamic")
         after = frozen_objective(theta_new, p_new)

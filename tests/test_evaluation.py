@@ -36,7 +36,6 @@ from sdsbm.evaluation import (
     EvalResult,
     FoldOutcome,
     _family_config,
-    _scoring_tensors,
 )
 
 from conftest import random_blocks, random_dataset, random_memberships
@@ -160,19 +159,6 @@ class TestScoreTestSet:
         table = score_test_set(MembershipTensor(theta), BlockTensor(p), test)
         expected = np.einsum("nk,ko->no", theta[test.epochs, test.nodes], p[0])
         np.testing.assert_allclose(table.scores, expected, atol=1e-12)
-
-    def test_unseen_epochs_borrow_their_neighbour_average(self):
-        theta = random_memberships(3, 2, 2, seed=16)
-        p = random_blocks(3, 2, 3, seed=17)
-        th_eval, p_eval = _scoring_tensors(theta, p, PriorConfig(), np.array([5, 0, 5]))
-        np.testing.assert_allclose(th_eval[1], (theta[0] + theta[2]) / 2, atol=1e-12)
-        np.testing.assert_allclose(p_eval[1], (p[0] + p[2]) / 2, atol=1e-12)
-        np.testing.assert_array_equal(th_eval[0], theta[0])
-        test = random_dataset(3, 2, 3, 15, seed=18)
-        table = score_test_set(th_eval, p_eval, test)
-        at_unseen = test.epochs == 1
-        expected = th_eval[1][test.nodes[at_unseen]] @ p_eval[1]
-        np.testing.assert_allclose(table.scores[at_unseen], expected, atol=1e-12)
 
 
 class TestRocAuc:
@@ -419,6 +405,16 @@ def _small_benchmark(seed=0):
     return truth, data
 
 
+def _unseen_epoch_bench():
+    """``(data, template, plan, truth)`` whose epoch 2 is never observed."""
+    spec = PatternSpec(kind="sinusoidal", n_epochs=4, n_items=12, seed=0)
+    truth = GroundTruth(generate_memberships(spec), block_matrix(0.1), spec)
+    data = sample_dataset(truth, np.array([40, 40, 0, 40]), seed=0)
+    template = FitConfig(n_clusters=3, max_iterations=10, tol=1e-4, restarts=1, seed=0)
+    plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15, seed=0)
+    return data, template, plan, truth
+
+
 class TestCrossValidate:
     def test_reports_one_outcome_per_fold(self):
         truth, data = _small_benchmark(seed=1)
@@ -493,36 +489,70 @@ class TestCrossValidate:
         # per fold: sdsbm at beta 0 and 10 (nc reuses beta 0), then static
         assert calls == {"fit": 6, "split": 2}
 
-    def test_each_pick_is_tested_once_and_each_fit_filled_once(self, monkeypatch):
-        spec = PatternSpec(kind="sinusoidal", n_epochs=4, n_items=12, seed=0)
-        truth = GroundTruth(generate_memberships(spec), block_matrix(0.1), spec)
-        # epoch 2 is never observed, so every dynamic fit has an unseen epoch
-        data = sample_dataset(truth, np.array([40, 40, 0, 40]), seed=0)
-        template = FitConfig(n_clusters=3, max_iterations=10, tol=1e-4, restarts=1,
-                             seed=0)
-        plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
-                         seed=0)
-        calls = {"score": 0, "coupling": 0}
+    def test_each_pick_is_tested_once(self, monkeypatch):
+        data, template, plan, truth = _unseen_epoch_bench()
+        calls = []
 
-        def counted(name, func):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return func(*args, **kwargs)
-            return wrapper
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return score_test_set(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "score_test_set",
-                            counted("score", evaluation.score_test_set))
-        monkeypatch.setattr(evaluation, "TemporalCoupling",
-                            counted("coupling", evaluation.TemporalCoupling))
+        monkeypatch.setattr(evaluation, "score_test_set", counted)
         # beta = 100, started from the beta = 0 fit, loses to it on validation
         results = cross_validate(data, FAMILIES, (0.0, 100.0), plan, template=template,
                                  truth=truth)
         # sdsbm and nc both pick the shared beta = 0 fit in every fold
         assert [[o.beta for o in r.folds] for r in results] == [[0.0, 0.0]] * 3
         assert results[0].folds == results[1].folds
-        # per fold: 3 fits scored on validation, 2 distinct picks on test, and
-        # one fill for each of the 2 dynamic fits (the static fit has no gap)
-        assert calls == {"score": 2 * (3 + 2), "coupling": 2 * 2}
+        # per fold: 3 fits scored on validation, 2 distinct picks on test
+        assert len(calls) == 2 * (3 + 2)
+
+    def test_scarce_decoupled_scores_do_not_depend_on_the_fit_seed(self):
+        # one observation per (item, epoch) with the blocks held fixed: every
+        # test observation sits on a row the decoupled model never saw, which
+        # it holds at the flat prior's mode, whatever the start
+        spec = PatternSpec(kind="sinusoidal", n_epochs=30, n_items=20, seed=1)
+        truth = GroundTruth(generate_memberships(spec), block_matrix(0.05), spec)
+        data = sample_dataset(truth, 1, seed=201)
+        plan = SplitPlan(n_folds=1, seed=4)
+        aucs = set()
+        for seed in range(3):
+            template = FitConfig(n_clusters=3, p_mode="fixed", fixed_p=truth.p,
+                                 max_iterations=30, tol=1e-5, restarts=1, seed=seed)
+            (nc,) = cross_validate(data, ("nc",), plan=plan, template=template)
+            aucs.add(nc.mean("roc"))
+        assert len(aucs) == 1
+
+    def test_test_scores_use_the_arrays_fit_returns(self, monkeypatch):
+        # the dynamic fits never see epoch 2; what they hold there is what the
+        # test split is scored with, as in an archive of the same fit
+        data, template, plan, truth = _unseen_epoch_bench()
+        splits, fitted, tested = [], [], []
+        real_split, real_fit = SplitPlan.split, evaluation.fit
+
+        def split(self, *args):
+            splits.append(real_split(self, *args))
+            fitted.append([])
+            return splits[-1]
+
+        def recorded_fit(fit_data, config, **kwargs):
+            train = splits[-1][0]
+            assert fit_data is train or len(fit_data) == len(train)
+            report = real_fit(fit_data, config, **kwargs)
+            fitted[-1].append((report.theta.values, report.p.values))
+            return report
+
+        def scored(theta, p, dataset):
+            if dataset is splits[-1][2]:
+                tested.append(any(np.array_equal(theta, th) and np.array_equal(p, pv)
+                                  for th, pv in fitted[-1]))
+            return score_test_set(theta, p, dataset)
+
+        monkeypatch.setattr(SplitPlan, "split", split)
+        monkeypatch.setattr(evaluation, "fit", recorded_fit)
+        monkeypatch.setattr(evaluation, "score_test_set", scored)
+        cross_validate(data, FAMILIES, (0.0, 100.0), plan, template=template, truth=truth)
+        assert tested == [True] * 4
 
     @pytest.mark.parametrize("grid", [(3.0, 0.0, 10.0), (10.0, 3.0, 1.0)])
     def test_the_coupled_grid_is_one_warm_path(self, monkeypatch, grid):

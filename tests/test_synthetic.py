@@ -105,14 +105,17 @@ class TestGenerateMemberships:
 
 
 class TestEvenSchedule:
-    def test_spreads_remainder_over_leading_epochs(self):
+    def test_spreads_remainder_from_the_first_to_the_last_epoch(self):
         np.testing.assert_array_equal(even_schedule(10, 3), [4, 3, 3])
+        np.testing.assert_array_equal(even_schedule(5, 3), [2, 1, 2])
 
     def test_exact_division(self):
         np.testing.assert_array_equal(even_schedule(6, 3), [2, 2, 2])
 
     def test_budget_below_epoch_count(self):
-        np.testing.assert_array_equal(even_schedule(2, 4), [1, 1, 0, 0])
+        np.testing.assert_array_equal(even_schedule(2, 4), [1, 0, 0, 1])
+        schedule = even_schedule(12, 30)
+        assert schedule[0] == schedule[-1] == 1 and schedule.sum() == 12
 
     def test_total_is_preserved(self):
         for total, epochs in ((17, 5), (3, 7), (0, 4)):
