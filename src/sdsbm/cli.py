@@ -281,7 +281,7 @@ def _cmd_export_flows(args):
         writer.writerow(
             ["epoch_from", "epoch_to", "node", "cluster_from", "cluster_to", "mass"]
         )
-        for t0, t1, node, k_from, k_to, mass in membership_flows(archive.theta):
+        for t0, t1, node, k_from, k_to, mass in membership_flows(archive.theta, archive.p):
             writer.writerow([t0, t1, archive.node_keys[node], k_from, k_to, f"{mass:.12g}"])
             count += 1
     print(f"wrote {count} flow rows to {args.out}")

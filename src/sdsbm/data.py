@@ -48,22 +48,10 @@ class Dataset:
         self.n_labels = int(n_labels)
         self.n_epochs = int(n_epochs)
         self.epoch_counts = np.bincount(epochs, minlength=n_epochs).astype(np.int64)
-        self._item_epoch_counts = None
         self._compressed = None
 
     def __len__(self):
         return self.nodes.size
-
-    @property
-    def item_epoch_counts(self):
-        """(T, I) array: N_{i,t}, the number of observations of item i at epoch t."""
-        if self._item_epoch_counts is None:
-            flat = self.epochs * self.n_items + self.nodes
-            counts = np.bincount(flat, minlength=self.n_epochs * self.n_items)
-            counts = counts.reshape(self.n_epochs, self.n_items).astype(np.int64)
-            counts.setflags(write=False)
-            self._item_epoch_counts = counts
-        return self._item_epoch_counts
 
     def compressed(self):
         """Unique triplets plus multiplicities: arrays (epochs, nodes, labels, weights).

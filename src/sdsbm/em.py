@@ -89,54 +89,50 @@ class FitReport:
         return float(self.trace[-1])
 
 
-def _coordinate_update(sums, counts, averages, beta):
+def _coordinate_update(sums, counts, avg, beta):
     """Row update ``(sums + beta*<x>) / (counts + beta)`` of (T, R, C) sums.
 
-    ``beta`` is dropped at fallback epochs (their prior is uniform).  Rows
-    with a zero denominator — no mass and no prior pull — become uniform, the
-    mode of their flat prior.  Returns the floored rows and the mask of reset rows.
+    ``beta`` holds each epoch's prior strength; ``avg`` is None when uncoupled.
+    Rows with a zero denominator — no mass and no prior pull — become uniform,
+    the mode of their flat prior.  Returns the floored rows and the mask of reset rows.
     """
-    if beta > 0:
-        if averages is None:
-            raise ContractError("neighbour averages are required when beta > 0")
-        avg, fallback = averages
-        beta_t = np.where(fallback, 0.0, beta)
-        numer = sums + beta_t[:, None, None] * avg
-        denom = counts + beta_t[:, None]
-    else:
-        numer, denom = sums, counts
-    dead = denom == 0
-    out = numer / np.where(dead, 1.0, denom)[:, :, None]
+    if avg is not None:
+        sums = sums + beta[:, None, None] * avg
+        counts = counts + beta[:, None]
+    dead = counts == 0
+    out = sums / np.where(dead, 1.0, counts)[:, :, None]
     out[dead] = 1.0 / sums.shape[2]
     np.maximum(out, PROB_FLOOR, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out, dead
 
 
-def _m_step(s_theta, s_p, averages, p, counts, prior, p_mode):
+def _m_step(s_theta, s_p, averages, p, problem, p_mode):
     """The M-step on plain arrays, from what ``_e_step`` returned at ``(theta, p)``.
 
-    ``counts`` holds the (T, I) observation counts as floats.  A row with no
-    observations takes its neighbour average when coupled and is uniform
-    otherwise.  The block tensor follows ``p_mode``: ``dynamic`` updates one
-    slice per epoch, ``static`` pools every epoch into one slice with no
-    temporal prior, ``fixed`` returns ``p`` as it came.  Returns
-    ``(theta, p, rows_reset)``, where ``rows_reset`` counts the cluster rows of
-    ``p`` with no mass and no prior pull, which were reset to uniform.  Rows of
-    an epoch with no observations are reset too but not counted: they had no
-    mass to lose.
+    Counts, prior and fallback epochs (which take the flat beta=0 prior) come
+    from ``problem``.  A row with no observations takes its neighbour average
+    when coupled and is uniform otherwise.  The block tensor follows
+    ``p_mode``: ``dynamic`` updates one slice per epoch, ``static`` pools every
+    epoch into one slice with no temporal prior, ``fixed`` returns ``p`` as it
+    came.  Returns ``(theta, p, rows_reset)``, where ``rows_reset`` counts the
+    cluster rows of ``p`` with no mass and no prior pull, which were reset to
+    uniform.  Rows of an epoch with no observations are reset too but not
+    counted: they had no mass to lose.
     """
     avg_theta, avg_p = averages
-    theta, _ = _coordinate_update(s_theta, counts, avg_theta, prior.beta_theta)
+    # 1 at epochs with weighted neighbours, 0 at fallback epochs
+    open_epochs = 0.0 if avg_theta is None and avg_p is None else ~problem.coupling.fallback
+    theta, _ = _coordinate_update(s_theta, problem.counts, avg_theta,
+                                  problem.prior.beta_theta * open_epochs)
     if p_mode == "fixed":
         return theta, p, 0
-    beta = prior.beta_p
     if p_mode == "static":
         s_p = s_p.sum(axis=0, keepdims=True)
-        avg_p, beta = None, 0.0
-    p, dead = _coordinate_update(s_p, s_p.sum(axis=2), avg_p, beta)
+        avg_p = None
+    p, dead = _coordinate_update(s_p, s_p.sum(axis=2), avg_p, problem.prior.beta_p * open_epochs)
     if p_mode == "dynamic":
-        dead = dead[counts.any(axis=1)]
+        dead = dead[problem.counts.any(axis=1)]
     return theta, p, int(dead.sum())
 
 
@@ -163,21 +159,20 @@ def _initial(data, config, restart, fixed_p):
     return theta, p
 
 
-def _run_chain(problem, config, restart, counts, theta, p):
+def _run_chain(problem, config, restart, theta, p):
     """One EM chain on plain arrays from the start ``(theta, p)``, numbered ``restart``.
 
     Returns a report of its own, whose tensors validate the final arrays once.
     """
-    prior = config.prior
     trace = []
     dead_total = 0
     converged = False
     started = time.perf_counter()
-    s_theta, s_p, averages, _ = _e_step(theta, p, problem, prior)
+    s_theta, s_p, averages, _ = _e_step(theta, p, problem)
     for _ in range(config.max_iterations):
-        theta, p, dead = _m_step(s_theta, s_p, averages, p, counts, prior, config.p_mode)
+        theta, p, dead = _m_step(s_theta, s_p, averages, p, problem, config.p_mode)
         dead_total += dead
-        s_theta, s_p, averages, objective = _e_step(theta, p, problem, prior)
+        s_theta, s_p, averages, objective = _e_step(theta, p, problem)
         trace.append(objective)
         if len(trace) > 1:
             rel = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
@@ -239,13 +234,12 @@ def fit(data, config, *, start=None):
             )
         starts = [(theta, p if fixed_p is None else fixed_p)]
     problem = _Problem(data, config.prior)
-    counts = data.item_epoch_counts.astype(float)
     best = None
     aborted = 0
     last_error = None
     for restart, (theta, p) in enumerate(starts):
         try:
-            report = _run_chain(problem, config, restart, counts, theta, p)
+            report = _run_chain(problem, config, restart, theta, p)
         except DegenerateParameterError as err:
             aborted += 1
             last_error = err

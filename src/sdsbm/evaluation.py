@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from .em import fit
 from .errors import ContractError
-from .model import MembershipTensor, _arrays
+from .model import BlockTensor, MembershipTensor, _arrays
 
 _log = logging.getLogger(__name__)
 
@@ -203,13 +203,26 @@ def flow_matrix(source, target):
     return flows
 
 
-def membership_flows(theta):
+def membership_flows(theta, p):
     """Per-node cluster mass transfers between consecutive epochs.
+
+    Cluster ids are arbitrary in each epoch, so with one block slice per epoch
+    the clusters of epoch t+1 are first matched to those of the aligned epoch
+    t: a linear assignment on the squared distance between their block rows
+    permutes epoch t+1's block rows and membership columns together.  Cluster
+    ids in the output are those of epoch 0.  A single shared slice needs no
+    alignment.
 
     Yields ``(epoch_from, epoch_to, node, cluster_from, cluster_to, mass)``
     for every positive entry of the per-node flow matrices.
     """
-    th = theta.values if isinstance(theta, MembershipTensor) else np.asarray(theta, float)
+    th, pv = _arrays(theta, p)
+    if pv.shape[0] > 1:
+        th, pv = th.copy(), pv.copy()
+        for t in range(1, pv.shape[0]):
+            cost = ((pv[t - 1][:, None, :] - pv[t][None, :, :]) ** 2).sum(axis=2)
+            _, order = linear_sum_assignment(cost)
+            th[t], pv[t] = th[t][:, order], pv[t][order]
     n_epochs, n_items, _ = th.shape
     for t in range(n_epochs - 1):
         for i in range(n_items):
@@ -276,7 +289,8 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
     coupled family's beta = 0, is fitted once per fold, and scored on the
     test split once when several families pick it.  With planted truth
     available, membership recovery error is reported as well; its extents
-    are checked before anything is fitted.
+    are checked before anything is fitted, as is a fixed block tensor with
+    several epochs, which the static family's single epoch cannot use.
 
     The coupled family's grid is one path in ascending beta: the smallest
     beta is fitted with the template's restarts, and each larger one runs a
@@ -301,6 +315,12 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
                 f"truth memberships have shape {truth.theta.shape}, the data and "
                 f"template need {need}"
             )
+    fixed = template.fixed_p
+    if "static" in names and fixed is not None:
+        slices = (fixed if isinstance(fixed, BlockTensor) else BlockTensor(fixed)).values.shape[0]
+        if slices > 1:
+            raise ContractError(f"the static family fits one epoch, but the fixed block "
+                                f"tensor has {slices} epochs")
     plan = plan if plan is not None else SplitPlan()
     # Models are keyed by (epochs collapsed, prior).  sdsbm's grid is walked
     # first, in ascending beta, so the fit walked just before a warm sdsbm

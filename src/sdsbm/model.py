@@ -56,23 +56,15 @@ class MembershipTensor:
         self.values = _validated(values, 3, "membership tensor")
 
     @property
-    def n_epochs(self):
-        return self.values.shape[0]
-
-    @property
     def n_items(self):
         return self.values.shape[1]
-
-    @property
-    def n_clusters(self):
-        return self.values.shape[2]
 
     @property
     def shape(self):
         return self.values.shape
 
     def __repr__(self):
-        return f"MembershipTensor(T={self.n_epochs}, I={self.n_items}, K={self.n_clusters})"
+        return "MembershipTensor(T={}, I={}, K={})".format(*self.values.shape)
 
 
 class BlockTensor:
@@ -85,31 +77,15 @@ class BlockTensor:
         self.values = _validated(arr, 3, "block tensor")
 
     @property
-    def n_epochs(self):
-        return self.values.shape[0]
-
-    @property
-    def n_clusters(self):
-        return self.values.shape[1]
-
-    @property
     def n_labels(self):
         return self.values.shape[2]
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def static(self):
-        return self.values.shape[0] == 1
-
     def epoch_slice(self, t):
-        """Slice in force at epoch t (the shared slice when static)."""
-        return self.values[0 if self.static else t]
+        """Slice in force at epoch t (the shared slice when there is one)."""
+        return self.values[0 if self.values.shape[0] == 1 else t]
 
     def __repr__(self):
-        return f"BlockTensor(T={self.n_epochs}, K={self.n_clusters}, O={self.n_labels})"
+        return "BlockTensor(T={}, K={}, O={})".format(*self.values.shape)
 
 
 def _arrays(theta, p):
@@ -134,8 +110,9 @@ class _Problem:
 
     ``flat_ti = t*I + i`` and ``flat_to = t*O + o`` index rows of the
     ``(T*I, K)`` membership and ``(T*O, K)`` block views; a single shared block
-    slice is indexed by the labels alone.  The (T, T) coupling is built on
-    first use, so an uncoupled objective never pays for it.
+    slice is indexed by the labels alone.  The counts and the (T, T) coupling
+    are built on first use: ``log_posterior`` needs no counts, and an
+    uncoupled fit no coupling.
     """
 
     def __init__(self, data, prior):
@@ -145,6 +122,12 @@ class _Problem:
         self.weights = w.astype(float)
         self.flat_ti = self.epochs_u * data.n_items + self.nodes_u
         self.flat_to = self.epochs_u * data.n_labels + self.labels_u
+
+    @cached_property
+    def counts(self):
+        """(T, I) float observation counts N_{i,t}, summed from the triplet weights."""
+        T, I = self.data.n_epochs, self.data.n_items
+        return np.bincount(self.flat_ti, weights=self.weights, minlength=T * I).reshape(T, I)
 
     @cached_property
     def coupling(self):
@@ -196,23 +179,23 @@ def _accumulate(theta, p, problem):
     return s_theta.reshape(T, I, K), s_p, loglik
 
 
-def _e_step(theta, p, problem, prior):
+def _e_step(theta, p, problem):
     """Responsibility sums, neighbour averages and objective at (theta, p) arrays.
 
-    The objective is the log-likelihood plus, for each coupled family, the
-    prior pull ``beta * sum(<x> * log x)`` over epochs that have neighbours,
-    taken at the averages the next M-step needs.  An average is None for a
-    family that is uncoupled or has a single shared slice.
+    The objective is the log-likelihood plus, for each coupled family of
+    ``problem.prior``, the prior pull ``beta * sum(<x> * log x)`` over epochs
+    that have neighbours, taken at the averages the next M-step needs.  An
+    average is None for a family that is uncoupled or has a single shared slice.
     """
     s_theta, s_p, objective = _accumulate(theta, p, problem)
     averages = []
-    for values, beta in ((theta, prior.beta_theta), (p, prior.beta_p)):
+    for values, beta in ((theta, problem.prior.beta_theta), (p, problem.prior.beta_p)):
         avg = None
         if beta > 0 and values.shape[0] == problem.coupling.n_epochs:
-            mean, fallback = avg = problem.coupling.average(values)
+            avg = problem.coupling.average(values)
             with np.errstate(divide="ignore", invalid="ignore"):
-                pull = np.where(mean > 0, mean * np.log(values), 0.0)
-            objective += beta * pull[~fallback].sum()
+                pull = np.where(avg > 0, avg * np.log(values), 0.0)
+            objective += beta * pull[~problem.coupling.fallback].sum()
         averages.append(avg)
     return s_theta, s_p, averages, objective
 
@@ -238,7 +221,7 @@ def log_posterior(theta, p, data, prior=None):
         raise ContractError(f"parameters cover (epochs, items, labels) = {have}, data {need}")
     prior = PriorConfig() if prior is None else prior
     try:
-        *_, objective = _e_step(th, pv, _Problem(data, prior), prior)
+        *_, objective = _e_step(th, pv, _Problem(data, prior))
     except DegenerateParameterError as err:
         warnings.warn(
             "zero mixture probability for observed triplet "

@@ -51,8 +51,8 @@ class TemporalCoupling:
     Precomputes the (T, T) matrix A with ``A[t, t'] ∝ N_{t'} / |t - t'|**a``
     for ``t' != t`` inside the window and rows normalized to 1, so that
     ``A @ x`` gives every epoch's neighbour average in one product.  Rows
-    whose weights all vanish are flagged and produce uniform slices; such
-    epochs contribute no prior pull (the uniform prior is the beta=0 prior).
+    whose weights all vanish are flagged in ``fallback`` and average to zero;
+    such epochs take the flat beta=0 prior, and callers mask their rows out.
     """
 
     def __init__(self, counts, config):
@@ -74,23 +74,18 @@ class TemporalCoupling:
         np.fill_diagonal(w, 0.0)
         row_sums = w.sum(axis=1)
         self.fallback = row_sums == 0
-        w /= np.where(self.fallback, 1.0, row_sums)[:, None]
-        w[self.fallback] = 0.0
+        w /= np.where(self.fallback, 1.0, row_sums)[:, None]  # fallback rows stay zero
         self.matrix = w
         self.n_epochs = counts.size
 
     def average(self, param):
-        """Neighbour average of a (T, ...) parameter tensor.
+        """Neighbour average ``A @ param`` of a (T, ...) tensor, in param's shape.
 
-        Returns ``(values, fallback)`` where values has param's shape with
-        uniform slices at flagged epochs, and fallback is the (T,) bool mask.
+        Slices at ``fallback`` epochs are zero.
         """
         param = np.asarray(param, dtype=float)
         if param.shape[0] != self.n_epochs:
             raise ContractError(
                 f"parameter has {param.shape[0]} epochs, coupling has {self.n_epochs}"
             )
-        out = (self.matrix @ param.reshape(self.n_epochs, -1)).reshape(param.shape)
-        if self.fallback.any():
-            out[self.fallback] = 1.0 / param.shape[-1]
-        return out, self.fallback.copy()
+        return (self.matrix @ param.reshape(self.n_epochs, -1)).reshape(param.shape)

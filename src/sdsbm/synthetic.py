@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractError
-from .model import BlockTensor, MembershipTensor
+from .model import BlockTensor, MembershipTensor, _arrays
 
 PATTERNS = ("sinusoidal", "broken_line")
 
@@ -136,10 +136,10 @@ def sample_dataset(truth, schedule, seed=0):
     Every item emits ``schedule[t]`` labels at epoch t (an int applies to all
     epochs): a cluster is drawn from the item's memberships, then a label from
     that cluster's row.  Sampling draws per-(item, epoch) label counts from the
-    marginal mixture, which has exactly that law.
+    marginal mixture, which has exactly that law.  The block tensor must have
+    the memberships' cluster count and one slice or one per epoch.
     """
-    th = truth.theta.values
-    pv = truth.p.values
+    th, pv = _arrays(truth.theta, truth.p)
     T, I, _ = th.shape
     O = pv.shape[2]
     schedule = np.asarray(schedule, dtype=np.int64)

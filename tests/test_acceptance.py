@@ -22,7 +22,6 @@ from sdsbm import (
     PriorConfig,
     ScoreTable,
     SplitPlan,
-    TemporalCoupling,
     block_matrix,
     cross_validate,
     fit,
@@ -34,6 +33,7 @@ from sdsbm import (
 )
 from sdsbm.em import _m_step
 from sdsbm.evaluation import FAMILIES
+from sdsbm.model import _Problem
 
 from conftest import random_blocks, random_memberships
 from model_reference import responsibilities
@@ -85,11 +85,11 @@ def test_criterion_1_static_recovery(acceptance):
     monotone = bool(np.all(np.diff(trace) > -1e-8))
 
     s_theta, s_p = omega_sums(report.theta, report.p, data)
-    counts = data.item_epoch_counts.astype(float)
-    theta_formula = s_theta / counts[:, :, None]
+    problem = _Problem(data, config.prior)
+    theta_formula = s_theta / problem.counts[:, :, None]
     p_formula = s_p / s_p.sum(axis=2, keepdims=True)
-    theta_step, p_step, _ = _m_step(s_theta, s_p, (None, None), report.p.values, counts,
-                                    config.prior, "dynamic")
+    theta_step, p_step, _ = _m_step(s_theta, s_p, (None, None), report.p.values, problem,
+                                    "dynamic")
     formula_ok = (
         np.allclose(theta_step, theta_formula, atol=1e-12)
         and np.allclose(p_step, p_formula, atol=1e-12)
@@ -271,9 +271,10 @@ def test_criterion_6_property_suite(acceptance):
     theta0 = random_memberships(6, 12, 3, seed=31)
     p0 = random_blocks(6, 3, 3, seed=32)
     s_theta, s_p = omega_sums(theta0, p0, data)
-    coupling = TemporalCoupling(data.epoch_counts, prior)
-    theta1, p1, _ = _m_step(s_theta, s_p, (coupling.average(theta0), coupling.average(p0)),
-                            p0, data.item_epoch_counts.astype(float), prior, "dynamic")
+    problem = _Problem(data, prior)
+    theta1, p1, _ = _m_step(s_theta, s_p,
+                            (problem.coupling.average(theta0), problem.coupling.average(p0)),
+                            p0, problem, "dynamic")
     report = fit(data, FitConfig(n_clusters=3, prior=prior, max_iterations=25,
                                  restarts=1, seed=33))
     checks["rows"] = (
@@ -292,7 +293,7 @@ def test_criterion_6_property_suite(acceptance):
     checks["omega"] = max(abs(v - 1.0) for v in totals) <= 1e-12
 
     # the prior mode reproduces the neighbour average, tolerance 1e-12
-    avg = TemporalCoupling(data.epoch_counts, prior).average(theta0)[0]
+    avg = problem.coupling.average(theta0)
     mode_gap = 0.0
     for t in range(6):
         alpha = concentration(theta0, data.epoch_counts, prior, t)

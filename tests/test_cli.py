@@ -370,6 +370,21 @@ class TestCrossValidationCommand:
         assert "need (30, 10, 3)" in stderr
         assert not (tmp_path / "cv_longer.csv").exists()
 
+    def test_per_epoch_fixed_block_with_the_static_family_exits_3(self, tmp_path, capsys):
+        events = small_events(tmp_path)
+        blocks = tmp_path / "p3.npz"
+        np.savez(blocks, p=random_blocks(3, 2, 3, seed=3))
+        common = ("cv", "--data", str(events), "--clusters", "2", "--fixed-p", str(blocks),
+                  "--folds", "1", "--beta-grid", "0,1", "--max-iter", "2", "--restarts", "1")
+        code, _, stderr = run(capsys, *common, "--out", str(tmp_path / "cv.csv"))
+        assert code == 3
+        assert "static family fits one epoch, but the fixed block tensor has 3 epochs" in stderr
+        assert not (tmp_path / "cv.csv").exists()
+        # the per-epoch families can use it
+        code, _, _ = run(capsys, *common, "--models", "sdsbm,nc",
+                         "--out", str(tmp_path / "cv_dynamic.csv"))
+        assert code == 0
+
     def test_repeated_family_exits_3(self, tmp_path, capsys):
         events = small_events(tmp_path)
         code, _, stderr = run(

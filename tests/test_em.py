@@ -98,19 +98,23 @@ def _two_label_dataset():
     return Dataset([0, 0], [0, 1], [0, 0], n_items=1, n_labels=2, n_epochs=1)
 
 
-def _theta_step(data, omega_sums, averages, prior):
+def _two_epoch_dataset():
+    # both epochs observed, so neither is a fallback epoch
+    return Dataset([0, 0, 0], [0, 1, 0], [0, 0, 1], n_items=1, n_labels=2, n_epochs=2)
+
+
+def _theta_step(data, omega_sums, avg, prior):
     """Membership half of the engine's M-step; the block tensor is held fixed."""
-    theta, _, _ = em._m_step(omega_sums, None, (averages, None), None,
-                             data.item_epoch_counts.astype(float), prior, "fixed")
+    theta, _, _ = em._m_step(omega_sums, None, (avg, None), None,
+                             model._Problem(data, prior), "fixed")
     return theta
 
 
-def _block_step(data, omega_sums, averages, prior, mode="dynamic", current=None):
+def _block_step(data, omega_sums, avg, prior, mode="dynamic", current=None):
     """Block half of the engine's M-step: ``(p, rows_reset)``."""
     T, K, _ = np.shape(omega_sums)
-    counts = data.item_epoch_counts.astype(float)
-    _, p, reset = em._m_step(np.zeros((T, data.n_items, K)), omega_sums, (None, averages),
-                             current, counts, prior, mode)
+    _, p, reset = em._m_step(np.zeros((T, data.n_items, K)), omega_sums, (None, avg),
+                             current, model._Problem(data, prior), mode)
     return p, reset
 
 
@@ -126,9 +130,8 @@ class TestMembershipUpdate:
         omega_sums = np.zeros((2, 1, 2))
         omega_sums[1, 0] = [0.4, 0.6]
         avg = np.array([[[0.7, 0.3]], [[0.5, 0.5]]])
-        fallback = np.array([False, False])
         prior = PriorConfig(beta_theta=2.0)
-        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
+        theta = _theta_step(data, omega_sums, avg, prior)
         # epoch 0 has no observations: numerator and denominator are all prior
         np.testing.assert_allclose(theta[0], [[0.7, 0.3]], atol=1e-12)
 
@@ -143,21 +146,20 @@ class TestMembershipUpdate:
             np.testing.assert_array_equal(report.theta.values[1, 1], np.full(3, 1 / 3))
 
     def test_strong_coupling_pins_rows_to_the_average(self):
-        data = _two_label_dataset()
-        omega_sums = np.array([[[1.5, 0.5]]])
-        avg = np.array([[[0.1, 0.9]]])
-        fallback = np.array([False])
+        data = _two_epoch_dataset()
+        omega_sums = np.array([[[1.5, 0.5]], [[0.2, 0.8]]])
+        avg = np.array([[[0.1, 0.9]], [[0.6, 0.4]]])
         prior = PriorConfig(beta_theta=1e9)
-        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
+        theta = _theta_step(data, omega_sums, avg, prior)
         np.testing.assert_allclose(theta, avg, atol=1e-6)
 
     def test_fallback_epoch_ignores_the_coupling(self):
+        # a single epoch has no neighbours: its prior is flat whatever avg holds
         data = _two_label_dataset()
         omega_sums = np.array([[[1.5, 0.5]]])
-        avg = np.array([[[0.5, 0.5]]])
-        fallback = np.array([True])
+        avg = np.array([[[0.1, 0.9]]])
         prior = PriorConfig(beta_theta=100.0)
-        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
+        theta = _theta_step(data, omega_sums, avg, prior)
         np.testing.assert_allclose(theta, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
@@ -165,19 +167,14 @@ class TestMembershipUpdate:
         rng = np.random.default_rng(6)
         omega_sums = rng.random((3, 5, 4))
         # scale each row to its observation count so the update is consistent
-        counts = data.item_epoch_counts
+        counts = model._Problem(data, PriorConfig()).counts
         scale = np.where(counts > 0, counts / omega_sums.sum(axis=2), 0.0)
         omega_sums *= scale[:, :, None]
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
-        avg, fallback = coupling.average(random_memberships(3, 5, 4, seed=7))
+        avg = coupling.average(random_memberships(3, 5, 4, seed=7))
         prior = PriorConfig(beta_theta=2.5)
-        theta = _theta_step(data, omega_sums, (avg, fallback), prior)
+        theta = _theta_step(data, omega_sums, avg, prior)
         np.testing.assert_allclose(theta.sum(axis=2), 1.0, atol=1e-9)
-
-    def test_requires_averages_when_coupled(self):
-        data = _two_label_dataset()
-        with pytest.raises(ContractError):
-            _theta_step(data, np.ones((1, 1, 2)), None, PriorConfig(beta_theta=1.0))
 
 
 class TestBlockUpdate:
@@ -216,21 +213,20 @@ class TestBlockUpdate:
         np.testing.assert_allclose(p, [[[0.5, 0.5]]], atol=1e-15)
 
     def test_coupled_update_mixes_in_the_average(self):
-        data = _two_label_dataset()
-        omega_sums = np.array([[[3.0, 1.0]]])
-        avg = np.array([[[0.5, 0.5]]])
-        fallback = np.array([False])
-        p, _ = _block_step(data, omega_sums, (avg, fallback), PriorConfig(beta_p=4.0))
-        # (3 + 4*0.5) / (4 + 4) and (1 + 4*0.5) / 8
-        np.testing.assert_allclose(p, [[[0.625, 0.375]]], atol=1e-15)
+        data = _two_epoch_dataset()
+        omega_sums = np.array([[[3.0, 1.0]], [[1.0, 0.0]]])
+        avg = np.array([[[0.5, 0.5]], [[0.25, 0.75]]])
+        p, _ = _block_step(data, omega_sums, avg, PriorConfig(beta_p=4.0))
+        # (3 + 4*0.5) / (4 + 4) and (1 + 4*0.5) / 8; (1 + 4*0.25) / 5 and 3 / 5
+        np.testing.assert_allclose(p, [[[0.625, 0.375]], [[0.4, 0.6]]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
         data = random_dataset(3, 4, 5, 60, seed=10)
         rng = np.random.default_rng(11)
         omega_sums = rng.random((3, 2, 5))
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
-        avg, fallback = coupling.average(random_blocks(3, 2, 5, seed=12))
-        p, _ = _block_step(data, omega_sums, (avg, fallback), PriorConfig(beta_p=1.5))
+        avg = coupling.average(random_blocks(3, 2, 5, seed=12))
+        p, _ = _block_step(data, omega_sums, avg, PriorConfig(beta_p=1.5))
         np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-9)
 
 
@@ -272,9 +268,7 @@ class TestAccumulation:
         problem = model._Problem(data, PriorConfig())
         s_theta, s_p, loglik = model._accumulate(theta, p, problem)
         # every observation contributes exactly one unit of responsibility
-        np.testing.assert_allclose(
-            s_theta.sum(axis=2), data.item_epoch_counts, atol=1e-9
-        )
+        np.testing.assert_allclose(s_theta.sum(axis=2), problem.counts, atol=1e-9)
         assert s_theta.sum() == pytest.approx(len(data), abs=1e-9)
         assert s_p.sum() == pytest.approx(len(data), abs=1e-9)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
@@ -332,7 +326,7 @@ class TestFit:
         data = sample_dataset(truth, 10, seed=2)
         report = fit(data, FitConfig(n_clusters=3, p_mode="static",
                                      max_iterations=40, restarts=1, seed=0))
-        assert report.p.static
+        assert report.p.values.shape[0] == 1
         assert np.all(np.diff(report.trace) >= -1e-8)
 
     def test_seeded_fits_are_bit_identical(self):
@@ -404,15 +398,14 @@ class TestFit:
 
         def frozen_objective(th, pv):
             value = log_posterior(th, pv, data)
-            for values, (avg, _) in ((th, avg_theta), (pv, avg_p)):
+            for values, avg in ((th, avg_theta), (pv, avg_p)):
                 pull = np.where(avg > 0, avg * np.log(values), 0.0)
                 value += 4.0 * pull[~coupling.fallback].sum()
             return value
 
         before = frozen_objective(theta, p)
         s_theta, s_p, _ = model._accumulate(theta, p, problem)
-        theta_new, p_new, _ = em._m_step(s_theta, s_p, (avg_theta, avg_p), p,
-                                         data.item_epoch_counts.astype(float), prior,
+        theta_new, p_new, _ = em._m_step(s_theta, s_p, (avg_theta, avg_p), p, problem,
                                          "dynamic")
         after = frozen_objective(theta_new, p_new)
         assert after >= before - 1e-10 * abs(before)
@@ -500,7 +493,7 @@ class TestFit:
                        n_items=2, n_labels=2, n_epochs=3)
         report = fit(data, FitConfig(n_clusters=2, prior=PriorConfig(beta_theta=1.0),
                                      max_iterations=15, restarts=1, seed=9))
-        assert report.theta.n_epochs == 3
+        assert report.theta.shape == (3, 2, 2)
         np.testing.assert_allclose(report.theta.values.sum(axis=2), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("beta", [0.0, 4.0, 1000.0])

@@ -349,13 +349,36 @@ class TestFlows:
 
     def test_membership_flows_cover_every_transition(self):
         theta = random_memberships(3, 2, 3, seed=34)
-        rows = list(membership_flows(theta))
+        rows = list(membership_flows(theta, random_blocks(3, 3, 4, seed=35)))
         assert all(mass > 0 for *_, mass in rows)
         for t in range(2):
             for i in range(2):
                 total = sum(mass for (t0, _, node, _, _, mass) in rows
                             if t0 == t and node == i)
                 assert total == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_membership_flows_align_the_clusters_of_consecutive_epochs(self):
+        # epoch 1 is epoch 0 with its clusters renumbered: theta's columns and
+        # p's rows permuted together, so no mass moves between clusters
+        theta = random_memberships(1, 4, 3, seed=36)[0]
+        p = random_blocks(1, 3, 5, seed=37)[0]
+        order = [2, 0, 1]
+        rows = list(membership_flows(np.stack([theta, theta[:, order]]),
+                                     np.stack([p, p[order]])))
+        assert {(k_from, k_to) for *_, k_from, k_to, _ in rows} <= {(0, 0), (1, 1), (2, 2)}
+        for *_, node, k, _, mass in rows:
+            assert mass == pytest.approx(theta[node, k], abs=1e-15)
+
+    def test_membership_flows_with_a_shared_slice_keep_the_cluster_ids(self):
+        theta = random_memberships(2, 2, 3, seed=38)
+        shared = list(membership_flows(theta, random_blocks(1, 3, 4, seed=39)))
+        expected = [(0, 1, i, k_from, k_to, mass)
+                    for i in range(2)
+                    for (k_from, k_to), mass in np.ndenumerate(flow_matrix(theta[0, i],
+                                                                            theta[1, i]))
+                    if mass > 0]
+        assert shared == expected
 
 
 class TestEvalResult:
@@ -621,6 +644,18 @@ class TestCrossValidate:
                               (data, replace(template, n_clusters=2))):
             with pytest.raises(ContractError, match="truth memberships have shape"):
                 cross_validate(other, FAMILIES, (0.0, 1.0), template=config, truth=truth)
+
+    def test_per_epoch_fixed_block_with_the_static_family_is_rejected_before_any_fit(
+        self, monkeypatch
+    ):
+        _, data = _small_benchmark(seed=9)
+        calls = []
+        monkeypatch.setattr(evaluation, "fit", lambda *args, **kwargs: calls.append(args))
+        template = FitConfig(n_clusters=3, p_mode="fixed",
+                             fixed_p=random_blocks(4, 3, 3, seed=1), restarts=1)
+        with pytest.raises(ContractError, match="static family .* has 4 epochs"):
+            cross_validate(data, FAMILIES, (0.0, 1.0), template=template)
+        assert calls == []
 
     def test_shared_pass_matches_one_family_at_a_time(self):
         truth, data = _small_benchmark(seed=6)

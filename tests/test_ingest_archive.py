@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+import sdsbm.model as model
 from sdsbm import (
     BlockTensor,
     ContractError,
@@ -438,11 +439,12 @@ class TestDataset:
             data.compressed()
 
     def test_item_epoch_counts(self):
-        data = Dataset([0, 0, 1], [0, 1, 0], [0, 0, 1],
+        # the fit's (T, I) counts come from the weighted unique triplets
+        data = Dataset([0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                        n_items=2, n_labels=2, n_epochs=2)
-        np.testing.assert_array_equal(data.item_epoch_counts, [[2, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            data.item_epoch_counts[0, 0] = 5
+        counts = model._Problem(data, PriorConfig()).counts
+        assert counts.dtype == float
+        np.testing.assert_array_equal(counts, [[3, 0], [0, 1]])
 
     def test_subset_keeps_extents(self):
         data = random_dataset(3, 4, 5, 30, seed=61)

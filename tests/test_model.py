@@ -20,19 +20,19 @@ from model_reference import edge_probability
 class TestTensorValidation:
     def test_membership_accepts_valid_rows(self):
         theta = MembershipTensor(random_memberships(3, 4, 2, seed=1))
-        assert theta.shape == (3, 4, 2)
-        assert theta.n_epochs == 3 and theta.n_items == 4 and theta.n_clusters == 2
+        assert theta.shape == (3, 4, 2) and theta.n_items == 4
+        assert repr(theta) == "MembershipTensor(T=3, I=4, K=2)"
 
     def test_block_accepts_single_slice(self):
         p = BlockTensor([[0.2, 0.8], [0.6, 0.4]])
-        assert p.shape == (1, 2, 2)
-        assert p.static
+        assert p.values.shape == (1, 2, 2) and p.n_labels == 2
+        assert repr(p) == "BlockTensor(T=1, K=2, O=2)"
         # the shared slice answers for every epoch
         assert np.array_equal(p.epoch_slice(7), p.values[0])
 
     def test_block_per_epoch_slices(self):
         p = BlockTensor(random_blocks(4, 2, 3, seed=2))
-        assert not p.static
+        assert p.values.shape == (4, 2, 3)
         assert np.array_equal(p.epoch_slice(2), p.values[2])
 
     def test_rejects_negative_entries(self):

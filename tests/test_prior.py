@@ -133,27 +133,29 @@ class TestTemporalCoupling:
         counts = [2, 0, 7, 1, 3]
         config = PriorConfig(kernel_exponent=2)
         coupling = TemporalCoupling(counts, config)
-        values, fallback = coupling.average(param)
+        values = coupling.average(param)
         for t in range(5):
             single = neighbour_average(param, counts, config, t)
             np.testing.assert_allclose(values[t], single.values, atol=1e-12)
-            assert fallback[t] == single.fallback
+            assert coupling.fallback[t] == single.fallback
 
     def test_windowed_coupling_matches(self):
         param = random_memberships(6, 2, 3, seed=6)
         counts = [1, 2, 3, 4, 5, 6]
         config = PriorConfig(window=2)
         coupling = TemporalCoupling(counts, config)
-        values, _ = coupling.average(param)
+        values = coupling.average(param)
         for t in range(6):
             single = neighbour_average(param, counts, config, t)
             np.testing.assert_allclose(values[t], single.values, atol=1e-12)
 
-    def test_fallback_rows_are_uniform(self):
-        coupling = TemporalCoupling([5], PriorConfig())
-        values, fallback = coupling.average(random_memberships(1, 2, 4))
-        assert fallback.tolist() == [True]
-        np.testing.assert_array_equal(values, np.full((1, 2, 4), 0.25))
+    def test_fallback_rows_are_zero_and_flagged(self):
+        # epoch 1's only neighbours are empty; epochs 0 and 2 see epoch 1
+        coupling = TemporalCoupling([0, 5, 0], PriorConfig())
+        values = coupling.average(random_memberships(3, 2, 4))
+        assert coupling.fallback.tolist() == [False, True, False]
+        np.testing.assert_array_equal(values[1], np.zeros((2, 4)))
+        np.testing.assert_allclose(values.sum(axis=-1)[[0, 2]], 1.0, atol=1e-12)
 
     def test_epoch_mismatch_rejected(self):
         coupling = TemporalCoupling([1, 2], PriorConfig())

@@ -4,6 +4,7 @@ import pytest
 from scipy import stats
 
 from sdsbm import (
+    BlockTensor,
     ContractError,
     GroundTruth,
     MembershipTensor,
@@ -14,6 +15,7 @@ from sdsbm import (
     sample_dataset,
 )
 
+from conftest import random_blocks
 from model_reference import edge_probability
 
 
@@ -30,7 +32,7 @@ class TestBlockMatrix:
         np.testing.assert_array_equal(block_matrix(0.5).values[0], expected)
 
     def test_is_a_single_static_slice(self):
-        assert block_matrix(0.3).static
+        assert block_matrix(0.3).values.shape == (1, 3, 3)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan])
     def test_rejects_out_of_range_noise(self, bad):
@@ -139,8 +141,19 @@ class TestSampleDataset:
         data = sample_dataset(truth, [2, 0, 5], seed=1)
         np.testing.assert_array_equal(data.epoch_counts, [8, 0, 20])
         assert data.n_items == 4 and data.n_labels == 3 and data.n_epochs == 3
-        np.testing.assert_array_equal(data.item_epoch_counts,
-                                      [[2] * 4, [0] * 4, [5] * 4])
+        per_item = np.bincount(data.epochs * 4 + data.nodes, minlength=12).reshape(3, 4)
+        np.testing.assert_array_equal(per_item, [[2] * 4, [0] * 4, [5] * 4])
+
+    @pytest.mark.parametrize("n_slices,n_clusters,match", [
+        (9, 3, "1 or 6 epochs, got 9"),
+        (3, 3, "1 or 6 epochs, got 3"),
+        (1, 2, "memberships have K=3, block tensor has K=2"),
+    ], ids=["nine-slices", "three-slices", "two-clusters"])
+    def test_block_tensor_must_fit_the_memberships(self, n_slices, n_clusters, match):
+        truth = _truth(n_epochs=6, n_items=4)
+        blocks = BlockTensor(random_blocks(n_slices, n_clusters, 3, seed=3))
+        with pytest.raises(ContractError, match=match):
+            sample_dataset(GroundTruth(truth.theta, blocks, truth.pattern), 5, seed=1)
 
     def test_scalar_schedule_applies_to_every_epoch(self):
         truth = _truth(n_epochs=3, n_items=2)
