@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractError, DegenerateParameterError
-from .model import BlockTensor, MembershipTensor, _e_step, _Problem
+from .model import BlockTensor, MembershipTensor, _e_step, _Problem, _sum_rows
 from .prior import PriorConfig
 
 _log = logging.getLogger(__name__)
@@ -43,8 +43,8 @@ class FitConfig:
     max_iterations, tol : stop after this many iterations or once the
         relative objective change drops below ``tol``, whichever is first.
     restarts : independent EM chains; the best final objective wins.
-    seed : every chain and epoch slice draws its start from a stream derived
-        from (seed, restart, epoch), so fits are reproducible bit for bit.
+    seed : every chain and epoch slice draws its start from a stream derived from
+        (seed, restart, epoch): fits are reproducible bit for bit for a fixed BLAS thread count.
     """
 
     n_clusters: int
@@ -86,29 +86,26 @@ class FitReport:
 
     @property
     def objective(self):
+        """Final objective; its last ulp, like the trace's, may vary by release."""
         return float(self.trace[-1])
 
 
-def _coordinate_update(sums, counts, avg, beta):
-    """Row update ``(sums + beta*<x>) / (counts + beta)`` of (T, R, C) sums.
+def _coordinate_update(sums, denominator, dead, axis):
+    """Floored simplex rows ``sums / denominator`` along ``axis`` of (T, K, R) sums.
 
-    ``beta`` holds each epoch's prior strength; ``avg`` is None when uncoupled.
-    Rows with a zero denominator — no mass and no prior pull — become uniform,
-    the mode of their flat prior.  Returns the floored rows and the mask of reset rows.
+    ``dead`` rows (no mass, no prior pull, denominator 1) become uniform, the
+    mode of their flat prior.  Membership rows (``axis=1``) add their K
+    entries left to right; block rows run along the labels.
     """
-    if avg is not None:
-        sums = sums + beta[:, None, None] * avg
-        counts = counts + beta[:, None]
-    dead = counts == 0
-    out = sums / np.where(dead, 1.0, counts)[:, :, None]
-    out[dead] = 1.0 / sums.shape[2]
+    out = sums / denominator
+    np.copyto(out, 1.0 / sums.shape[axis], where=dead)
     np.maximum(out, PROB_FLOOR, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out, dead
+    out /= _sum_rows(out.swapaxes(0, 1))[:, None] if axis == 1 else out.sum(axis=2, keepdims=True)
+    return out
 
 
 def _m_step(s_theta, s_p, averages, p, problem, p_mode):
-    """The M-step on plain arrays, from what ``_e_step`` returned at ``(theta, p)``.
+    """The M-step on ``(T, K, I)`` and ``(T_p, K, O)`` arrays, from ``_e_step`` at ``(theta, p)``.
 
     Counts, prior and fallback epochs (which take the flat beta=0 prior) come
     from ``problem``.  A row with no observations takes its neighbour average
@@ -121,18 +118,22 @@ def _m_step(s_theta, s_p, averages, p, problem, p_mode):
     counted: they had no mass to lose.
     """
     avg_theta, avg_p = averages
-    # 1 at epochs with weighted neighbours, 0 at fallback epochs
-    open_epochs = 0.0 if avg_theta is None and avg_p is None else ~problem.coupling.fallback
-    theta, _ = _coordinate_update(s_theta, problem.counts, avg_theta,
-                                  problem.prior.beta_theta * open_epochs)
+    if avg_theta is not None:
+        s_theta = s_theta + problem.open_betas[0] * avg_theta
+    theta = _coordinate_update(s_theta, *problem.theta_denominator, axis=1)
     if p_mode == "fixed":
         return theta, p, 0
     if p_mode == "static":
         s_p = s_p.sum(axis=0, keepdims=True)
         avg_p = None
-    p, dead = _coordinate_update(s_p, s_p.sum(axis=2), avg_p, problem.prior.beta_p * open_epochs)
+    counts = s_p.sum(axis=2, keepdims=True)
+    if avg_p is not None:
+        s_p = s_p + problem.open_betas[1] * avg_p
+        counts = counts + problem.open_betas[1]
+    dead = counts == 0
+    p = _coordinate_update(s_p, np.where(dead, 1.0, counts), dead, axis=2)
     if p_mode == "dynamic":
-        dead = dead[problem.counts.any(axis=1)]
+        dead = dead[problem.data.epoch_counts > 0]
     return theta, p, int(dead.sum())
 
 
@@ -164,6 +165,7 @@ def _run_chain(problem, config, restart, theta, p):
 
     Returns a report of its own, whose tensors validate the final arrays once.
     """
+    theta = theta.transpose(0, 2, 1).copy()  # the (T, K, I) working layout
     trace = []
     dead_total = 0
     converged = False
@@ -181,7 +183,7 @@ def _run_chain(problem, config, restart, theta, p):
                 break
     seconds = time.perf_counter() - started
     return FitReport(
-        theta=MembershipTensor(theta),
+        theta=MembershipTensor(theta.transpose(0, 2, 1).copy()),
         p=BlockTensor(p),
         trace=np.asarray(trace),
         n_iterations=len(trace),
@@ -233,7 +235,7 @@ def fit(data, config, *, start=None):
                 f"need {(T, data.n_items, K)} and {need}"
             )
         starts = [(theta, p if fixed_p is None else fixed_p)]
-    problem = _Problem(data, config.prior)
+    problem = _Problem(data, config.prior, config.n_clusters)
     best = None
     aborted = 0
     last_error = None

@@ -8,7 +8,10 @@ per-cluster label distributions:
 where the block tensor either carries one slice per epoch or a single slice
 shared by all of them.  This module owns the one pass over the compressed
 observations, ``_e_step``: it yields EM's responsibility sums and the objective.
-``fit`` runs it every sweep, and ``log_posterior`` is a thin call of it.
+``fit`` runs it every sweep, and ``log_posterior`` is a thin call of it.  The
+pass works in one layout with the cluster axis second, memberships ``(T, K, I)``
+and blocks ``(T_p, K, O)``, so every gather, broadcast and reduction runs along
+a long contiguous axis; the public membership tensor stays ``(T, I, K)``.
 """
 from __future__ import annotations
 
@@ -106,64 +109,79 @@ def _arrays(theta, p):
 
 
 class _Problem:
-    """Immutable per-fit views: compressed triplets, flat row keys, counts, coupling.
+    """Immutable per-fit constants: compressed triplets, base offsets, counts, coupling.
 
-    ``flat_ti = t*I + i`` and ``flat_to = t*O + o`` index rows of the
-    ``(T*I, K)`` membership and ``(T*O, K)`` block views; a single shared block
-    slice is indexed by the labels alone.  The counts and the (T, T) coupling
-    are built on first use: ``log_posterior`` needs no counts, and an
-    uncoupled fit no coupling.
+    ``base_theta = t*K*I + i`` and ``base_p = t*K*O + o`` locate each triplet
+    in the flat ``(T, K, I)`` and ``(T, K, O)`` working arrays, cluster k lying
+    ``k*I`` or ``k*O`` further on; a single shared block slice is indexed by
+    the labels alone.  The rest is built on first use: ``log_posterior``
+    needs no counts, and an uncoupled fit no coupling.
     """
 
-    def __init__(self, data, prior):
+    def __init__(self, data, prior, n_clusters):
         self.data = data
         self.prior = prior
         self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
         self.weights = w.astype(float)
-        self.flat_ti = self.epochs_u * data.n_items + self.nodes_u
-        self.flat_to = self.epochs_u * data.n_labels + self.labels_u
+        self.base_theta = self.epochs_u * (n_clusters * data.n_items) + self.nodes_u
+        self.base_p = self.epochs_u * (n_clusters * data.n_labels) + self.labels_u
 
     @cached_property
     def counts(self):
         """(T, I) float observation counts N_{i,t}, summed from the triplet weights."""
         T, I = self.data.n_epochs, self.data.n_items
-        return np.bincount(self.flat_ti, weights=self.weights, minlength=T * I).reshape(T, I)
+        rows = self.epochs_u * I + self.nodes_u
+        return np.bincount(rows, weights=self.weights, minlength=T * I).reshape(T, I)
 
     @cached_property
     def coupling(self):
         return TemporalCoupling(self.data.epoch_counts, self.prior)
 
+    @cached_property
+    def open_betas(self):
+        """(T, 1, 1) beta_theta and beta_p, 0 at fallback epochs: those take the flat prior."""
+        open_epochs = ~self.coupling.fallback[:, None, None]
+        return self.prior.beta_theta * open_epochs, self.prior.beta_p * open_epochs
+
+    @cached_property
+    def theta_denominator(self):
+        """(T, 1, I) membership denominators ``N + beta``, 1 where that is 0, and that mask."""
+        total = self.counts[:, None, :] + (self.open_betas[0] if self.prior.beta_theta > 0 else 0.0)
+        dead = total == 0
+        return np.where(dead, 1.0, total), dead
+
+
+def _sum_rows(rows):
+    """Sum over the first axis, adding its slices left to right: the same bits for any length."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
 
 def _accumulate(theta, p, problem):
     """One pass over the observations: responsibility sums and log-likelihood.
 
-    Returns the sums for both families and ``sum(w * log(normalizer))``, the
-    log-likelihood of (theta, p).  Each block of triplets gathers its rows of
-    the flat ``(T*I, K)`` and ``(T_p*O, K)`` views, and the normalizer adds
-    the K columns left to right.  Streams fixed-size blocks so memory stays
-    flat in the number of observations; partial sums merge by addition, so
-    sharding the pass over triplet ranges changes nothing beyond float
-    associativity.
+    Returns the sums for both families, in the working layout of (theta, p),
+    and ``sum(w * log(normalizer))``, the log-likelihood.  Each block of
+    triplets forms its (K, block) indices from the base offsets, gathers each
+    family once, and the normalizer adds the K rows left to right.  Streams
+    fixed-size blocks so memory stays flat in the number of observations;
+    partial sums merge by addition, so sharding the pass over triplet ranges
+    changes nothing beyond float associativity.
     """
-    T, I, K = theta.shape
-    O = p.shape[2]
-    static_p = p.shape[0] == 1
-    theta_rows = theta.reshape(T * I, K)
-    p_rows = p.transpose(0, 2, 1).reshape(p.shape[0] * O, K)
-    flat_to_all = problem.labels_u if static_p else problem.flat_to
-    n_rows = p_rows.shape[0]
-    s_theta = np.zeros((T * I, K))
-    s_p = np.zeros((n_rows, K))
+    base_p = problem.labels_u if p.shape[0] == 1 else problem.base_p
+    step_theta = np.arange(theta.shape[1])[:, None] * theta.shape[2]
+    step_p = np.arange(p.shape[1])[:, None] * p.shape[2]
+    s_theta, s_p = np.zeros(theta.size), np.zeros(p.size)
     loglik = 0.0
     for start in range(0, problem.weights.size, CHUNK):
         sl = slice(start, start + CHUNK)
-        flat_ti = problem.flat_ti[sl]
-        flat_to = flat_to_all[sl]
-        omega = np.take(theta_rows, flat_ti, axis=0)
-        omega *= np.take(p_rows, flat_to, axis=0)
-        denom = omega[:, 0].copy()
-        for k in range(1, K):
-            denom += omega[:, k]
+        at_theta = problem.base_theta[sl] + step_theta
+        at_p = base_p[sl] + step_p
+        omega = theta.take(at_theta)
+        omega *= p.take(at_p)
+        denom = _sum_rows(omega)
         if np.any(denom <= 0.0):
             u = start + int(np.argmax(denom <= 0.0))
             raise DegenerateParameterError(int(problem.nodes_u[u]),
@@ -171,21 +189,19 @@ def _accumulate(theta, p, problem):
                                            int(problem.epochs_u[u]))
         weights = problem.weights[sl]
         loglik += float(weights @ np.log(denom))
-        omega *= (weights / denom)[:, None]
-        for k in range(K):
-            s_theta[:, k] += np.bincount(flat_ti, weights=omega[:, k], minlength=T * I)
-            s_p[:, k] += np.bincount(flat_to, weights=omega[:, k], minlength=n_rows)
-    s_p = s_p.reshape(p.shape[0], O, K).transpose(0, 2, 1)
-    return s_theta.reshape(T, I, K), s_p, loglik
+        omega *= weights / denom
+        s_theta += np.bincount(at_theta.ravel(), weights=omega.ravel(), minlength=theta.size)
+        s_p += np.bincount(at_p.ravel(), weights=omega.ravel(), minlength=p.size)
+    return s_theta.reshape(theta.shape), s_p.reshape(p.shape), loglik
 
 
 def _e_step(theta, p, problem):
-    """Responsibility sums, neighbour averages and objective at (theta, p) arrays.
+    """Responsibility sums, neighbour averages and objective at working-layout arrays.
 
     The objective is the log-likelihood plus, for each coupled family of
-    ``problem.prior``, the prior pull ``beta * sum(<x> * log x)`` over epochs
-    that have neighbours, taken at the averages the next M-step needs.  An
-    average is None for a family that is uncoupled or has a single shared slice.
+    ``problem.prior``, the prior pull ``beta * sum(<x> * log x)`` where
+    ``<x> > 0``, at the averages the next M-step needs (zero at fallback
+    epochs).  An average is None for a family uncoupled or with one shared slice.
     """
     s_theta, s_p, objective = _accumulate(theta, p, problem)
     averages = []
@@ -193,9 +209,9 @@ def _e_step(theta, p, problem):
         avg = None
         if beta > 0 and values.shape[0] == problem.coupling.n_epochs:
             avg = problem.coupling.average(values)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pull = np.where(avg > 0, avg * np.log(values), 0.0)
-            objective += beta * pull[~problem.coupling.fallback].sum()
+            with np.errstate(divide="ignore"):
+                log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
+            objective += beta * float(np.vdot(avg, log_values))
         averages.append(avg)
     return s_theta, s_p, averages, objective
 
@@ -209,7 +225,7 @@ def log_posterior(theta, p, data, prior=None):
     neighbour average of the family itself.  Epochs with no weighted
     neighbours contribute nothing (their prior is uniform).  The parameters
     must have the data's extents; the value is the objective of the E-step
-    pass that ``fit`` runs.
+    pass that ``fit`` runs, summed in its order (the last ulp may vary by release).
 
     Returns ``-inf``, and emits a DegenerateParametersWarning naming the first
     offending triplet, when any observed triplet has zero mixture probability.
@@ -221,7 +237,8 @@ def log_posterior(theta, p, data, prior=None):
         raise ContractError(f"parameters cover (epochs, items, labels) = {have}, data {need}")
     prior = PriorConfig() if prior is None else prior
     try:
-        *_, objective = _e_step(th, pv, _Problem(data, prior))
+        problem = _Problem(data, prior, th.shape[2])
+        *_, objective = _e_step(th.transpose(0, 2, 1).copy(), pv, problem)
     except DegenerateParameterError as err:
         warnings.warn(
             "zero mixture probability for observed triplet "

@@ -97,11 +97,14 @@ def neighbour_average(param, counts, config, t):
 def concentration(param, counts, config, t, family="theta"):
     """Dirichlet concentration for epoch t: ``1 + beta * neighbour average``.
 
-    ``family`` picks which beta applies ("theta" or "p").  With beta = 0 this
-    is exactly the flat all-ones concentration.
+    ``family`` picks which beta applies ("theta" or "p").  With beta = 0, and
+    at a fallback epoch, which takes the flat beta=0 prior, this is exactly
+    the flat all-ones concentration.
     """
     beta = {"theta": config.beta_theta, "p": config.beta_p}[family]
     avg = neighbour_average(param, counts, config, t)
+    if avg.fallback:
+        return np.ones(avg.values.shape)
     return 1.0 + beta * avg.values
 
 

@@ -26,6 +26,7 @@ from sdsbm import (
 
 from conftest import random_blocks, random_dataset, random_memberships
 from model_reference import edge_probability, log_posterior, responsibilities
+from sweep_reference import sweep
 
 
 class TestFitConfig:
@@ -103,18 +104,24 @@ def _two_epoch_dataset():
     return Dataset([0, 0, 0], [0, 1, 0], [0, 0, 1], n_items=1, n_labels=2, n_epochs=2)
 
 
+def _swap(theta):
+    """(T, I, K) memberships in the sweep's (T, K, I) working layout, and back."""
+    return np.ascontiguousarray(np.swapaxes(theta, 1, 2))
+
+
 def _theta_step(data, omega_sums, avg, prior):
-    """Membership half of the engine's M-step; the block tensor is held fixed."""
-    theta, _, _ = em._m_step(omega_sums, None, (avg, None), None,
-                             model._Problem(data, prior), "fixed")
-    return theta
+    """Membership half of the engine's M-step on (T, I, K) arrays; the block tensor is held fixed."""
+    K = np.shape(omega_sums)[2]
+    theta, _, _ = em._m_step(_swap(omega_sums), None, (None if avg is None else _swap(avg), None),
+                             None, model._Problem(data, prior, K), "fixed")
+    return _swap(theta)
 
 
 def _block_step(data, omega_sums, avg, prior, mode="dynamic", current=None):
     """Block half of the engine's M-step: ``(p, rows_reset)``."""
     T, K, _ = np.shape(omega_sums)
-    _, p, reset = em._m_step(np.zeros((T, data.n_items, K)), omega_sums, (None, avg),
-                             current, model._Problem(data, prior), mode)
+    _, p, reset = em._m_step(np.zeros((T, K, data.n_items)), omega_sums, (None, avg),
+                             current, model._Problem(data, prior, K), mode)
     return p, reset
 
 
@@ -167,7 +174,7 @@ class TestMembershipUpdate:
         rng = np.random.default_rng(6)
         omega_sums = rng.random((3, 5, 4))
         # scale each row to its observation count so the update is consistent
-        counts = model._Problem(data, PriorConfig()).counts
+        counts = model._Problem(data, PriorConfig(), 4).counts
         scale = np.where(counts > 0, counts / omega_sums.sum(axis=2), 0.0)
         omega_sums *= scale[:, :, None]
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
@@ -235,15 +242,15 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 80, seed=13)
         theta = random_memberships(3, 4, 2, seed=14)
         p = random_blocks(3, 2, 3, seed=15)
-        problem = model._Problem(data, PriorConfig())
-        s_theta, s_p, loglik = model._accumulate(theta, p, problem)
+        problem = model._Problem(data, PriorConfig(), 2)
+        s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
         expected_theta = np.zeros((3, 4, 2))
         expected_p = np.zeros((3, 2, 3))
         for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
             omega = responsibilities(theta, p, node, label, epoch)
             expected_theta[epoch, node] += omega
             expected_p[epoch, :, label] += omega
-        np.testing.assert_allclose(s_theta, expected_theta, atol=1e-10)
+        np.testing.assert_allclose(_swap(s_theta), expected_theta, atol=1e-10)
         np.testing.assert_allclose(s_p, expected_p, atol=1e-10)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 
@@ -251,8 +258,8 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 60, seed=16)
         theta = random_memberships(3, 4, 2, seed=17)
         p = random_blocks(1, 2, 3, seed=18)
-        problem = model._Problem(data, PriorConfig())
-        s_theta, s_p, loglik = model._accumulate(theta, p, problem)
+        problem = model._Problem(data, PriorConfig(), 2)
+        s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
         assert s_p.shape == (1, 2, 3)
         expected_p = np.zeros((2, 3))
         for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
@@ -265,10 +272,10 @@ class TestAccumulation:
         data = random_dataset(2, 3, 2, 40, seed=19)
         theta = random_memberships(2, 3, 3, seed=20)
         p = random_blocks(2, 3, 2, seed=21)
-        problem = model._Problem(data, PriorConfig())
-        s_theta, s_p, loglik = model._accumulate(theta, p, problem)
+        problem = model._Problem(data, PriorConfig(), 3)
+        s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
         # every observation contributes exactly one unit of responsibility
-        np.testing.assert_allclose(s_theta.sum(axis=2), problem.counts, atol=1e-9)
+        np.testing.assert_allclose(s_theta.sum(axis=1), problem.counts, atol=1e-9)
         assert s_theta.sum() == pytest.approx(len(data), abs=1e-9)
         assert s_p.sum() == pytest.approx(len(data), abs=1e-9)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
@@ -284,9 +291,9 @@ class TestAccumulation:
                           rng.integers(0, 5, size=200))
         data = Dataset(rng.integers(0, 6, size=200), labels, epochs,
                        n_items=6, n_labels=6, n_epochs=3)
-        problem = model._Problem(data, PriorConfig())
+        problem = model._Problem(data, PriorConfig(), n_clusters)
         assert 70 <= problem.weights.size <= 100
-        theta = random_memberships(3, 6, n_clusters, seed=23)
+        theta = _swap(random_memberships(3, 6, n_clusters, seed=23))
         p = random_blocks(n_slices, n_clusters, 6, seed=24)
         whole = model._accumulate(theta, p, problem)
         monkeypatch.setattr(model, "CHUNK", 7)
@@ -300,11 +307,47 @@ class TestAccumulation:
         u = int(np.argmax((problem.epochs_u == 2) & (problem.labels_u == 5)))
         assert u >= model.CHUNK
         i = int(problem.nodes_u[u])
-        theta[2, i] = np.eye(n_clusters)[0]
+        theta[2, :, i] = np.eye(n_clusters)[0]
         p[0 if n_slices == 1 else 2, 0, 5] = 0.0
         with pytest.raises(DegenerateParameterError) as info:
             model._accumulate(theta, p, problem)
         assert info.value.triplet == (i, 5, 2)
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("chunk", [model.CHUNK, 7])
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    @pytest.mark.parametrize("p_mode", em.P_MODES)
+    @pytest.mark.parametrize("n_clusters", [1, 3, 9])  # 9 crosses numpy's 8-wide pairwise sum
+    def test_one_sweep_matches_the_dense_reference(self, monkeypatch, n_clusters, p_mode,
+                                                   beta, chunk):
+        # epochs 3 and 5 are empty, so with window 1 epoch 4 has no weighted
+        # neighbours (a fallback epoch), and every row of epochs 3 and 5 is unobserved
+        rng = np.random.default_rng(40)
+        data = Dataset(rng.integers(0, 5, size=60), rng.integers(0, 4, size=60),
+                       rng.choice([0, 1, 2, 4], size=60), n_items=5, n_labels=4, n_epochs=6)
+        prior = PriorConfig(beta_theta=beta, beta_p=beta, window=1)
+        theta = random_memberships(6, 5, n_clusters, seed=41)
+        if n_clusters > 1:  # the last cluster has no mass at epoch 4: a dead block row
+            theta[4, :, -1] = 0.0
+            theta[4] /= theta[4].sum(axis=1, keepdims=True)
+        p = random_blocks(1 if p_mode == "static" else 6, n_clusters, 4, seed=42)
+        monkeypatch.setattr(model, "CHUNK", chunk)
+        problem = model._Problem(data, prior, n_clusters)
+
+        s_theta, s_p, averages, objective = model._e_step(_swap(theta), p, problem)
+        *_, loglik = model._accumulate(_swap(theta), p, problem)
+        new_theta, new_p, rows_reset = em._m_step(s_theta, s_p, averages, p, problem, p_mode)
+
+        expected = sweep(theta, p, data, prior, p_mode)
+        np.testing.assert_allclose(_swap(s_theta), expected.s_theta, rtol=1e-12)
+        np.testing.assert_allclose(s_p, expected.s_p, rtol=1e-12)
+        assert loglik == pytest.approx(expected.loglik, rel=1e-12)
+        assert objective == pytest.approx(expected.objective, rel=1e-12)
+        np.testing.assert_allclose(_swap(new_theta), expected.theta, rtol=1e-12)
+        np.testing.assert_allclose(new_p, expected.p, rtol=1e-12)
+        assert rows_reset == expected.rows_reset
+        assert rows_reset == (n_clusters > 1 and p_mode == "dynamic")
 
 
 def _toy_truth(n_epochs, n_items, seed=0, noise=0.1):
@@ -389,7 +432,7 @@ class TestFit:
         truth = _toy_truth(5, 10, seed=8)
         data = sample_dataset(truth, 12, seed=8)
         prior = PriorConfig(beta_theta=4.0, beta_p=4.0)
-        problem = model._Problem(data, prior)
+        problem = model._Problem(data, prior, 3)
         theta = random_memberships(5, 10, 3, seed=9)
         p = random_blocks(5, 3, 3, seed=10)
         coupling = problem.coupling
@@ -404,10 +447,10 @@ class TestFit:
             return value
 
         before = frozen_objective(theta, p)
-        s_theta, s_p, _ = model._accumulate(theta, p, problem)
-        theta_new, p_new, _ = em._m_step(s_theta, s_p, (avg_theta, avg_p), p, problem,
+        s_theta, s_p, _ = model._accumulate(_swap(theta), p, problem)
+        theta_new, p_new, _ = em._m_step(s_theta, s_p, (_swap(avg_theta), avg_p), p, problem,
                                          "dynamic")
-        after = frozen_objective(theta_new, p_new)
+        after = frozen_objective(_swap(theta_new), p_new)
         assert after >= before - 1e-10 * abs(before)
 
     def test_fixed_block_mode_never_updates_it(self):

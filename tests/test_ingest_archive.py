@@ -442,7 +442,7 @@ class TestDataset:
         # the fit's (T, I) counts come from the weighted unique triplets
         data = Dataset([0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                        n_items=2, n_labels=2, n_epochs=2)
-        counts = model._Problem(data, PriorConfig()).counts
+        counts = model._Problem(data, PriorConfig(), 1).counts
         assert counts.dtype == float
         np.testing.assert_array_equal(counts, [[3, 0], [0, 1]])
 
