@@ -28,7 +28,7 @@ from .evaluation import (
 )
 from .ingest import IngestResult, ingest
 from .model import BlockTensor, DegenerateParametersWarning, MembershipTensor, log_posterior
-from .prior import PriorConfig, TemporalCoupling
+from .prior import PriorConfig
 from .synthetic import (
     GroundTruth,
     PatternSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "ScoreTable",
     "SdsbmError",
     "SplitPlan",
-    "TemporalCoupling",
     "average_precision",
     "block_matrix",
     "coverage_error_normalized",

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractError, DegenerateParameterError
-from .model import BlockTensor, MembershipTensor, _e_step, _Problem, _sum_rows
+from .model import BlockTensor, MembershipTensor, _arrays, _e_step, _Problem, _sum_rows
 from .prior import PriorConfig
 
 _log = logging.getLogger(__name__)
@@ -39,12 +39,14 @@ class FitConfig:
     p_mode : {"dynamic", "static", "fixed"}
         Per-epoch block slices, a single inferred slice shared by all epochs,
         or a caller-supplied tensor that is never updated.
-    fixed_p : BlockTensor or array, only with ``p_mode="fixed"``
+    fixed_p : BlockTensor (an array is converted), only with ``p_mode="fixed"``
     max_iterations, tol : stop after this many iterations or once the
         relative objective change drops below ``tol``, whichever is first.
     restarts : independent EM chains; the best final objective wins.
     seed : every chain and epoch slice draws its start from a stream derived from
-        (seed, restart, epoch): fits are reproducible bit for bit for a fixed BLAS thread count.
+        (seed, restart, epoch): fits are reproducible bit for bit for a fixed numpy/BLAS
+        build and BLAS thread count, since OpenBLAS rounds the coupling product
+        ``A @ X`` of ``TemporalCoupling.average`` by column position.
     """
 
     n_clusters: int
@@ -69,6 +71,12 @@ class FitConfig:
             raise ContractError(f"p_mode must be one of {P_MODES}, got {self.p_mode!r}")
         if (self.fixed_p is None) != (self.p_mode != "fixed"):
             raise ContractError("fixed_p is required exactly when p_mode='fixed'")
+        if self.fixed_p is not None:
+            if not isinstance(self.fixed_p, BlockTensor):
+                object.__setattr__(self, "fixed_p", BlockTensor(self.fixed_p))
+            k = self.fixed_p.values.shape[1]
+            if k != self.n_clusters:
+                raise ContractError(f"fixed block tensor has K={k}, the config K={self.n_clusters}")
 
 
 @dataclass
@@ -207,35 +215,31 @@ def fit(data, config, *, start=None):
     weighted neighbours; it is 0 when both betas are zero, since no epoch then
     has a coupled prior to fall back from.
 
-    ``start=(theta, p)``, such as the arrays of a fit at a nearby coupling,
-    runs exactly one chain (restart 0) from those arrays instead of the
-    Dirichlet starts.  They must have the data's extents (a ``ContractError``
+    ``start=(theta, p)``, such as the tensors of a fit at a nearby coupling,
+    runs exactly one chain (restart 0) from them instead of the Dirichlet
+    starts.  The pair, like ``fixed_p``, passes the parameter check of
+    ``_arrays`` against ``data``, and needs one membership slice per epoch,
+    ``n_clusters`` and the block slices of ``p_mode`` (a ``ContractError``
     otherwise); with ``p_mode="fixed"`` the block tensor stays ``fixed_p``.
     """
+    T, K = data.n_epochs, config.n_clusters
     fixed_p = None
     if config.p_mode == "fixed":
-        fixed = config.fixed_p
-        fixed_p = (fixed if isinstance(fixed, BlockTensor) else BlockTensor(fixed)).values
-        if fixed_p.shape[1] != config.n_clusters or fixed_p.shape[2] != data.n_labels:
-            raise ContractError(
-                f"fixed block tensor is {fixed_p.shape[1]}x{fixed_p.shape[2]}, "
-                f"need K={config.n_clusters}, O={data.n_labels}"
-            )
-        if fixed_p.shape[0] not in (1, data.n_epochs):
-            raise ContractError(f"fixed block tensor must have 1 or {data.n_epochs} epochs")
+        # fixed blocks must suit the data whatever the memberships: check them with flat ones
+        fixed_p = _arrays(np.full((T, data.n_items, K), 1.0 / K), config.fixed_p, data)[1]
     if start is None:
         starts = (_initial(data, config, restart, fixed_p) for restart in range(config.restarts))
     else:
-        theta, p = (np.asarray(values, dtype=float) for values in start)
-        T, K, O = data.n_epochs, config.n_clusters, data.n_labels
-        need = {"dynamic": (T, K, O), "static": (1, K, O)}.get(config.p_mode, np.shape(fixed_p))
-        if theta.shape != (T, data.n_items, K) or p.shape != need:
+        theta, p = _arrays(*start, data)
+        slices = {"dynamic": T, "static": 1}.get(config.p_mode) or len(fixed_p)
+        if (len(theta), theta.shape[2], len(p)) != (T, K, slices):
             raise ContractError(
-                f"start arrays have shapes {theta.shape} and {p.shape}, "
-                f"need {(T, data.n_items, K)} and {need}"
+                f"start arrays have {len(theta)} membership and {len(p)} block slices with "
+                f"K={theta.shape[2]}; a {config.p_mode} fit of this data needs {T} and "
+                f"{slices} with K={K}"
             )
         starts = [(theta, p if fixed_p is None else fixed_p)]
-    problem = _Problem(data, config.prior, config.n_clusters)
+    problem = _Problem(data, config.prior, K)
     best = None
     aborted = 0
     last_error = None

@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from .em import fit
 from .errors import ContractError
-from .model import BlockTensor, MembershipTensor, _arrays
+from .model import MembershipTensor, _arrays
 
 _log = logging.getLogger(__name__)
 
@@ -73,14 +73,10 @@ class ScoreTable:
 def score_test_set(theta, p, test):
     """Score every test observation with the mixture ``theta[t, i] @ p[t]``.
 
-    The arrays must have the test set's extents; a single-slice model (one
-    epoch of ``theta``) scores every epoch with its one slice.
+    The pair passes the parameter check of ``_arrays`` against the test set;
+    a single-slice model (one epoch of ``theta``) scores every epoch with it.
     """
-    th, pv = _arrays(theta, p)
-    have = (th.shape[0], th.shape[1], pv.shape[2])
-    need = (th.shape[0] if th.shape[0] == 1 else test.n_epochs, test.n_items, test.n_labels)
-    if have != need:
-        raise ContractError(f"model covers (epochs, items, labels) = {have}, test set {need}")
+    th, pv = _arrays(theta, p, test)
     epochs = np.zeros(len(test), dtype=np.int64) if th.shape[0] == 1 else test.epochs
     scores = np.empty((len(test), pv.shape[2]))
     for t in np.unique(epochs):
@@ -211,7 +207,7 @@ def membership_flows(theta, p):
     t: a linear assignment on the squared distance between their block rows
     permutes epoch t+1's block rows and membership columns together.  Cluster
     ids in the output are those of epoch 0.  A single shared slice needs no
-    alignment.
+    alignment.  The pair passes the parameter check of ``_arrays``.
 
     Yields ``(epoch_from, epoch_to, node, cluster_from, cluster_to, mass)``
     for every positive entry of the per-node flow matrices.
@@ -315,12 +311,10 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
                 f"truth memberships have shape {truth.theta.shape}, the data and "
                 f"template need {need}"
             )
-    fixed = template.fixed_p
-    if "static" in names and fixed is not None:
-        slices = (fixed if isinstance(fixed, BlockTensor) else BlockTensor(fixed)).values.shape[0]
-        if slices > 1:
-            raise ContractError(f"the static family fits one epoch, but the fixed block "
-                                f"tensor has {slices} epochs")
+    slices = 1 if template.fixed_p is None else len(template.fixed_p.values)
+    if "static" in names and slices > 1:
+        raise ContractError(f"the static family fits one epoch, but the fixed block "
+                            f"tensor has {slices} epochs")
     plan = plan if plan is not None else SplitPlan()
     # Models are keyed by (epochs collapsed, prior).  sdsbm's grid is walked
     # first, in ascending beta, so the fit walked just before a warm sdsbm
@@ -345,7 +339,7 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
         for key, config in configs.items():
             fit_data = train.collapse_epochs() if key[0] else train
             report = fit(fit_data, config, start=None if starts[key] is None else fitted)
-            fitted = (report.theta.values, report.p.values)
+            fitted = (report.theta, report.p)
             val_auc = roc_auc(score_test_set(*fitted, val))
             for family, candidates in betas.items():
                 if key in candidates and (family not in best or val_auc > best[family][0]):

@@ -316,13 +316,9 @@ def ingest(path, slice_width=None, n_slices=None, delimiter=None):
     # (stamps - t_min) / slice_width, in place so no second float array exists
     stamps -= t_min
     stamps /= slice_width
-    if n_slices is not None:
-        epochs = np.minimum(stamps, n_slices - 1, out=stamps).astype(np.int64)
-        n_epochs = n_slices
-    else:
-        epochs = np.floor(stamps, out=stamps).astype(np.int64)
-        n_epochs = int(span // slice_width) + 1
-        np.minimum(epochs, n_epochs - 1, out=epochs)  # guard the exact upper boundary
+    n_epochs = n_slices if n_slices is not None else int(span // slice_width) + 1
+    epochs = np.floor(stamps, out=stamps).astype(np.int64)
+    np.minimum(epochs, n_epochs - 1, out=epochs)  # guard the exact upper boundary
     # repeat one column at a time, freeing each once copied, to keep the peak low
     pending = [nodes, labels, epochs]
     del stamps, nodes, labels, epochs

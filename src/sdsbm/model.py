@@ -3,10 +3,10 @@
 A node's chance of producing a label at epoch t mixes its memberships with the
 per-cluster label distributions:
 
-    P(node -> label | t) = sum_k theta[t, node, k] * p[t_p, k, label]
+    P(node -> label | t) = sum_k theta[t_theta, node, k] * p[t_p, k, label]
 
-where the block tensor either carries one slice per epoch or a single slice
-shared by all of them.  This module owns the one pass over the compressed
+where each tensor carries one slice per epoch or one shared by all, and
+``_arrays`` checks the pair.  This module owns the one pass over the compressed
 observations, ``_e_step``: it yields EM's responsibility sums and the objective.
 ``fit`` runs it every sweep, and ``log_posterior`` is a thin call of it.  The
 pass works in one layout with the cluster axis second, memberships ``(T, K, I)``
@@ -91,20 +91,26 @@ class BlockTensor:
         return "BlockTensor(T={}, K={}, O={})".format(*self.values.shape)
 
 
-def _arrays(theta, p):
-    th = theta.values if isinstance(theta, MembershipTensor) else np.asarray(theta, float)
-    pv = p.values if isinstance(p, BlockTensor) else np.asarray(p, float)
-    if pv.ndim == 2:
-        pv = pv[None]
+def _arrays(theta, p, data=None):
+    """The one parameter check: a (theta, p) pair as (T, I, K) and (T_p, K, O) arrays.
+
+    Arrays are checked as the tensor constructors check them (a 2-D block is
+    one shared slice); the pair agrees on K, and ``p`` has one slice or one
+    per epoch of ``theta``.  Given ``data``, the pair covers its items, labels
+    and all of its epochs or one, which then stands for every epoch.
+    """
+    th = (theta if isinstance(theta, MembershipTensor) else MembershipTensor(theta)).values
+    pv = (p if isinstance(p, BlockTensor) else BlockTensor(p)).values
     if th.shape[2] != pv.shape[1]:
-        raise ContractError(
-            f"cluster axes disagree: memberships have K={th.shape[2]}, "
-            f"block tensor has K={pv.shape[1]}"
-        )
+        raise ContractError(f"cluster axes disagree: memberships have K={th.shape[2]}, "
+                            f"block tensor has K={pv.shape[1]}")
+    if data is not None:
+        have = (th.shape[0], th.shape[1], pv.shape[2])
+        need = (data.n_epochs, data.n_items, data.n_labels)
+        if have[0] not in (1, need[0]) or have[1:] != need[1:]:
+            raise ContractError(f"the model covers (epochs, items, labels) = {have}, data {need}")
     if pv.shape[0] not in (1, th.shape[0]):
-        raise ContractError(
-            f"block tensor must have 1 or {th.shape[0]} epochs, got {pv.shape[0]}"
-        )
+        raise ContractError(f"block tensor must have 1 or {th.shape[0]} epochs, got {pv.shape[0]}")
     return th, pv
 
 
@@ -113,9 +119,9 @@ class _Problem:
 
     ``base_theta = t*K*I + i`` and ``base_p = t*K*O + o`` locate each triplet
     in the flat ``(T, K, I)`` and ``(T, K, O)`` working arrays, cluster k lying
-    ``k*I`` or ``k*O`` further on; a single shared block slice is indexed by
-    the labels alone.  The rest is built on first use: ``log_posterior``
-    needs no counts, and an uncoupled fit no coupling.
+    ``k*I`` or ``k*O`` further on; a single slice shared by every epoch is
+    indexed by the nodes or labels alone.  The rest is built on first use:
+    ``log_posterior`` needs no counts, and an uncoupled fit no coupling.
     """
 
     def __init__(self, data, prior, n_clusters):
@@ -170,6 +176,7 @@ def _accumulate(theta, p, problem):
     partial sums merge by addition, so sharding the pass over triplet ranges
     changes nothing beyond float associativity.
     """
+    base_theta = problem.nodes_u if theta.shape[0] == 1 else problem.base_theta
     base_p = problem.labels_u if p.shape[0] == 1 else problem.base_p
     step_theta = np.arange(theta.shape[1])[:, None] * theta.shape[2]
     step_p = np.arange(p.shape[1])[:, None] * p.shape[2]
@@ -177,7 +184,7 @@ def _accumulate(theta, p, problem):
     loglik = 0.0
     for start in range(0, problem.weights.size, CHUNK):
         sl = slice(start, start + CHUNK)
-        at_theta = problem.base_theta[sl] + step_theta
+        at_theta = base_theta[sl] + step_theta
         at_p = base_p[sl] + step_p
         omega = theta.take(at_theta)
         omega *= p.take(at_p)
@@ -223,18 +230,15 @@ def log_posterior(theta, p, data, prior=None):
     parameter family with per-epoch slices and a positive coupling — the prior
     pull ``beta * sum(<x> * log x)`` where ``<x>`` is the kernel-weighted
     neighbour average of the family itself.  Epochs with no weighted
-    neighbours contribute nothing (their prior is uniform).  The parameters
-    must have the data's extents; the value is the objective of the E-step
-    pass that ``fit`` runs, summed in its order (the last ulp may vary by release).
+    neighbours contribute nothing (their prior is uniform).  The pair passes
+    ``_arrays``, so one slice of either family stands for every epoch.  The
+    value is the objective of the E-step pass that ``fit`` runs, summed in its
+    order (the last ulp may vary by release).
 
     Returns ``-inf``, and emits a DegenerateParametersWarning naming the first
     offending triplet, when any observed triplet has zero mixture probability.
     """
-    th, pv = _arrays(theta, p)
-    have = (th.shape[0], th.shape[1], pv.shape[2])
-    need = (data.n_epochs, data.n_items, data.n_labels)
-    if have != need:
-        raise ContractError(f"parameters cover (epochs, items, labels) = {have}, data {need}")
+    th, pv = _arrays(theta, p, data)
     prior = PriorConfig() if prior is None else prior
     try:
         problem = _Problem(data, prior, th.shape[2])

@@ -136,8 +136,8 @@ def sample_dataset(truth, schedule, seed=0):
     Every item emits ``schedule[t]`` labels at epoch t (an int applies to all
     epochs): a cluster is drawn from the item's memberships, then a label from
     that cluster's row.  Sampling draws per-(item, epoch) label counts from the
-    marginal mixture, which has exactly that law.  The block tensor must have
-    the memberships' cluster count and one slice or one per epoch.
+    marginal mixture, which has exactly that law.  The planted pair passes
+    the parameter check of ``_arrays``: arrays are checked like tensors.
     """
     th, pv = _arrays(truth.theta, truth.p)
     T, I, _ = th.shape

@@ -19,23 +19,27 @@ from sdsbm.model import _arrays
 
 
 def _check_triplet(th, pv, node, label, epoch):
-    """Range-check a triplet against tensor extents; returns the block-slice index."""
+    """Range-check a triplet against tensor extents; returns the two slice indices.
+
+    A tensor with one slice answers for every epoch, so only a per-epoch
+    membership tensor bounds the epoch.
+    """
     n_epochs, n_items, _ = th.shape
     n_labels = pv.shape[2]
     if not 0 <= node < n_items:
         raise IndexError(f"node id {node} out of range for I={n_items}")
     if not 0 <= label < n_labels:
         raise IndexError(f"label id {label} out of range for O={n_labels}")
-    if not 0 <= epoch < n_epochs:
+    if epoch < 0 or epoch >= n_epochs > 1:
         raise IndexError(f"epoch {epoch} out of range for T={n_epochs}")
-    return 0 if pv.shape[0] == 1 else epoch
+    return (0 if n_epochs == 1 else epoch), (0 if pv.shape[0] == 1 else epoch)
 
 
 def edge_probability(theta, p, node, label, epoch):
     """Probability that ``node`` produces ``label`` at ``epoch`` (mixture over clusters)."""
     th, pv = _arrays(theta, p)
-    t_p = _check_triplet(th, pv, node, label, epoch)
-    return float(th[epoch, node] @ pv[t_p, :, label])
+    t_theta, t_p = _check_triplet(th, pv, node, label, epoch)
+    return float(th[t_theta, node] @ pv[t_p, :, label])
 
 
 def responsibilities(theta, p, node, label, epoch):
@@ -46,8 +50,8 @@ def responsibilities(theta, p, node, label, epoch):
     raises DegenerateParameterError carrying the triplet.
     """
     th, pv = _arrays(theta, p)
-    t_p = _check_triplet(th, pv, node, label, epoch)
-    weights = th[epoch, node] * pv[t_p, :, label]
+    t_theta, t_p = _check_triplet(th, pv, node, label, epoch)
+    weights = th[t_theta, node] * pv[t_p, :, label]
     total = weights.sum()
     if total <= 0:
         raise DegenerateParameterError(node, label, epoch)
@@ -58,7 +62,8 @@ def log_posterior(theta, p, data, prior=None):
     """Objective of (theta, p): log-likelihood plus ``beta * sum(<x> * log x)``.
 
     The log-likelihood adds ``log edge_probability`` over every observation,
-    repeats included.  The prior term covers each family with one slice per
+    repeats included; a one-slice membership tensor is read at slice 0 for
+    every epoch.  The prior term covers each family with one slice per
     epoch and a positive beta, at every epoch that is not a fallback epoch,
     with ``<x>`` from ``neighbour_average``.
     """

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ class TestConfigFiles:
         )
         assert code == 3
         assert "expected 'key = value'" in stderr
+
+    def test_config_line_with_an_empty_value_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "empty.conf"
+        config.write_text("seed = 1\nmax_iter =\n")
+        code, _, stderr = run(
+            capsys, "fit", "--config", str(config), "--data", "x",
+            "--clusters", "2", "--out", "y",
+        )
+        assert code == 3
+        assert ":2: empty key or value" in stderr
 
     def test_missing_config_file_exits_3(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -626,4 +637,22 @@ class TestBlockFileLoading:
         )
         assert code == 3
         assert "label id -1" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape,message", [
+        ((2, 3), r"K=2.*K=3"),                 # another cluster count
+        ((3, 3, 3), "1 or 2 epochs, got 3"),   # neither one slice nor one per epoch
+    ])
+    def test_blocks_that_do_not_fit_exit_3(self, tmp_path, capsys, shape, message):
+        events = make_events(tmp_path, ["a,0,0", "a,1,0", "b,2,1", "b,0,1"])
+        blocks = tmp_path / "blocks.npz"
+        np.savez(blocks, p=np.full(shape, 1 / 3))
+        out = tmp_path / "model.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--data", str(events), "--slice", "1",
+            "--clusters", "3", "--fixed-p", str(blocks), "--max-iter", "5",
+            "--restarts", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert re.search(message, stderr)
         assert not out.exists()

@@ -16,13 +16,14 @@ from sdsbm import (
     MembershipTensor,
     PatternSpec,
     PriorConfig,
-    TemporalCoupling,
     block_matrix,
     fit,
     generate_memberships,
     rmse_aligned,
     sample_dataset,
 )
+
+from sdsbm.prior import TemporalCoupling
 
 from conftest import random_blocks, random_dataset, random_memberships
 from model_reference import edge_probability, log_posterior, responsibilities
@@ -47,6 +48,11 @@ class TestFitConfig:
         config = FitConfig(n_clusters=2, p_mode="fixed",
                            fixed_p=[[1.0, 0.0], [0.0, 1.0]])
         assert config.p_mode == "fixed"
+        assert isinstance(config.fixed_p, BlockTensor)
+
+    def test_fixed_blocks_of_another_cluster_count_are_refused_at_construction(self):
+        with pytest.raises(ContractError, match="K=3.*K=2"):
+            FitConfig(n_clusters=2, p_mode="fixed", fixed_p=block_matrix(0.1))
 
 
 class TestResponsibilities:
@@ -467,6 +473,25 @@ class TestFit:
         with pytest.raises(ContractError, match="fixed block tensor"):
             fit(data, FitConfig(n_clusters=2, p_mode="fixed", fixed_p=block_matrix(0.1)))
 
+    def test_fixed_block_of_another_epoch_count(self):
+        data = sample_dataset(_toy_truth(4, 5, seed=12), 5, seed=12)
+        config = FitConfig(n_clusters=3, p_mode="fixed", fixed_p=random_blocks(3, 3, 3))
+        with pytest.raises(ContractError, match="must have 1 or 4 epochs, got 3"):
+            fit(data, config)
+
+    def test_dead_cluster_rows_are_reset_and_reported(self, caplog):
+        # a start that leaves cluster 1 empty gives its block row no mass and no
+        # pull at both observed epochs of the first sweep; the floor revives it
+        data = Dataset([0, 1, 0, 1], [0, 1, 2, 0], [0, 0, 1, 1],
+                       n_items=2, n_labels=3, n_epochs=2)
+        theta = np.zeros((2, 2, 2))
+        theta[..., 0] = 1.0
+        start = (theta, random_blocks(2, 2, 3, seed=3))
+        with caplog.at_level("WARNING", logger="sdsbm.em"):
+            report = fit(data, FitConfig(n_clusters=2, max_iterations=3), start=start)
+        assert report.diagnostics["dead_cluster_resets"] == 2
+        assert "winning restart reset 2 dead cluster rows" in caplog.text
+
     def test_impossible_observations_abort_every_restart(self):
         data = Dataset([0, 1], [0, 1], [0, 0], n_items=2, n_labels=2, n_epochs=1)
         fixed = BlockTensor([[1.0, 0.0], [1.0, 0.0]])  # label 1 can never occur
@@ -491,7 +516,8 @@ class TestFit:
         self, monkeypatch, p_mode
     ):
         # the sweep runs on plain arrays: each chain validates its two final
-        # tensors, and fit validates a fixed block tensor once on the way in
+        # tensors; FitConfig validates a fixed block tensor once, and fit checks
+        # it against the data once, with flat memberships
         truth = _toy_truth(3, 8, seed=17)
         data = sample_dataset(truth, 6, seed=17)
         fixed = random_blocks(3, 3, 3, seed=18) if p_mode == "fixed" else None
@@ -508,7 +534,7 @@ class TestFit:
             fixed_p=fixed, max_iterations=50, tol=1e-300, restarts=2, seed=12,
         ))
         assert report.n_iterations == 50
-        assert len(calls) <= 2 * 2 + (p_mode == "fixed")
+        assert len(calls) <= 2 * 2 + 2 * (p_mode == "fixed")
 
     def test_uncoupled_fit_builds_no_coupling(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -640,5 +666,5 @@ class TestFitFromAStart:
         config = FitConfig(n_clusters=3, p_mode=p_mode, fixed_p=fixed, max_iterations=5,
                            restarts=1)
         start = (random_memberships(*theta_shape, seed=25), random_blocks(*p_shape, seed=26))
-        with pytest.raises(ContractError, match="start arrays"):
+        with pytest.raises(ContractError, match="start arrays|model covers"):
             fit(data, config, start=start)

@@ -198,6 +198,10 @@ class TestRocAuc:
         with pytest.raises(ContractError):
             roc_auc(ScoreTable(np.ones((3, 1)), np.zeros(3, dtype=int)))
 
+    def test_rejects_true_labels_that_do_not_match_the_rows(self):
+        with pytest.raises(ContractError, match="true labels do not match"):
+            roc_auc(ScoreTable(np.full((3, 2), 0.5), np.zeros(2, dtype=int)))
+
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
@@ -562,13 +566,12 @@ class TestCrossValidate:
             train = splits[-1][0]
             assert fit_data is train or len(fit_data) == len(train)
             report = real_fit(fit_data, config, **kwargs)
-            fitted[-1].append((report.theta.values, report.p.values))
+            fitted[-1].append((report.theta, report.p))
             return report
 
         def scored(theta, p, dataset):
             if dataset is splits[-1][2]:
-                tested.append(any(np.array_equal(theta, th) and np.array_equal(p, pv)
-                                  for th, pv in fitted[-1]))
+                tested.append(any(theta is th and p is pv for th, pv in fitted[-1]))
             return score_test_set(theta, p, dataset)
 
         monkeypatch.setattr(SplitPlan, "split", split)
@@ -597,12 +600,12 @@ class TestCrossValidate:
                       "nc" if beta == 0 and 0.0 not in grid else "sdsbm")
             warm_from = None if start is None else next(
                 b for b, arrays in fitted.items()
-                if all(np.array_equal(x, y) for x, y in zip(arrays, start))
+                if all(x is y for x, y in zip(arrays, start))
             )
             calls.append((family, beta, warm_from))
             report = real_fit(data, config, start=start)
             if family == "sdsbm":
-                fitted[beta] = (report.theta.values, report.p.values)
+                fitted[beta] = (report.theta, report.p)
             return report
 
         monkeypatch.setattr(evaluation, "fit", recording)

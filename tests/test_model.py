@@ -8,13 +8,21 @@ from sdsbm import (
     ContractError,
     Dataset,
     DegenerateParametersWarning,
+    FitConfig,
+    GroundTruth,
     MembershipTensor,
+    PatternSpec,
     PriorConfig,
+    fit,
     log_posterior,
+    membership_flows,
+    sample_dataset,
+    score_test_set,
 )
 
 from conftest import random_blocks, random_dataset, random_memberships
 from model_reference import edge_probability
+from model_reference import log_posterior as reference_log_posterior
 
 
 class TestTensorValidation:
@@ -74,6 +82,64 @@ class TestTensorValidation:
         p = random_blocks(2, 2, 4)  # neither 1 nor 3 slices
         with pytest.raises(ContractError, match="must have 1 or 3 epochs"):
             log_posterior(theta, p, random_dataset(3, 2, 4, 10))
+
+
+def _bad_pair(kind):
+    """A (theta, p) pair of arrays for T=3, I=4, K=2, O=3, broken as ``kind`` says."""
+    theta = random_memberships(3, 4, 2, seed=30)
+    p = random_blocks(3, 2, 3, seed=31)
+    if kind == "2-D theta":
+        return theta[0], p
+    if kind == "1-D p":
+        return theta, p[0, 0]
+    if kind == "NaN theta":
+        theta[1, 2, 0] = np.nan
+        return theta, p
+    if kind == "negative theta":
+        return -theta, p
+    return 3.0 * theta, p  # rows summing to 3
+
+
+_ENTRY_POINTS = {
+    "log_posterior": lambda th, p, data: log_posterior(th, p, data),
+    "score_test_set": lambda th, p, data: score_test_set(th, p, data),
+    "membership_flows": lambda th, p, data: list(membership_flows(th, p)),
+    "sample_dataset": lambda th, p, data: sample_dataset(
+        GroundTruth(th, p, PatternSpec("sinusoidal", 3, 4, n_clusters=2)), 2),
+    "fit(start=)": lambda th, p, data: fit(
+        data, FitConfig(n_clusters=2, max_iterations=2, restarts=1), start=(th, p)),
+}
+
+
+class TestParameterContract:
+    """Every entry point that takes a (theta, p) pair checks arrays like tensors."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("kind,message", [
+        ("2-D theta", "membership tensor must have 3 axes"),
+        ("1-D p", "block tensor must have 3 axes"),
+        ("NaN theta", "non-finite"),
+        ("negative theta", "negative entries"),
+        ("unnormalized theta", "sum to 1"),
+    ])
+    def test_bad_arrays_are_a_contract_error_naming_the_problem(self, entry, kind, message):
+        theta, p = _bad_pair(kind)
+        data = random_dataset(3, 4, 3, 30, seed=32)
+        with pytest.raises(ContractError, match=message):
+            _ENTRY_POINTS[entry](theta, p, data)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_valid_arrays_pass(self, entry):
+        theta, p = random_memberships(3, 4, 2, seed=30), random_blocks(3, 2, 3, seed=31)
+        _ENTRY_POINTS[entry](theta, p, random_dataset(3, 4, 3, 30, seed=32))
+
+    def test_one_epoch_stands_for_every_epoch_of_the_data(self):
+        th, pv = model._arrays(random_memberships(1, 4, 2), random_blocks(1, 2, 3),
+                               random_dataset(5, 4, 3, 20))
+        assert th.shape == (1, 4, 2) and pv.shape == (1, 2, 3)
+        with pytest.raises(ContractError, match="must have 1 or 1 epochs"):
+            model._arrays(random_memberships(1, 4, 2), random_blocks(5, 2, 3),
+                          random_dataset(5, 4, 3, 20))
 
 
 class TestEdgeProbability:
@@ -185,6 +251,19 @@ class TestLogPosterior:
         theta = random_memberships(3, 4, 2, seed=13)
         p = random_blocks(3, 2, 3, seed=14)
         assert log_posterior(theta, p, data, PriorConfig()) == log_posterior(theta, p, data)
+
+    def test_one_epoch_memberships_score_every_epoch(self):
+        # a one-epoch theta is read at slice 0 for every epoch, as a shared p
+        # is; neither family has per-epoch slices, so no prior term is added
+        data = random_dataset(4, 3, 3, 50, seed=20)
+        theta = random_memberships(1, 3, 2, seed=21)
+        p = random_blocks(1, 2, 3, seed=22)
+        expected = reference_log_posterior(theta, p, data)
+        assert log_posterior(theta, p, data) == pytest.approx(expected, rel=1e-12)
+        prior = PriorConfig(beta_theta=5.0, beta_p=5.0)
+        assert log_posterior(theta, p, data, prior) == log_posterior(theta, p, data)
+        assert log_posterior(theta, p, data) == pytest.approx(
+            log_posterior(theta, p, data.collapse_epochs()), rel=1e-12)
 
     def test_static_block_skips_block_coupling(self):
         # a single shared block slice has no temporal neighbours to pull toward

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sdsbm import ContractError, PriorConfig, TemporalCoupling
+from sdsbm import ContractError, PriorConfig
+from sdsbm.prior import TemporalCoupling
 
 from conftest import random_memberships
 from prior_reference import (
@@ -161,6 +162,10 @@ class TestTemporalCoupling:
         coupling = TemporalCoupling([1, 2], PriorConfig())
         with pytest.raises(ContractError):
             coupling.average(random_memberships(3, 1, 2))
+
+    def test_rejects_zero_epochs(self):
+        with pytest.raises(ContractError, match="at least one epoch"):
+            TemporalCoupling([], PriorConfig())
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ContractError):
