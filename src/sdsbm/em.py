@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractError, DegenerateParameterError
-from .model import BlockTensor, MembershipTensor, _arrays, _e_step, _Problem, _sum_rows
+from .model import BlockTensor, MembershipTensor, _arrays, _covers, _e_step, _Problem, _sum_rows
 from .prior import PriorConfig
 
 _log = logging.getLogger(__name__)
@@ -217,27 +217,25 @@ def fit(data, config, *, start=None):
 
     ``start=(theta, p)``, such as the tensors of a fit at a nearby coupling,
     runs exactly one chain (restart 0) from them instead of the Dirichlet
-    starts.  The pair, like ``fixed_p``, passes the parameter check of
-    ``_arrays`` against ``data``, and needs one membership slice per epoch,
+    starts.  The pair passes ``_arrays`` against ``data``, as the shape of
+    ``fixed_p`` passes ``_covers``, and needs one membership slice per epoch,
     ``n_clusters`` and the block slices of ``p_mode`` (a ``ContractError``
     otherwise); with ``p_mode="fixed"`` the block tensor stays ``fixed_p``.
     """
     T, K = data.n_epochs, config.n_clusters
     fixed_p = None
     if config.p_mode == "fixed":
-        # fixed blocks must suit the data whatever the memberships: check them with flat ones
-        fixed_p = _arrays(np.full((T, data.n_items, K), 1.0 / K), config.fixed_p, data)[1]
+        fixed_p = config.fixed_p.values
+        _covers((T, data.n_items, K), fixed_p.shape, data)
     if start is None:
         starts = (_initial(data, config, restart, fixed_p) for restart in range(config.restarts))
     else:
         theta, p = _arrays(*start, data)
-        slices = {"dynamic": T, "static": 1}.get(config.p_mode) or len(fixed_p)
-        if (len(theta), theta.shape[2], len(p)) != (T, K, slices):
-            raise ContractError(
-                f"start arrays have {len(theta)} membership and {len(p)} block slices with "
-                f"K={theta.shape[2]}; a {config.p_mode} fit of this data needs {T} and "
-                f"{slices} with K={K}"
-            )
+        have = (len(theta), theta.shape[2], len(p))
+        need = (T, K, {"dynamic": T, "static": 1}.get(config.p_mode) or len(fixed_p))
+        if have != need:
+            raise ContractError(f"start arrays have (epochs, K, block slices) = {have}, "
+                                f"a {config.p_mode} fit of this data needs {need}")
         starts = [(theta, p if fixed_p is None else fixed_p)]
     problem = _Problem(data, config.prior, K)
     best = None

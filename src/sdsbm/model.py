@@ -101,17 +101,26 @@ def _arrays(theta, p, data=None):
     """
     th = (theta if isinstance(theta, MembershipTensor) else MembershipTensor(theta)).values
     pv = (p if isinstance(p, BlockTensor) else BlockTensor(p)).values
-    if th.shape[2] != pv.shape[1]:
-        raise ContractError(f"cluster axes disagree: memberships have K={th.shape[2]}, "
-                            f"block tensor has K={pv.shape[1]}")
+    _covers(th.shape, pv.shape, data)
+    return th, pv
+
+
+def _covers(theta_shape, p_shape, data=None):
+    """The extents rules of ``_arrays``, on the shapes of a pair alone."""
+    if theta_shape[2] != p_shape[1]:
+        raise ContractError(
+            f"cluster axes disagree: memberships have K={theta_shape[2]}, "
+            f"block tensor has K={p_shape[1]}"
+        )
     if data is not None:
-        have = (th.shape[0], th.shape[1], pv.shape[2])
+        have = (theta_shape[0], theta_shape[1], p_shape[2])
         need = (data.n_epochs, data.n_items, data.n_labels)
         if have[0] not in (1, need[0]) or have[1:] != need[1:]:
             raise ContractError(f"the model covers (epochs, items, labels) = {have}, data {need}")
-    if pv.shape[0] not in (1, th.shape[0]):
-        raise ContractError(f"block tensor must have 1 or {th.shape[0]} epochs, got {pv.shape[0]}")
-    return th, pv
+    if p_shape[0] not in (1, theta_shape[0]):
+        raise ContractError(
+            f"block tensor must have 1 or {theta_shape[0]} epochs, got {p_shape[0]}"
+        )
 
 
 class _Problem:
