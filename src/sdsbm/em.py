@@ -2,11 +2,11 @@
 
 Each sweep applies the coordinate updates of ``_m_step`` to plain arrays, then
 runs the forward-model pass of ``sdsbm.model`` (``_e_step``) at the new
-parameters.  That one pass gives both the next sweep's responsibility sums
-and the objective that ``log_posterior`` reports.  With zero coupling every
-epoch decouples into plain maximum likelihood; with positive coupling the
-numerator gains ``beta * <x>`` and the denominator ``beta``, pulling each row
-toward its neighbour average.
+parameters.  That one pass gives the next sweep's responsibility sums, the
+log-likelihood that decides convergence, and the objective that
+``log_posterior`` reports.  With zero coupling every epoch decouples into plain
+maximum likelihood; with positive coupling the numerator gains ``beta * <x>``
+and the denominator ``beta``, pulling each row toward its neighbour average.
 """
 from __future__ import annotations
 
@@ -41,8 +41,12 @@ class FitConfig:
         or a caller-supplied tensor that is never updated.
     fixed_p : BlockTensor (an array is converted), only with ``p_mode="fixed"``
     max_iterations, tol : stop after this many iterations or once the
-        relative objective change drops below ``tol``, whichever is first.
-    restarts : independent EM chains; the best final objective wins.
+        log-likelihood changes by less than ``tol`` relative between two
+        consecutive iterations, whichever is first.  The prior term of the
+        objective is left out of the test: it keeps growing with the coupling
+        after the fit to the data has settled.
+    restarts : independent EM chains; the one with the highest final objective
+        wins.  Chains may stop after different numbers of iterations.
     seed : every chain and epoch slice draws its start from a stream derived from
         (seed, restart, epoch): fits are reproducible bit for bit for a fixed numpy/BLAS
         build and BLAS thread count, since OpenBLAS rounds the coupling product
@@ -171,24 +175,29 @@ def _initial(data, config, restart, fixed_p):
 def _run_chain(problem, config, restart, theta, p):
     """One EM chain on plain arrays from the start ``(theta, p)``, numbered ``restart``.
 
-    Returns a report of its own, whose tensors validate the final arrays once.
+    The trace records the objective after each sweep; the chain converges once
+    the log-likelihoods of two consecutive sweeps differ by less than
+    ``config.tol`` relative.  A sweep need not raise the objective itself.  It
+    is an exact EM step on the surrogate ``loglik(x) + beta * sum(<x_n> log x)``
+    whose neighbour averages ``<x_n>`` are frozen at the sweep's start, so it
+    never lowers that surrogate.  Returns a report of its own, whose tensors
+    validate the final arrays once.
     """
     theta = theta.transpose(0, 2, 1).copy()  # the (T, K, I) working layout
     trace = []
     dead_total = 0
     converged = False
     started = time.perf_counter()
-    s_theta, s_p, averages, _ = _e_step(theta, p, problem)
+    s_theta, s_p, averages, loglik, _ = _e_step(theta, p, problem)
     for _ in range(config.max_iterations):
         theta, p, dead = _m_step(s_theta, s_p, averages, p, problem, config.p_mode)
         dead_total += dead
-        s_theta, s_p, averages, objective = _e_step(theta, p, problem)
+        previous = loglik
+        s_theta, s_p, averages, loglik, objective = _e_step(theta, p, problem)
         trace.append(objective)
-        if len(trace) > 1:
-            rel = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-            if rel < config.tol:
-                converged = True
-                break
+        if len(trace) > 1 and abs(loglik - previous) / max(abs(previous), 1e-12) < config.tol:
+            converged = True
+            break
     seconds = time.perf_counter() - started
     return FitReport(
         theta=MembershipTensor(theta.transpose(0, 2, 1).copy()),
@@ -208,6 +217,11 @@ def _run_chain(problem, config, restart, theta, p):
 def fit(data, config, *, start=None):
     """Run ``config.restarts`` EM chains on ``data`` and keep the best.
 
+    Each chain stops once its log-likelihood settles (see ``FitConfig.tol``),
+    and the chain with the highest final objective wins.  Under coupling a
+    sweep is guaranteed not to lower a surrogate whose neighbour averages are
+    frozen at the sweep's start (see ``_run_chain``), not the objective in the
+    trace; with both betas zero the two agree and the trace never falls.
     Restarts that hit degenerate parameters are aborted, logged and counted;
     the fit fails only if every chain aborts.  Returns a FitReport whose trace
     belongs to the winning restart; its tensors are validated once, when the

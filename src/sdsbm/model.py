@@ -7,11 +7,12 @@ per-cluster label distributions:
 
 where each tensor carries one slice per epoch or one shared by all, and
 ``_arrays`` checks the pair.  This module owns the one pass over the compressed
-observations, ``_e_step``: it yields EM's responsibility sums and the objective.
-``fit`` runs it every sweep, and ``log_posterior`` is a thin call of it.  The
-pass works in one layout with the cluster axis second, memberships ``(T, K, I)``
-and blocks ``(T_p, K, O)``, so every gather, broadcast and reduction runs along
-a long contiguous axis; the public membership tensor stays ``(T, I, K)``.
+observations, ``_e_step``: it yields EM's responsibility sums, the
+log-likelihood and the objective.  ``fit`` runs it every sweep, and
+``log_posterior`` is a thin call of it.  The pass works in one layout with the
+cluster axis second, memberships ``(T, K, I)`` and blocks ``(T_p, K, O)``, so
+every gather, broadcast and reduction runs along a long contiguous axis; the
+public membership tensor stays ``(T, I, K)``.
 """
 from __future__ import annotations
 
@@ -212,14 +213,15 @@ def _accumulate(theta, p, problem):
 
 
 def _e_step(theta, p, problem):
-    """Responsibility sums, neighbour averages and objective at working-layout arrays.
+    """Responsibility sums, neighbour averages, log-likelihood and objective at working-layout arrays.
 
     The objective is the log-likelihood plus, for each coupled family of
     ``problem.prior``, the prior pull ``beta * sum(<x> * log x)`` where
     ``<x> > 0``, at the averages the next M-step needs (zero at fallback
     epochs).  An average is None for a family uncoupled or with one shared slice.
     """
-    s_theta, s_p, objective = _accumulate(theta, p, problem)
+    s_theta, s_p, loglik = _accumulate(theta, p, problem)
+    objective = loglik
     averages = []
     for values, beta in ((theta, problem.prior.beta_theta), (p, problem.prior.beta_p)):
         avg = None
@@ -229,7 +231,7 @@ def _e_step(theta, p, problem):
                 log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
             objective += beta * float(np.vdot(avg, log_values))
         averages.append(avg)
-    return s_theta, s_p, averages, objective
+    return s_theta, s_p, averages, loglik, objective
 
 
 def log_posterior(theta, p, data, prior=None):

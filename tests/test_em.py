@@ -341,8 +341,7 @@ class TestSweepOracle:
         monkeypatch.setattr(model, "CHUNK", chunk)
         problem = model._Problem(data, prior, n_clusters)
 
-        s_theta, s_p, averages, objective = model._e_step(_swap(theta), p, problem)
-        *_, loglik = model._accumulate(_swap(theta), p, problem)
+        s_theta, s_p, averages, loglik, objective = model._e_step(_swap(theta), p, problem)
         new_theta, new_p, rows_reset = em._m_step(s_theta, s_p, averages, p, problem, p_mode)
 
         expected = sweep(theta, p, data, prior, p_mode)
