@@ -150,6 +150,14 @@ def coverage_error_normalized(table):
     return float((mean_rank - 1.0) / (n_labels - 1))
 
 
+def _memberships(values):
+    """The (T, I, K) values of a membership tensor or array; a 2-D array is one slice."""
+    if isinstance(values, MembershipTensor):
+        return values.values
+    arr = np.asarray(values, dtype=float)
+    return MembershipTensor(arr[None] if arr.ndim == 2 else arr).values
+
+
 def rmse_aligned(estimate, truth):
     """Root-mean-square membership error under the best global cluster relabeling.
 
@@ -157,14 +165,10 @@ def rmse_aligned(estimate, truth):
     and items at once.  The squared error of a relabeling is a sum of
     per-cluster-pair costs, so the best one solves a K x K linear assignment
     problem exactly.  A single-slice estimate is compared against every epoch
-    of the truth.
+    of the truth.  Both pass the membership-tensor checks (a 2-D array is one
+    slice), so a non-finite, negative or unnormalized row is a ContractError.
     """
-    est = estimate.values if isinstance(estimate, MembershipTensor) else np.asarray(estimate, float)
-    tru = truth.values if isinstance(truth, MembershipTensor) else np.asarray(truth, float)
-    if est.ndim == 2:
-        est = est[None]
-    if tru.ndim == 2:
-        tru = tru[None]
+    est, tru = _memberships(estimate), _memberships(truth)
     if est.shape[0] == 1 and tru.shape[0] > 1:
         est = np.broadcast_to(est, tru.shape)
     if est.shape != tru.shape:
