@@ -315,7 +315,9 @@ def _add_engine_options(parser):
     parser.add_argument("--fixed-p", default=None,
                         help="npz file with a 'p' array; keeps the block tensor fixed")
     parser.add_argument("--max-iter", type=int, default=200)
-    parser.add_argument("--tol", type=float, default=1e-6)
+    parser.add_argument("--tol", type=float, default=1e-6,
+                        help="stop a chain once its log-likelihood changes by less "
+                             "than this, relative, between two iterations")
     parser.add_argument("--restarts", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
 

@@ -213,7 +213,7 @@ def _accumulate(theta, p, problem):
 
 
 def _e_step(theta, p, problem):
-    """Responsibility sums, neighbour averages, log-likelihood and objective at working-layout arrays.
+    """Responsibility sums, averages, log-likelihood and objective at working-layout arrays.
 
     The objective is the log-likelihood plus, for each coupled family of
     ``problem.prior``, the prior pull ``beta * sum(<x> * log x)`` where

@@ -7,6 +7,7 @@ import pytest
 import sdsbm.em as em
 import sdsbm.model as model
 from sdsbm import (
+    DEFAULT_BETA_GRID,
     BlockTensor,
     ContractError,
     Dataset,
@@ -432,31 +433,80 @@ class TestFit:
         peak = report.trace.max()
         assert report.objective >= peak - 1e-6 * abs(peak)
 
-    def test_frozen_average_update_never_decreases_the_objective(self):
-        # with the neighbour averages held fixed, one EM sweep is exact ascent
+    @pytest.mark.parametrize("beta", (4.0,) + DEFAULT_BETA_GRID)
+    def test_frozen_average_update_never_decreases_the_objective(self, beta):
+        # with the neighbour averages frozen at its start, each sweep is an exact
+        # EM step on loglik(x) + beta * sum(<x> log x): that surrogate never falls
         truth = _toy_truth(5, 10, seed=8)
         data = sample_dataset(truth, 12, seed=8)
-        prior = PriorConfig(beta_theta=4.0, beta_p=4.0)
+        prior = PriorConfig(beta_theta=beta, beta_p=beta)
         problem = model._Problem(data, prior, 3)
-        theta = random_memberships(5, 10, 3, seed=9)
+        fallback = problem.coupling.fallback
+        theta = _swap(random_memberships(5, 10, 3, seed=9))
         p = random_blocks(5, 3, 3, seed=10)
-        coupling = problem.coupling
-        avg_theta = coupling.average(theta)
-        avg_p = coupling.average(p)
 
-        def frozen_objective(th, pv):
-            value = log_posterior(th, pv, data)
-            for values, avg in ((th, avg_theta), (pv, avg_p)):
-                pull = np.where(avg > 0, avg * np.log(values), 0.0)
-                value += 4.0 * pull[~coupling.fallback].sum()
+        def frozen_objective(th, pv, averages):
+            value = model.log_posterior(_swap(th), pv, data)
+            for values, avg in zip((th, pv), averages):
+                if avg is not None:
+                    pull = np.where(avg > 0, avg * np.log(values), 0.0)
+                    value += beta * pull[~fallback].sum()
             return value
 
-        before = frozen_objective(theta, p)
-        s_theta, s_p, _ = model._accumulate(_swap(theta), p, problem)
-        theta_new, p_new, _ = em._m_step(s_theta, s_p, (_swap(avg_theta), avg_p), p, problem,
-                                         "dynamic")
-        after = frozen_objective(_swap(theta_new), p_new)
-        assert after >= before - 1e-10 * abs(before)
+        for _ in range(30):
+            s_theta, s_p, averages, *_ = model._e_step(theta, p, problem)
+            before = frozen_objective(theta, p, averages)
+            theta, p, _ = em._m_step(s_theta, s_p, averages, p, problem, "dynamic")
+            after = frozen_objective(theta, p, averages)
+            assert after >= before - 1e-10 * abs(before)
+
+    def test_coupled_chain_stops_once_its_log_likelihood_settles(self, monkeypatch):
+        # at beta=30 the prior term keeps the objective rising; the chain stops
+        # at the first sweep whose log-likelihood moved less than tol from the last
+        truth = _toy_truth(10, 20, seed=31)
+        data = sample_dataset(truth, 20, seed=31)
+        swept = []
+        m_step = em._m_step
+
+        def recording(*args):
+            theta, p, dead = m_step(*args)
+            swept.append((_swap(theta), p.copy()))
+            return theta, p, dead
+
+        monkeypatch.setattr(em, "_m_step", recording)
+        config = FitConfig(n_clusters=3, prior=PriorConfig(beta_theta=30.0, beta_p=30.0),
+                           restarts=1, seed=0)
+        report = fit(data, config)
+        loglik = np.array([model.log_posterior(th, pv, data) for th, pv in swept])
+        settled = np.abs(np.diff(loglik)) < config.tol * np.abs(loglik[:-1])
+        first = 2 + int(np.argmax(settled))  # sweeps are counted from 1
+        assert settled.any() and report.n_iterations == len(swept) == first
+        assert report.n_iterations < config.max_iterations and report.converged
+        rise = report.trace[-1] - report.trace[-2]
+        assert rise > config.tol * abs(report.trace[-2])
+
+    @pytest.mark.parametrize("p_mode", ["dynamic", "static"])
+    def test_uncoupled_chain_stops_where_its_objective_settles(self, p_mode):
+        # at beta=0 the log-likelihood is the objective: stopping on either is one rule
+        truth = _toy_truth(4, 10, seed=32)
+        data = sample_dataset(truth, 8, seed=32)
+        config = FitConfig(n_clusters=3, p_mode=p_mode, restarts=1, seed=17)
+        report = fit(data, config)
+        problem = model._Problem(data, config.prior, 3)
+        theta, p = em._initial(data, config, 0, None)
+        theta = _swap(theta)
+        s_theta, s_p, averages, *_ = model._e_step(theta, p, problem)
+        trace = []
+        for _ in range(config.max_iterations):
+            theta, p, _ = em._m_step(s_theta, s_p, averages, p, problem, p_mode)
+            s_theta, s_p, averages, _, objective = model._e_step(theta, p, problem)
+            trace.append(objective)
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) < config.tol * abs(trace[-2]):
+                break
+        assert report.converged and report.n_iterations == len(trace) < config.max_iterations
+        assert np.array_equal(report.trace, trace)
+        assert np.array_equal(report.theta.values, _swap(theta))
+        assert np.array_equal(report.p.values, p)
 
     def test_fixed_block_mode_never_updates_it(self):
         truth = _toy_truth(3, 10, seed=11)

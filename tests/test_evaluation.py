@@ -323,6 +323,18 @@ class TestRmseAligned:
         with pytest.raises(ContractError):
             rmse_aligned(random_memberships(2, 3, 2), random_memberships(2, 3, 3))
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda x: np.full_like(x, np.nan), "non-finite"),
+        (lambda x: 3.0 * x, "sum to 1"),
+        (lambda x: -x, "negative"),
+    ], ids=["nan", "scaled", "negated"])
+    @pytest.mark.parametrize("side", ["estimate", "truth"])
+    def test_rows_off_the_simplex_are_rejected(self, side, corrupt, message):
+        good = np.full((2, 3, 2), 0.5)
+        args = (corrupt(good), good) if side == "estimate" else (good, corrupt(good))
+        with pytest.raises(ContractError, match=message):
+            rmse_aligned(*args)
+
 
 class TestFlows:
     def test_marginals_match_the_endpoints(self):
