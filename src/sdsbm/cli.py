@@ -416,7 +416,7 @@ def main(argv=None):
     except (ContractError, IngestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (DegenerateParameterError, FloatingPointError) as err:
+    except DegenerateParameterError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 4
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _integer
 
 
 class Dataset:
@@ -18,36 +18,36 @@ class Dataset:
     Parameters
     ----------
     nodes, labels, epochs : array-like of int
-        Parallel arrays, one entry per observation.  Repeats are kept: the
-        same triplet appearing twice counts twice everywhere.
+        Parallel arrays, one entry per observation, of an integer dtype (an
+        empty one may have any dtype).  Repeats are kept: the same triplet
+        appearing twice counts twice everywhere.
     n_items, n_labels, n_epochs : int
-        Extents I, O, T.  Every id must lie in range; epochs with no
-        observations are legal and preserved (their count is simply zero).
+        Extents I, O, T, integers (numpy's too) of at least 1.  Every id must
+        lie in range; epochs with no observations are legal and preserved
+        (their count is simply zero).
     """
 
     def __init__(self, nodes, labels, epochs, n_items, n_labels, n_epochs):
-        nodes = np.asarray(nodes, dtype=np.int64).ravel()
-        labels = np.asarray(labels, dtype=np.int64).ravel()
-        epochs = np.asarray(epochs, dtype=np.int64).ravel()
-        if not (nodes.shape == labels.shape == epochs.shape):
-            raise ContractError("nodes, labels and epochs must have equal length")
         if min(n_items, n_labels, n_epochs) < 1:
             raise ContractError("extents must all be >= 1")
-        for name, ids, extent in (
-            ("node", nodes, n_items),
-            ("label", labels, n_labels),
-            ("epoch", epochs, n_epochs),
-        ):
+        extents = [_integer(name, extent, 1) for name, extent in
+                   (("n_items", n_items), ("n_labels", n_labels), ("n_epochs", n_epochs))]
+        columns = []
+        for name, values, extent in zip(("node", "label", "epoch"), (nodes, labels, epochs),
+                                        extents):
+            ids = np.asarray(values).ravel()
+            if ids.size and ids.dtype.kind not in "iu":
+                raise ContractError(f"{name} ids must be integers, got dtype {ids.dtype}")
+            ids = ids.astype(np.int64, copy=False)
             if ids.size and (ids.min() < 0 or ids.max() >= extent):
                 bad = ids[(ids < 0) | (ids >= extent)][0]
                 raise ContractError(f"{name} id {bad} out of range [0, {extent})")
-        self.nodes = nodes
-        self.labels = labels
-        self.epochs = epochs
-        self.n_items = int(n_items)
-        self.n_labels = int(n_labels)
-        self.n_epochs = int(n_epochs)
-        self.epoch_counts = np.bincount(epochs, minlength=n_epochs).astype(np.int64)
+            columns.append(ids)
+        if not (columns[0].shape == columns[1].shape == columns[2].shape):
+            raise ContractError("nodes, labels and epochs must have equal length")
+        self.nodes, self.labels, self.epochs = columns
+        self.n_items, self.n_labels, self.n_epochs = extents
+        self.epoch_counts = np.bincount(self.epochs, minlength=self.n_epochs).astype(np.int64)
         self._compressed = None
 
     def __len__(self):

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ContractError, DegenerateParameterError
+from .errors import ContractError, _integer
 from .model import BlockTensor, MembershipTensor, _arrays, _covers, _e_step, _Problem, _sum_rows
 from .prior import PriorConfig
 
@@ -63,14 +63,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ContractError(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if self.max_iterations < 1:
-            raise ContractError("max_iterations must be >= 1")
+        for name, minimum in (("n_clusters", 1), ("max_iterations", 1), ("restarts", 1),
+                              ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not self.tol > 0:
             raise ContractError("tol must be > 0")
-        if self.restarts < 1:
-            raise ContractError("restarts must be >= 1")
         if self.p_mode not in P_MODES:
             raise ContractError(f"p_mode must be one of {P_MODES}, got {self.p_mode!r}")
         if (self.fixed_p is None) != (self.p_mode != "fixed"):
@@ -222,12 +219,17 @@ def fit(data, config, *, start=None):
     sweep is guaranteed not to lower a surrogate whose neighbour averages are
     frozen at the sweep's start (see ``_run_chain``), not the objective in the
     trace; with both betas zero the two agree and the trace never falls.
-    Restarts that hit degenerate parameters are aborted, logged and counted;
-    the fit fails only if every chain aborts.  Returns a FitReport whose trace
-    belongs to the winning restart; its tensors are validated once, when the
-    chain ends.  ``diagnostics["fallback_epochs"]`` counts the epochs with no
-    weighted neighbours; it is 0 when both betas are zero, since no epoch then
-    has a coupled prior to fall back from.
+    Returns a FitReport whose trace belongs to the winning restart; its
+    tensors are validated once, when the chain ends.  In its ``diagnostics``,
+    ``fallback_epochs`` counts the epochs with no weighted neighbours (0 when
+    both betas are zero, since no epoch then has a coupled prior to fall back
+    from), and ``aborted_restarts`` is always 0.
+
+    An observed triplet of zero probability raises ``DegenerateParameterError``
+    naming it from the first chain's first E-step, before any sweep; no other
+    chain runs.  Dirichlet starts are positive and the M-step floors every
+    probability at ``PROB_FLOOR``, so only zeros in ``fixed_p`` or ``start``
+    can cause one, and then every chain would fail on that same triplet.
 
     ``start=(theta, p)``, such as the tensors of a fit at a nearby coupling,
     runs exactly one chain (restart 0) from them instead of the Dirichlet
@@ -252,24 +254,12 @@ def fit(data, config, *, start=None):
                                 f"a {config.p_mode} fit of this data needs {need}")
         starts = [(theta, p if fixed_p is None else fixed_p)]
     problem = _Problem(data, config.prior, K)
-    best = None
-    aborted = 0
-    last_error = None
-    for restart, (theta, p) in enumerate(starts):
-        try:
-            report = _run_chain(problem, config, restart, theta, p)
-        except DegenerateParameterError as err:
-            aborted += 1
-            last_error = err
-            _log.warning("restart %d aborted on degenerate parameters: %s", restart, err)
-            continue
-        if best is None or report.objective > best.objective:
-            best = report
-    if best is None:
-        raise last_error
+    chains = (_run_chain(problem, config, restart, theta, p)
+              for restart, (theta, p) in enumerate(starts))
+    best = max(chains, key=lambda report: report.objective)  # ties go to the first
     coupled = config.prior.beta_theta > 0 or config.prior.beta_p > 0
     best.diagnostics.update(
-        aborted_restarts=aborted,
+        aborted_restarts=0,  # always 0; kept because perfbench/tracing.py reads the key
         fallback_epochs=int(problem.coupling.fallback.sum()) if coupled else 0,
     )
     if best.diagnostics["dead_cluster_resets"]:

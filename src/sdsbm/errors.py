@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+import operator
 
 
 class SdsbmError(Exception):
@@ -35,3 +36,14 @@ class DegenerateParameterError(SdsbmError, RuntimeError):
             f"mixture probability; parameters are degenerate"
         )
         self.triplet = (node, label, epoch)
+
+
+def _integer(name, value, minimum):
+    """``value`` as an int if it is an integer (numpy's too) >= ``minimum``; else ContractError."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ContractError(f"{name} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ContractError(f"{name} must be >= {minimum}, got {number}")
+    return number

@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import rankdata
 
 from .em import fit
-from .errors import ContractError
+from .errors import ContractError, _integer
 from .model import MembershipTensor, _arrays
 
 _log = logging.getLogger(__name__)
@@ -36,8 +36,8 @@ class SplitPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_folds < 1:
-            raise ContractError("n_folds must be >= 1")
+        for name, minimum in (("n_folds", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not (0 < self.train_fraction < 1) or not (0 < self.validation_fraction < 1):
             raise ContractError("fractions must lie strictly between 0 and 1")
         if self.train_fraction + self.validation_fraction >= 1:
@@ -92,6 +92,10 @@ def _check_table(table):
         raise ContractError("metrics need at least two candidate labels")
     if table.true_labels.shape != (table.scores.shape[0],):
         raise ContractError("true labels do not match the score rows")
+    if table.true_labels.min() < 0 or table.true_labels.max() >= table.scores.shape[1]:
+        raise ContractError(f"true labels must lie in [0, {table.scores.shape[1]})")
+    if not np.isfinite(table.scores).all():
+        raise ContractError("scores must be finite")
 
 
 def _flat_pairs(table):

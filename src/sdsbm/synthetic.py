@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ContractError
+from .errors import ContractError, _integer
 from .model import BlockTensor, MembershipTensor, _arrays
 
 PATTERNS = ("sinusoidal", "broken_line")
@@ -45,8 +45,8 @@ class PatternSpec:
     def __post_init__(self):
         if self.kind not in PATTERNS:
             raise ContractError(f"kind must be one of {PATTERNS}, got {self.kind!r}")
-        if self.n_epochs < 1 or self.n_items < 1 or self.n_clusters < 1:
-            raise ContractError("extents must all be >= 1")
+        for name, minimum in (("n_epochs", 1), ("n_items", 1), ("n_clusters", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not self.cycles > 0:
             raise ContractError("cycles must be > 0")
 
@@ -147,7 +147,7 @@ def sample_dataset(truth, schedule, seed=0):
         schedule = np.full(T, int(schedule), dtype=np.int64)
     if schedule.shape != (T,) or np.any(schedule < 0):
         raise ContractError("schedule must be a non-negative int or (T,) array")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(_integer("seed", seed, 0), spawn_key=(1,)))
     counts = np.empty((T, I, O), dtype=np.int64)
     for t in range(T):
         mix = th[t] @ pv[0 if pv.shape[0] == 1 else t]

@@ -75,6 +75,12 @@ class TestSynth:
         assert code == 3
         assert "error:" in stderr
 
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "synth", "--seed", "-1", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "seed must be >= 0, got -1" in stderr
+        assert not (tmp_path / "x").exists()
+
 
 class TestFit:
     def test_fit_writes_a_loadable_archive(self, tmp_path, capsys):
@@ -123,7 +129,7 @@ class TestFit:
         assert archive.p.values.shape == (1, 2, 3)
         assert archive.theta.values.shape[0] == 3
 
-    def test_degenerate_fixed_blocks_exit_4(self, tmp_path, capsys):
+    def test_degenerate_fixed_blocks_exit_4(self, tmp_path, capsys, caplog):
         events = make_events(tmp_path, ["a,0,0", "a,1,0", "b,0,1", "b,1,1"])
         blocks = tmp_path / "blocks.npz"
         np.savez(blocks, p=np.array([[1.0, 0.0], [1.0, 0.0]]))
@@ -134,6 +140,16 @@ class TestFit:
         )
         assert code == 4
         assert "numeric failure" in stderr
+        assert not [record for record in caplog.records if record.name == "sdsbm.em"]
+
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        events = small_events(tmp_path)
+        code, _, stderr = run(
+            capsys, "fit", "--data", str(events), "--clusters", "2", "--seed", "-1",
+            "--out", str(tmp_path / "m.npz"),
+        )
+        assert code == 3
+        assert "seed must be >= 0, got -1" in stderr
 
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -395,6 +411,16 @@ class TestCrossValidationCommand:
         code, _, _ = run(capsys, *common, "--models", "sdsbm,nc",
                          "--out", str(tmp_path / "cv_dynamic.csv"))
         assert code == 0
+
+    def test_negative_split_seed_exits_3(self, tmp_path, capsys):
+        events = small_events(tmp_path)
+        code, _, stderr = run(
+            capsys, "cv", "--data", str(events), "--clusters", "2", "--folds", "1",
+            "--split-seed", "-1", "--out", str(tmp_path / "cv.csv"),
+        )
+        assert code == 3
+        assert "seed must be >= 0, got -1" in stderr
+        assert not (tmp_path / "cv.csv").exists()
 
     def test_repeated_family_exits_3(self, tmp_path, capsys):
         events = small_events(tmp_path)

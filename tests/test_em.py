@@ -40,6 +40,11 @@ class TestFitConfig:
         {"n_clusters": 2, "p_mode": "frozen"},
         {"n_clusters": 2, "p_mode": "fixed"},                      # missing tensor
         {"n_clusters": 2, "fixed_p": [[1.0, 0.0], [0.0, 1.0]]},    # tensor without mode
+        {"n_clusters": 2.5},
+        {"n_clusters": 2, "max_iterations": 2.5},
+        {"n_clusters": 2, "restarts": 1.5},
+        {"n_clusters": 2, "seed": 1.5},
+        {"n_clusters": 2, "seed": -1},
     ])
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ContractError):
@@ -54,6 +59,11 @@ class TestFitConfig:
     def test_fixed_blocks_of_another_cluster_count_are_refused_at_construction(self):
         with pytest.raises(ContractError, match="K=3.*K=2"):
             FitConfig(n_clusters=2, p_mode="fixed", fixed_p=block_matrix(0.1))
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        config = FitConfig(n_clusters=np.int64(2), restarts=np.int32(3), seed=np.uint8(4))
+        assert (config.n_clusters, config.restarts, config.seed) == (2, 3, 4)
+        assert type(config.seed) is int
 
 
 class TestResponsibilities:
@@ -109,6 +119,17 @@ def _two_label_dataset():
 def _two_epoch_dataset():
     # both epochs observed, so neither is a fallback epoch
     return Dataset([0, 0, 0], [0, 1, 0], [0, 0, 1], n_items=1, n_labels=2, n_epochs=2)
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap the named ``sdsbm.em`` functions so that each call is counted."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(em, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(em, name, counted)
+    return calls
 
 
 def _swap(theta):
@@ -541,13 +562,44 @@ class TestFit:
         assert report.diagnostics["dead_cluster_resets"] == 2
         assert "winning restart reset 2 dead cluster rows" in caplog.text
 
-    def test_impossible_observations_abort_every_restart(self):
-        data = Dataset([0, 1], [0, 1], [0, 0], n_items=2, n_labels=2, n_epochs=1)
-        fixed = BlockTensor([[1.0, 0.0], [1.0, 0.0]])  # label 1 can never occur
-        with pytest.raises(DegenerateParameterError) as err:
-            fit(data, FitConfig(n_clusters=2, p_mode="fixed", fixed_p=fixed,
-                                restarts=3, seed=7))
-        assert err.value.triplet == (1, 1, 0)
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_impossible_observation_fails_once_before_any_sweep(self, monkeypatch, caplog,
+                                                                warm):
+        if warm:
+            # node 0 starts epoch 0 wholly in cluster 0, which never emits its label 1
+            data = Dataset([0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1],
+                           n_items=2, n_labels=2, n_epochs=2)
+            theta = np.full((2, 2, 2), 0.5)
+            theta[0, 0] = [1.0, 0.0]
+            p = np.array([[[1.0, 0.0], [0.5, 0.5]]] * 2)
+            config, start = FitConfig(n_clusters=2, restarts=3), (theta, p)
+            triplet = (0, 1, 0)
+        else:
+            data = Dataset([0, 1], [0, 1], [0, 0], n_items=2, n_labels=2, n_epochs=1)
+            fixed = BlockTensor([[1.0, 0.0], [1.0, 0.0]])  # label 1 can never occur
+            config = FitConfig(n_clusters=2, p_mode="fixed", fixed_p=fixed, restarts=3, seed=7)
+            start = None
+            triplet = (1, 1, 0)
+        calls = _count_calls(monkeypatch, "_run_chain", "_m_step")
+        with caplog.at_level("DEBUG", logger="sdsbm.em"):
+            with pytest.raises(DegenerateParameterError) as err:
+                fit(data, config, start=start)
+        assert err.value.triplet == triplet
+        assert calls == {"_run_chain": 1, "_m_step": 0}
+        assert not [record for record in caplog.records if record.name == "sdsbm.em"]
+
+    def test_tied_restarts_go_to_the_first(self, monkeypatch):
+        chain = em._run_chain
+
+        def tied(*args):
+            report = chain(*args)
+            report.trace = np.array([-1.0])
+            return report
+
+        monkeypatch.setattr(em, "_run_chain", tied)
+        data = sample_dataset(_toy_truth(3, 8, seed=13), 6, seed=13)
+        report = fit(data, FitConfig(n_clusters=3, max_iterations=3, restarts=3, seed=8))
+        assert report.best_restart == 0
 
     def test_diagnostics_are_reported(self):
         truth = _toy_truth(3, 8, seed=13)

@@ -117,6 +117,9 @@ class TestSplitPlan:
         {"train_fraction": 0.0},
         {"validation_fraction": 1.0},
         {"train_fraction": 0.9, "validation_fraction": 0.2},
+        {"n_folds": 2.5},
+        {"seed": 1.5},
+        {"seed": -1},
     ])
     def test_rejects_bad_plans(self, bad):
         with pytest.raises(ContractError):
@@ -263,6 +266,19 @@ class TestCoverageError:
         with pytest.raises(ContractError):
             coverage_error_normalized(ScoreTable(np.ones((3, 1)),
                                                  np.zeros(3, dtype=int)))
+
+
+@pytest.mark.parametrize("metric", [roc_auc, average_precision, coverage_error_normalized])
+@pytest.mark.parametrize("scores, true_labels, message", [
+    (np.full((2, 3), 1 / 3), [3, 0], r"true labels must lie in \[0, 3\)"),
+    (np.full((2, 3), 1 / 3), [-1, 0], r"true labels must lie in \[0, 3\)"),
+    ([[0.2, np.nan, 0.3], [0.5, 0.1, 0.4]], [0, 1], "scores must be finite"),
+    ([[0.2, np.inf, 0.3], [0.5, 0.1, 0.4]], [0, 1], "scores must be finite"),
+])
+def test_metrics_reject_tables_they_cannot_score(metric, scores, true_labels, message):
+    table = ScoreTable(np.array(scores), np.array(true_labels))
+    with pytest.raises(ContractError, match=message):
+        metric(table)
 
 
 class TestRmseAligned:

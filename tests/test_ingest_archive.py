@@ -469,6 +469,20 @@ class TestDataset:
         with pytest.raises(ContractError, match="epoch id 4"):
             Dataset([0], [0], [4], n_items=3, n_labels=2, n_epochs=2)
 
+    def test_ids_and_extents_must_be_integers(self):
+        with pytest.raises(ContractError, match="node ids must be integers"):
+            Dataset([0.7], [0], [0], 1, 1, 1)
+        with pytest.raises(ContractError, match="epoch ids must be integers"):
+            Dataset([0], [0], [True], 1, 1, 1)
+        with pytest.raises(ContractError, match="n_items must be an integer, got 1.5"):
+            Dataset([1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                    n_items=1.5, n_labels=1, n_epochs=1)
+        nodes = np.array([1, 0], dtype=np.int64)
+        data = Dataset(nodes, np.array([0, 1], dtype=np.int32), [0, 0],
+                       n_items=np.int64(2), n_labels=np.uint8(2), n_epochs=1)
+        assert np.shares_memory(data.nodes, nodes)  # an int64 column is not copied
+        assert data.labels.dtype == np.int64 and type(data.n_labels) is int
+
     def test_mismatched_columns_and_bad_extents(self):
         with pytest.raises(ContractError, match="equal length"):
             Dataset([0, 1], [0], [0, 0], n_items=2, n_labels=1, n_epochs=1)

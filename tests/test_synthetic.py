@@ -47,6 +47,11 @@ class TestPatternSpec:
         {"kind": "sinusoidal", "n_epochs": 5, "n_items": 0},
         {"kind": "sinusoidal", "n_epochs": 5, "n_items": 2, "n_clusters": 0},
         {"kind": "sinusoidal", "n_epochs": 5, "n_items": 2, "cycles": 0.0},
+        {"kind": "sinusoidal", "n_epochs": 2.5, "n_items": 2},
+        {"kind": "sinusoidal", "n_epochs": 5, "n_items": 2.5},
+        {"kind": "sinusoidal", "n_epochs": 5, "n_items": 2, "n_clusters": 2.5},
+        {"kind": "sinusoidal", "n_epochs": 5, "n_items": 2, "seed": 1.5},
+        {"kind": "sinusoidal", "n_epochs": 5, "n_items": 2, "seed": -1},
     ])
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(ContractError):
@@ -181,6 +186,11 @@ class TestSampleDataset:
         c = sample_dataset(truth, 6, seed=10)
         assert not (np.array_equal(a.nodes, c.nodes)
                     and np.array_equal(a.labels, c.labels))
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ContractError, match="seed"):
+            sample_dataset(_truth(), 2, seed=seed)
 
     def test_rejects_bad_schedules(self):
         truth = _truth(n_epochs=3)
