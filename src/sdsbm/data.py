@@ -3,13 +3,24 @@
 An observation is one recorded interaction ``(node, label, epoch)``: the node
 interacted with (e.g. rated, listened to, reported) something carrying the
 label, during the given time slice.  A dataset is a multiset of such triplets
-together with its extents: repeated triplets are meaningful and counted.
+together with its extents: repeated triplets are meaningful and counted.  It
+is stored as its unique triplets with their multiplicities, the only form the
+model reads.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ContractError, _integer
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int64_column(name, values):
+    column = np.asarray(values).ravel()
+    if column.size and column.dtype.kind not in "iu":
+        raise ContractError(f"{name} must be integers, got dtype {column.dtype}")
+    return column.astype(np.int64, copy=False)
 
 
 class Dataset:
@@ -18,60 +29,113 @@ class Dataset:
     Parameters
     ----------
     nodes, labels, epochs : array-like of int
-        Parallel arrays, one entry per observation, of an integer dtype (an
-        empty one may have any dtype).  Repeats are kept: the same triplet
-        appearing twice counts twice everywhere.
+        Parallel arrays, one entry per row, of an integer dtype (an empty one
+        may have any dtype).  Repeats are kept: the same triplet appearing
+        twice counts twice everywhere.
     n_items, n_labels, n_epochs : int
-        Extents I, O, T, integers (numpy's too) of at least 1.  Every id must
-        lie in range; epochs with no observations are legal and preserved
-        (their count is simply zero).
+        Extents I, O, T, integers (numpy's too) of at least 1, with T*I*O at
+        most 2**63 - 1.  Every id must lie in range; epochs with no
+        observations are legal and preserved (their count is simply zero).
+    weights : array-like of int, optional
+        How many identical observations each row stands for, each at least 1
+        (1 when omitted).  The total must not exceed 2**63 - 1.
+
+    The rows are merged once, here, into the unique triplets and their summed
+    weights (see ``compressed``), and nothing else is kept.
     """
 
-    def __init__(self, nodes, labels, epochs, n_items, n_labels, n_epochs):
+    def __init__(self, nodes, labels, epochs, n_items, n_labels, n_epochs, weights=None):
         if min(n_items, n_labels, n_epochs) < 1:
             raise ContractError("extents must all be >= 1")
         extents = [_integer(name, extent, 1) for name, extent in
                    (("n_items", n_items), ("n_labels", n_labels), ("n_epochs", n_epochs))]
+        self.n_items, self.n_labels, self.n_epochs = extents
         columns = []
         for name, values, extent in zip(("node", "label", "epoch"), (nodes, labels, epochs),
                                         extents):
-            ids = np.asarray(values).ravel()
-            if ids.size and ids.dtype.kind not in "iu":
-                raise ContractError(f"{name} ids must be integers, got dtype {ids.dtype}")
-            ids = ids.astype(np.int64, copy=False)
+            ids = _int64_column(f"{name} ids", values)
             if ids.size and (ids.min() < 0 or ids.max() >= extent):
                 bad = ids[(ids < 0) | (ids >= extent)][0]
                 raise ContractError(f"{name} id {bad} out of range [0, {extent})")
             columns.append(ids)
-        if not (columns[0].shape == columns[1].shape == columns[2].shape):
+        nodes, labels, epochs = columns
+        if not (nodes.shape == labels.shape == epochs.shape):
             raise ContractError("nodes, labels and epochs must have equal length")
-        self.nodes, self.labels, self.epochs = columns
-        self.n_items, self.n_labels, self.n_epochs = extents
-        self.epoch_counts = np.bincount(self.epochs, minlength=self.n_epochs).astype(np.int64)
-        self._compressed = None
+        if weights is not None:
+            weights = _int64_column("weights", weights)
+            if weights.shape != nodes.shape:
+                raise ContractError("weights must have one entry per row")
+            if weights.size and weights.min() < 1:
+                raise ContractError(f"weights must be >= 1, got {weights.min()}")
+            # exact, unlike a float sum: 32-bit halves summed in uint64 cannot
+            # wrap below 2**32 rows
+            total = ((int(np.sum(weights >> 32, dtype=np.uint64)) << 32)
+                     + int(np.sum(weights & 0xFFFFFFFF, dtype=np.uint64)))
+            if total > _INT64_MAX:
+                raise ContractError(f"total weight {total} exceeds {_INT64_MAX}")
+        if self.n_epochs * self.n_items * self.n_labels > _INT64_MAX:
+            raise ContractError("extents T*I*O overflow the int64 triplet key")
+
+        # one int64 key (t*I + i)*O + o per row, built in place; its order is
+        # the lexicographic one
+        key = epochs * self.n_items
+        key += nodes
+        key *= self.n_labels
+        key += labels
+        # unit weights sort the key in place; only weighted rows pay for a permutation
+        if weights is None or (weights == 1).all():
+            key.sort()
+            weights = None
+        else:
+            order = np.argsort(key)
+            key = key[order]
+            weights = weights[order]
+            del order
+        first = np.ones(key.size, dtype=bool)  # each row that starts a new key
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        if weights is None:
+            weights = np.diff(starts, append=key.size).astype(np.int64, copy=False)
+        else:
+            weights = np.add.reduceat(weights, starts)
+        epoch_node, labels = np.divmod(key[starts], self.n_labels)
+        epochs, nodes = np.divmod(epoch_node, self.n_items)
+        self._triplets = (epochs, nodes, labels, weights)
+        for array in self._triplets:
+            array.flags.writeable = False
 
     def __len__(self):
-        return self.nodes.size
+        """Number of observations: the total weight."""
+        return int(self._triplets[3].sum())
 
     def compressed(self):
         """Unique triplets plus multiplicities: arrays (epochs, nodes, labels, weights).
 
         Sorted lexicographically by (epoch, node, label); weights are positive
-        ints summing to ``len(self)``.  Each observation is sorted as one int64
-        key ``(t*I + i)*O + o``, whose order is the lexicographic one.
+        ints summing to ``len(self)``.  The arrays are the dataset's storage,
+        read-only and int64.
         """
-        if self._compressed is None:
-            if self.n_epochs * self.n_items * self.n_labels > np.iinfo(np.int64).max:
-                raise ContractError("extents T*I*O overflow the int64 triplet key")
-            key = (self.epochs * self.n_items + self.nodes) * self.n_labels + self.labels
-            keys, weights = np.unique(key, return_counts=True)
-            epoch_node, labels = np.divmod(keys, self.n_labels)
-            epochs, nodes = np.divmod(epoch_node, self.n_items)
-            self._compressed = (epochs, nodes, labels, weights.astype(np.int64))
-        return self._compressed
+        return self._triplets
+
+    @property
+    def epoch_counts(self):
+        """(T,) int64 observation count of every epoch, empty ones included."""
+        epochs, _, _, weights = self._triplets
+        bounds = np.searchsorted(epochs, np.arange(self.n_epochs + 1))
+        return np.diff(np.concatenate(([0], np.cumsum(weights)))[bounds])
+
+    def _per_observation(self, column):
+        expanded = np.repeat(self._triplets[column], self._triplets[3])
+        expanded.flags.writeable = False
+        return expanded
+
+    # one entry per observation, in (epoch, node, label) order; read-only copies
+    epochs = property(lambda self: self._per_observation(0))
+    nodes = property(lambda self: self._per_observation(1))
+    labels = property(lambda self: self._per_observation(2))
 
     def subset(self, indices):
-        """New dataset containing the selected observations; extents are kept."""
+        """New dataset of the observations at ``indices`` of ``nodes``; extents are kept."""
         indices = np.asarray(indices)
         return Dataset(
             self.nodes[indices], self.labels[indices], self.epochs[indices],
@@ -80,10 +144,9 @@ class Dataset:
 
     def collapse_epochs(self):
         """All observations moved to a single epoch (T=1); static view of the data."""
-        return Dataset(
-            self.nodes, self.labels, np.zeros(len(self), dtype=np.int64),
-            self.n_items, self.n_labels, 1,
-        )
+        epochs, nodes, labels, weights = self._triplets
+        return Dataset(nodes, labels, np.zeros_like(epochs), self.n_items, self.n_labels, 1,
+                       weights=weights)
 
     def __repr__(self):
         return (

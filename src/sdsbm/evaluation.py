@@ -28,7 +28,11 @@ FAMILIES = ("sdsbm", "nc", "static")
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Per-observation random split into train/validation/test, one per fold."""
+    """Per-observation random split into train/validation/test, one per fold.
+
+    The permutation runs over the observations in (epoch, node, label) order,
+    so the order of an event file's lines does not move the split.
+    """
 
     n_folds: int = 5
     train_fraction: float = 0.8
@@ -78,10 +82,11 @@ def score_test_set(theta, p, test):
     """
     th, pv = _arrays(theta, p, test)
     epochs = np.zeros(len(test), dtype=np.int64) if th.shape[0] == 1 else test.epochs
+    nodes = test.nodes
     scores = np.empty((len(test), pv.shape[2]))
     for t in np.unique(epochs):
         idx = epochs == t
-        scores[idx] = th[t, test.nodes[idx], :] @ pv[0 if pv.shape[0] == 1 else t]
+        scores[idx] = th[t, nodes[idx], :] @ pv[0 if pv.shape[0] == 1 else t]
     return ScoreTable(scores, test.labels)
 
 

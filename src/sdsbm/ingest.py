@@ -17,7 +17,8 @@ Input contract:
   ``node_key, label_key, timestamp[, weight]``.
 - The timestamp is a decimal number as Python's ``float`` reads it from
   ASCII and must be finite.  The weight is an integer as ``int`` reads it,
-  from 1 to 2**63 - 1, and stands for that many identical observations.
+  from 1 to 2**63 - 1, and stands for that many identical observations; the
+  weights of a file must sum to at most 2**63 - 1.
 - Line 1 is a header, and skipped, when its timestamp field is not numeric.
 
 Keys get dense ids in first-appearance order; timestamps map to epochs by
@@ -318,12 +319,8 @@ def ingest(path, slice_width=None, n_slices=None, delimiter=None):
     stamps /= slice_width
     n_epochs = n_slices if n_slices is not None else int(span // slice_width) + 1
     epochs = np.floor(stamps, out=stamps).astype(np.int64)
+    del stamps
     np.minimum(epochs, n_epochs - 1, out=epochs)  # guard the exact upper boundary
-    # repeat one column at a time, freeing each once copied, to keep the peak low
-    pending = [nodes, labels, epochs]
-    del stamps, nodes, labels, epochs
-    dataset = Dataset(
-        *(np.repeat(pending.pop(0), weights) for _ in range(3)),
-        n_items=len(node_ids), n_labels=len(label_ids), n_epochs=n_epochs,
-    )
+    dataset = Dataset(nodes, labels, epochs, n_items=len(node_ids), n_labels=len(label_ids),
+                      n_epochs=n_epochs, weights=weights)
     return IngestResult(dataset, list(node_ids), list(label_ids), t_min, float(slice_width))

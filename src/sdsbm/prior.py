@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _integer
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,10 @@ class PriorConfig:
         Coupling strengths for the membership and block-interaction families.
         Zero switches the corresponding prior off.
     kernel_exponent : int
-        Power ``a`` in ``N_{t'} / |t - t'|**a``; must be >= 1.
+        Power ``a`` in ``N_{t'} / |t - t'|**a``; an integer (numpy's too) >= 1.
     window : int or None
-        When set, epochs farther than ``window`` slices contribute nothing.
+        When set, an integer >= 1: epochs farther than ``window`` slices
+        contribute nothing.
     """
 
     beta_theta: float = 0.0
@@ -38,11 +39,10 @@ class PriorConfig:
             b = getattr(self, name)
             if not np.isfinite(b) or b < 0:
                 raise ContractError(f"{name} must be finite and >= 0, got {b}")
-        a = self.kernel_exponent
-        if not float(a).is_integer() or a < 1:
-            raise ContractError(f"kernel_exponent must be an integer >= 1, got {a}")
-        if self.window is not None and self.window < 1:
-            raise ContractError(f"window must be >= 1 when given, got {self.window}")
+        object.__setattr__(self, "kernel_exponent",
+                           _integer("kernel_exponent", self.kernel_exponent, 1))
+        if self.window is not None:
+            object.__setattr__(self, "window", _integer("window", self.window, 1))
 
 
 class TemporalCoupling:

@@ -122,9 +122,9 @@ def even_schedule(total_per_item, n_epochs):
     The remainder goes to epochs evenly spaced from the first to the last, so
     a budget below the epoch count still spans the whole range.
     """
-    if total_per_item < 0 or n_epochs < 1:
-        raise ContractError("need total_per_item >= 0 and n_epochs >= 1")
-    base, remainder = divmod(int(total_per_item), int(n_epochs))
+    total_per_item = _integer("total_per_item", total_per_item, 0)
+    n_epochs = _integer("n_epochs", n_epochs, 1)
+    base, remainder = divmod(total_per_item, n_epochs)
     schedule = np.full(n_epochs, base, dtype=np.int64)
     schedule[np.round(np.linspace(0, n_epochs - 1, remainder)).astype(np.int64)] += 1
     return schedule
@@ -155,8 +155,5 @@ def sample_dataset(truth, schedule, seed=0):
     flat = counts.ravel()
     occupied = np.flatnonzero(flat)
     t_idx, i_idx, o_idx = np.unravel_index(occupied, (T, I, O))
-    reps = flat[occupied]
-    return Dataset(
-        np.repeat(i_idx, reps), np.repeat(o_idx, reps), np.repeat(t_idx, reps),
-        n_items=I, n_labels=O, n_epochs=T,
-    )
+    return Dataset(i_idx, o_idx, t_idx, n_items=I, n_labels=O, n_epochs=T,
+                   weights=flat[occupied])

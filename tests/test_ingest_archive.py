@@ -1,5 +1,6 @@
 """Event-file ingestion, dataset container semantics, model archives."""
 import importlib
+import tracemalloc
 import types
 
 import numpy as np
@@ -61,6 +62,31 @@ class TestIngest:
         assert len(data) == 4
         np.testing.assert_array_equal(data.nodes, [0, 0, 0, 1])
         np.testing.assert_array_equal(data.labels, [0, 0, 0, 1])
+
+    def test_billion_weight_line_ingests_and_fits_without_expanding(self, tmp_path):
+        path = write_events(tmp_path, "a,x,0,1000000000\nb,y,1,3\na,y,1\n")
+        tracemalloc.start()
+        try:
+            data = ingest(path, slice_width=1).dataset
+            config = FitConfig(n_clusters=2, prior=PriorConfig(beta_theta=1, beta_p=1),
+                               max_iterations=5, restarts=1)
+            report = fit(data, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one 10^9-row column would take 8 GB
+        assert len(data) == 1_000_000_004
+        np.testing.assert_array_equal(data.epoch_counts, [1_000_000_000, 4])
+        assert report.n_iterations == 5 and np.isfinite(report.objective)
+
+    def test_total_weight_past_int64_exits_3(self, tmp_path, capsys):
+        path = write_events(tmp_path, "a,x,0,4611686018427387904\nb,y,1,4611686018427387904\n")
+        with pytest.raises(ContractError, match="total weight 9223372036854775808"):
+            ingest(path, slice_width=1)
+        code = cli.main(["fit", "--data", str(path), "--slice", "1", "--clusters", "2",
+                         "--out", str(tmp_path / "model.npz")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: total weight")
 
     def test_header_row_is_skipped(self, tmp_path):
         path = write_events(
@@ -434,9 +460,8 @@ class TestDataset:
                 assert np.array_equal(array, reference)
 
     def test_compressed_rejects_extents_past_the_int64_key(self):
-        data = Dataset([5], [3], [1], n_items=2**32, n_labels=2**32, n_epochs=2)
         with pytest.raises(ContractError, match="overflow"):
-            data.compressed()
+            Dataset([5], [3], [1], n_items=2**32, n_labels=2**32, n_epochs=2)
 
     def test_item_epoch_counts(self):
         # the fit's (T, I) counts come from the weighted unique triplets
@@ -459,7 +484,9 @@ class TestDataset:
         flat = data.collapse_epochs()
         assert flat.n_epochs == 1
         np.testing.assert_array_equal(flat.epoch_counts, [40])
-        np.testing.assert_array_equal(flat.nodes, data.nodes)
+        # the same (node, label) multiset, now in (node, label) order
+        np.testing.assert_array_equal(np.sort(flat.labels * 3 + flat.nodes),
+                                      np.sort(data.labels * 3 + data.nodes))
 
     def test_out_of_range_ids_are_named(self):
         with pytest.raises(ContractError, match=r"node id 7 out of range \[0, 3\)"):
@@ -480,8 +507,67 @@ class TestDataset:
         nodes = np.array([1, 0], dtype=np.int64)
         data = Dataset(nodes, np.array([0, 1], dtype=np.int32), [0, 0],
                        n_items=np.int64(2), n_labels=np.uint8(2), n_epochs=1)
-        assert np.shares_memory(data.nodes, nodes)  # an int64 column is not copied
         assert data.labels.dtype == np.int64 and type(data.n_labels) is int
+
+    @pytest.mark.parametrize("weights", [None, "ones", "random"])
+    def test_weights_merge_like_repeated_rows(self, weights):
+        rng = np.random.default_rng(64)
+        nodes, labels, epochs = (rng.integers(0, n, 80) for n in (4, 3, 5))
+        counts = {None: None, "ones": np.ones(80, dtype=np.int64),
+                  "random": rng.integers(1, 6, 80)}[weights]
+        data = Dataset(nodes, labels, epochs, n_items=4, n_labels=3, n_epochs=5,
+                       weights=counts)
+        reps = np.ones(80, dtype=np.int64) if counts is None else counts
+        rows = Dataset(np.repeat(nodes, reps), np.repeat(labels, reps),
+                       np.repeat(epochs, reps), n_items=4, n_labels=3, n_epochs=5)
+        for got, expected in zip(data.compressed(), rows.compressed()):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+        assert len(data) == reps.sum()
+        np.testing.assert_array_equal(data.epoch_counts,
+                                      np.bincount(epochs, reps, minlength=5))
+        for name in ("epochs", "nodes", "labels"):
+            np.testing.assert_array_equal(getattr(data, name), getattr(rows, name))
+
+    def test_stores_only_the_read_only_triplets(self):
+        data = Dataset([1, 0, 1], [0, 1, 0], [1, 1, 1], n_items=2, n_labels=2,
+                       n_epochs=3, weights=[2, 1, 4])
+        assert set(vars(data)) == {"_triplets", "n_items", "n_labels", "n_epochs"}
+        assert data.compressed() is data.compressed()
+        epochs, nodes, labels, weights = data.compressed()
+        np.testing.assert_array_equal(weights, [1, 6])
+        np.testing.assert_array_equal(data.nodes, [0, 1, 1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(data.epoch_counts, [0, 7, 0])
+        for array in (*data.compressed(), data.epochs, data.nodes, data.labels):
+            assert not array.flags.writeable
+
+    def test_weights_are_checked(self):
+        def make(weights):
+            return Dataset([0, 1], [0, 0], [0, 0], n_items=2, n_labels=1, n_epochs=1,
+                           weights=weights)
+
+        with pytest.raises(ContractError, match="weights must be integers"):
+            make([1.0, 2.0])
+        with pytest.raises(ContractError, match="weights must be >= 1, got 0"):
+            make([1, 0])
+        with pytest.raises(ContractError, match="one entry per row"):
+            make([1, 2, 3])
+
+    @pytest.mark.parametrize("weights", [[2**62, 2**62], [2**63 - 1, 1],
+                                         [2**63 - 1, 2**63 - 1, 2**63 - 1]])
+    def test_total_weight_past_int64_is_rejected(self, weights):
+        """Checked exactly: 2**62 + 2**62 and 2**63 - 1 are the same float."""
+        n = len(weights)
+        with pytest.raises(ContractError, match="total weight"):
+            Dataset([0] * n, [0] * n, [0] * n, n_items=1, n_labels=1, n_epochs=1,
+                    weights=np.array(weights, dtype=np.int64))
+
+    def test_total_weight_of_int64_max_is_counted_exactly(self):
+        data = Dataset([0, 0, 0], [0, 1, 0], [0, 0, 0], n_items=1, n_labels=2,
+                       n_epochs=1, weights=[2**62, 2**62 - 2, 1])
+        assert len(data) == 2**63 - 1
+        np.testing.assert_array_equal(data.epoch_counts, [2**63 - 1])
+        np.testing.assert_array_equal(data.compressed()[3], [2**62 + 1, 2**62 - 2])
 
     def test_mismatched_columns_and_bad_extents(self):
         with pytest.raises(ContractError, match="equal length"):

@@ -24,7 +24,8 @@ class TestPriorConfig:
 
     @pytest.mark.parametrize("bad", [{"beta_theta": -1.0}, {"beta_p": np.inf},
                                      {"kernel_exponent": 0}, {"kernel_exponent": 1.5},
-                                     {"window": 0}])
+                                     {"kernel_exponent": 2.0}, {"window": 0},
+                                     {"window": 1.5}])
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ContractError):
             PriorConfig(**bad)

@@ -133,6 +133,10 @@ class TestEvenSchedule:
             even_schedule(-1, 3)
         with pytest.raises(ContractError):
             even_schedule(5, 0)
+        with pytest.raises(ContractError, match="total_per_item must be an integer"):
+            even_schedule(2.5, 3)
+        with pytest.raises(ContractError, match="n_epochs must be an integer"):
+            even_schedule(5, 2.5)
 
 
 def _truth(kind="sinusoidal", n_epochs=4, n_items=6, noise=0.2, seed=0):
