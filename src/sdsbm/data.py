@@ -41,7 +41,8 @@ class Dataset:
         (1 when omitted).  The total must not exceed 2**63 - 1.
 
     The rows are merged once, here, into the unique triplets and their summed
-    weights (see ``compressed``), and nothing else is kept.
+    weights (see ``compressed``); those and ``epoch_counts``, the (T,) total
+    weight of every epoch, are all that is kept.
     """
 
     def __init__(self, nodes, labels, epochs, n_items, n_labels, n_epochs, weights=None):
@@ -61,7 +62,9 @@ class Dataset:
         nodes, labels, epochs = columns
         if not (nodes.shape == labels.shape == epochs.shape):
             raise ContractError("nodes, labels and epochs must have equal length")
-        if weights is not None:
+        if weights is None:
+            weights = np.ones(nodes.shape, dtype=np.int64)
+        else:
             weights = _int64_column("weights", weights)
             if weights.shape != nodes.shape:
                 raise ContractError("weights must have one entry per row")
@@ -82,26 +85,24 @@ class Dataset:
         key += nodes
         key *= self.n_labels
         key += labels
-        # unit weights sort the key in place; only weighted rows pay for a permutation
-        if weights is None or (weights == 1).all():
-            key.sort()
-            weights = None
-        else:
-            order = np.argsort(key)
-            key = key[order]
-            weights = weights[order]
-            del order
+        order = np.argsort(key)
+        key = key[order]
         first = np.ones(key.size, dtype=bool)  # each row that starts a new key
         np.not_equal(key[1:], key[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        if weights is None:
-            weights = np.diff(starts, append=key.size).astype(np.int64, copy=False)
-        else:
-            weights = np.add.reduceat(weights, starts)
-        epoch_node, labels = np.divmod(key[starts], self.n_labels)
+        del first
+        unique = key[starts]
+        # the sorted weights go into the sorted key's buffer, no longer needed;
+        # "clip" (a no-op on in-range indices) lets take write there directly
+        weights = np.add.reduceat(np.take(weights, order, out=key, mode="clip"), starts)
+        del order, key
+        epoch_node, labels = np.divmod(unique, self.n_labels)
         epochs, nodes = np.divmod(epoch_node, self.n_items)
         self._triplets = (epochs, nodes, labels, weights)
-        for array in self._triplets:
+        # (T,) observation count of every epoch, empty ones included
+        bounds = np.searchsorted(epochs, np.arange(self.n_epochs + 1))
+        self.epoch_counts = np.diff(np.concatenate(([0], np.cumsum(weights)))[bounds])
+        for array in (*self._triplets, self.epoch_counts):
             array.flags.writeable = False
 
     def __len__(self):
@@ -116,13 +117,6 @@ class Dataset:
         read-only and int64.
         """
         return self._triplets
-
-    @property
-    def epoch_counts(self):
-        """(T,) int64 observation count of every epoch, empty ones included."""
-        epochs, _, _, weights = self._triplets
-        bounds = np.searchsorted(epochs, np.arange(self.n_epochs + 1))
-        return np.diff(np.concatenate(([0], np.cumsum(weights)))[bounds])
 
     def _per_observation(self, column):
         expanded = np.repeat(self._triplets[column], self._triplets[3])

@@ -142,7 +142,7 @@ def _m_step(s_theta, s_p, averages, p, problem, p_mode):
     dead = counts == 0
     p = _coordinate_update(s_p, np.where(dead, 1.0, counts), dead, axis=2)
     if p_mode == "dynamic":
-        dead = dead[problem.counts.any(axis=1)]  # epochs with observations
+        dead = dead[problem.data.epoch_counts > 0]
     return theta, p, int(dead.sum())
 
 

@@ -529,16 +529,18 @@ class TestDataset:
         for name in ("epochs", "nodes", "labels"):
             np.testing.assert_array_equal(getattr(data, name), getattr(rows, name))
 
-    def test_stores_only_the_read_only_triplets(self):
+    def test_stores_only_the_read_only_triplets_and_epoch_counts(self):
         data = Dataset([1, 0, 1], [0, 1, 0], [1, 1, 1], n_items=2, n_labels=2,
                        n_epochs=3, weights=[2, 1, 4])
-        assert set(vars(data)) == {"_triplets", "n_items", "n_labels", "n_epochs"}
+        assert set(vars(data)) == {"_triplets", "epoch_counts", "n_items", "n_labels",
+                                   "n_epochs"}
         assert data.compressed() is data.compressed()
         epochs, nodes, labels, weights = data.compressed()
         np.testing.assert_array_equal(weights, [1, 6])
         np.testing.assert_array_equal(data.nodes, [0, 1, 1, 1, 1, 1, 1])
         np.testing.assert_array_equal(data.epoch_counts, [0, 7, 0])
-        for array in (*data.compressed(), data.epochs, data.nodes, data.labels):
+        for array in (*data.compressed(), data.epoch_counts, data.epochs, data.nodes,
+                      data.labels):
             assert not array.flags.writeable
 
     def test_weights_are_checked(self):
