@@ -123,18 +123,11 @@ class Dataset:
         expanded.flags.writeable = False
         return expanded
 
-    # one entry per observation, in (epoch, node, label) order; read-only copies
+    # one entry per observation, in (epoch, node, label) order; read-only copies.
+    # The package reads none: they stay for the benchmark's event-log writer.
     epochs = property(lambda self: self._per_observation(0))
     nodes = property(lambda self: self._per_observation(1))
     labels = property(lambda self: self._per_observation(2))
-
-    def subset(self, indices):
-        """New dataset of the observations at ``indices`` of ``nodes``; extents are kept."""
-        indices = np.asarray(indices)
-        return Dataset(
-            self.nodes[indices], self.labels[indices], self.epochs[indices],
-            self.n_items, self.n_labels, self.n_epochs,
-        )
 
     def collapse_epochs(self):
         """All observations moved to a single epoch (T=1); static view of the data."""

@@ -1,7 +1,8 @@
 """Held-out evaluation: splits, ranking metrics, recovery error, cross-validation.
 
 Test observations are scored with the full label distribution the fitted model
-assigns them; ranking metrics pool the (observation, candidate label) pairs.
+assigns them, once per unique triplet with its weight; ranking metrics pool the
+(observation, candidate label) pairs.
 Membership recovery is measured after globally aligning cluster identities,
 since cluster order is arbitrary.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
+from .data import Dataset
 from .em import fit
 from .errors import ContractError, _integer
 from .model import MembershipTensor, _arrays
@@ -31,7 +32,8 @@ class SplitPlan:
     """Per-observation random split into train/validation/test, one per fold.
 
     The permutation runs over the observations in (epoch, node, label) order,
-    so the order of an event file's lines does not move the split.
+    so the order of an event file's lines does not move the split.  Each part
+    holds the triplets of the observations it drew, weighted by their count.
     """
 
     n_folds: int = 5
@@ -52,42 +54,46 @@ class SplitPlan:
         if not 0 <= fold < self.n_folds:
             raise ContractError(f"fold {fold} out of range [0, {self.n_folds})")
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(fold,)))
-        perm = rng.permutation(len(data))
-        n_train = int(len(data) * self.train_fraction)
-        n_val = int(len(data) * self.validation_fraction)
-        if n_train < 1 or n_val < 1 or n_train + n_val >= len(data):
-            raise ContractError(
-                f"dataset with {len(data)} observations cannot fill all three splits"
-            )
-        return (
-            data.subset(perm[:n_train]),
-            data.subset(perm[n_train:n_train + n_val]),
-            data.subset(perm[n_train + n_val:]),
-        )
+        n = len(data)
+        perm = rng.permutation(n)
+        n_train = int(n * self.train_fraction)
+        n_val = int(n * self.validation_fraction)
+        if n_train < 1 or n_val < 1 or n_train + n_val >= n:
+            raise ContractError(f"dataset with {n} observations cannot fill all three splits")
+        epochs, nodes, labels, weights = data.compressed()
+        owner = np.repeat(np.arange(weights.size), weights)[perm]  # drawn triplet ids
+        parts = []
+        for drawn in np.split(owner, [n_train, n_train + n_val]):
+            counts = np.bincount(drawn, minlength=weights.size)
+            kept = counts > 0
+            parts.append(Dataset(nodes[kept], labels[kept], epochs[kept], data.n_items,
+                                 data.n_labels, data.n_epochs, weights=counts[kept]))
+        return tuple(parts)
 
 
 @dataclass
 class ScoreTable:
-    """Scored held-out observations: one full label distribution per row."""
+    """Scored held-out triplets: one label distribution per row, which counts ``weights`` times."""
 
     scores: np.ndarray
     true_labels: np.ndarray
+    weights: np.ndarray
 
 
 def score_test_set(theta, p, test):
-    """Score every test observation with the mixture ``theta[t, i] @ p[t]``.
+    """Score every unique test triplet once with the mixture ``theta[t, i] @ p[t]``.
 
     The pair passes the parameter check of ``_arrays`` against the test set;
     a single-slice model (one epoch of ``theta``) scores every epoch with it.
     """
     th, pv = _arrays(theta, p, test)
-    epochs = np.zeros(len(test), dtype=np.int64) if th.shape[0] == 1 else test.epochs
-    nodes = test.nodes
-    scores = np.empty((len(test), pv.shape[2]))
+    epochs, nodes, labels, weights = test.compressed()
+    epochs = np.zeros_like(epochs) if th.shape[0] == 1 else epochs
+    scores = np.empty((nodes.size, pv.shape[2]))
     for t in np.unique(epochs):
         idx = epochs == t
         scores[idx] = th[t, nodes[idx], :] @ pv[0 if pv.shape[0] == 1 else t]
-    return ScoreTable(scores, test.labels)
+    return ScoreTable(scores, labels, weights)
 
 
 def _check_table(table):
@@ -101,27 +107,39 @@ def _check_table(table):
         raise ContractError(f"true labels must lie in [0, {table.scores.shape[1]})")
     if not np.isfinite(table.scores).all():
         raise ContractError("scores must be finite")
+    if table.weights.shape != table.true_labels.shape or table.weights.dtype.kind not in "iu":
+        raise ContractError("weights must be one integer per score row")
+    if table.weights.min() < 1:
+        raise ContractError(f"weights must be >= 1, got {table.weights.min()}")
 
 
-def _flat_pairs(table):
-    n, n_labels = table.scores.shape
-    positives = np.zeros(n * n_labels, dtype=bool)
-    positives[np.arange(n) * n_labels + table.true_labels] = True
-    return table.scores.ravel(), positives
+def _score_levels(table):
+    """Positive and negative weight at each distinct pooled score, ascending.
+
+    Every (row, candidate label) pair carries its row's weight, and is positive
+    for the row's true label.  The float64 sums are exact below 2**53.
+    """
+    _check_table(table)
+    order = np.argsort(table.scores, axis=None)
+    scores = table.scores.ravel()[order]
+    rows, candidates = np.divmod(order, table.scores.shape[1])
+    starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+    weight = table.weights[rows].astype(float)
+    total = np.add.reduceat(weight, starts)
+    positive = np.add.reduceat(
+        np.where(candidates == table.true_labels[rows], weight, 0.0), starts)
+    return positive, total - positive
 
 
 def roc_auc(table):
     """One-vs-rest ROC-AUC over pooled (observation, candidate label) pairs.
 
-    Probability that a true label outscores a non-label, ties counted half;
-    computed from average ranks, which is exactly the pair-counting value.
+    Probability that a true label outscores a non-label, ties counted half:
+    the exact pair count, from the weight at each distinct score.
     """
-    _check_table(table)
-    scores, positives = _flat_pairs(table)
-    n_pos = int(positives.sum())
-    n_neg = scores.size - n_pos
-    ranks = rankdata(scores)
-    return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    positive, negative = _score_levels(table)
+    below = np.cumsum(negative) - negative
+    return float(positive @ (below + 0.5 * negative) / (positive.sum() * negative.sum()))
 
 
 def average_precision(table):
@@ -130,18 +148,10 @@ def average_precision(table):
     Thresholds sweep the distinct scores from above; tied scores enter
     together, so shuffling rows cannot change the value.
     """
-    _check_table(table)
-    scores, positives = _flat_pairs(table)
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    true_pos = np.cumsum(positives[order])
-    boundary = np.ones(scores.size, dtype=bool)
-    boundary[:-1] = sorted_scores[:-1] != sorted_scores[1:]
-    group_tp = true_pos[boundary].astype(float)
-    group_size = np.flatnonzero(boundary) + 1.0
-    precision = group_tp / group_size
-    delta_tp = np.diff(np.concatenate(([0.0], group_tp)))
-    return float((precision * delta_tp).sum() / group_tp[-1])
+    positive, negative = _score_levels(table)
+    positive, total = positive[::-1], (positive + negative)[::-1]
+    hits = np.cumsum(positive)
+    return float((hits / np.cumsum(total) * positive).sum() / hits[-1])
 
 
 def coverage_error_normalized(table):
@@ -155,7 +165,7 @@ def coverage_error_normalized(table):
     true_scores = table.scores[np.arange(n), table.true_labels]
     higher = (table.scores > true_scores[:, None]).sum(axis=1)
     ties = (table.scores == true_scores[:, None]).sum(axis=1) - 1
-    mean_rank = (1.0 + higher + 0.5 * ties).mean()
+    mean_rank = table.weights @ (1.0 + higher + 0.5 * ties) / table.weights.sum()
     return float((mean_rank - 1.0) / (n_labels - 1))
 
 
@@ -390,11 +400,8 @@ def write_results(results, dataset_name, csv_path, json_path=None):
         writer.writerow(RESULT_COLUMNS)
         for result in results:
             for outcome in result.folds:
-                writer.writerow([
-                    result.family, dataset_name, outcome.fold, outcome.beta,
-                    outcome.metrics.get("roc", ""), outcome.metrics.get("ap", ""),
-                    outcome.metrics.get("nce", ""), outcome.metrics.get("rmse", ""),
-                ])
+                writer.writerow([result.family, dataset_name, outcome.fold, outcome.beta,
+                                 *(outcome.metrics.get(name, "") for name in RESULT_COLUMNS[4:])])
     if json_path is not None:
         payload = {
             "dataset": dataset_name,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sdsbm import Dataset
+from sdsbm import Dataset, ScoreTable
 
 
 def pytest_configure(config):
@@ -48,3 +48,11 @@ def random_dataset(n_epochs, n_items, n_labels, n_obs, seed=0):
         rng.integers(0, n_epochs, size=n_obs),
         n_items=n_items, n_labels=n_labels, n_epochs=n_epochs,
     )
+
+
+def score_table(scores, true_labels, weights=None):
+    """A hand-built ScoreTable; every row stands for one observation unless weighted."""
+    true_labels = np.asarray(true_labels)
+    if weights is None:
+        weights = np.ones(true_labels.shape, dtype=np.int64)
+    return ScoreTable(np.asarray(scores), true_labels, np.asarray(weights))

@@ -10,12 +10,12 @@ import pytest
 from sdsbm import (
     BlockTensor,
     ContractError,
+    Dataset,
     FitConfig,
     GroundTruth,
     MembershipTensor,
     PatternSpec,
     PriorConfig,
-    ScoreTable,
     SplitPlan,
     average_precision,
     block_matrix,
@@ -38,7 +38,8 @@ from sdsbm.evaluation import (
     _family_config,
 )
 
-from conftest import random_blocks, random_dataset, random_memberships
+import evaluation_reference as reference
+from conftest import random_blocks, random_dataset, random_memberships, score_table
 
 
 def brute_force_auc(scores, positives):
@@ -69,7 +70,7 @@ def random_table(rng, n_rows, n_labels, levels=None):
         scores = rng.random((n_rows, n_labels))
     else:
         scores = rng.choice(levels, size=(n_rows, n_labels))
-    return ScoreTable(scores, rng.integers(0, n_labels, size=n_rows))
+    return score_table(scores, rng.integers(0, n_labels, size=n_rows))
 
 
 class TestSplitPlan:
@@ -87,6 +88,22 @@ class TestSplitPlan:
         ]))
         original = np.sort(data.epochs * 1000 + data.nodes * 10 + data.labels)
         np.testing.assert_array_equal(combined, original)
+
+    @pytest.mark.parametrize("data", [
+        random_dataset(4, 6, 5, 240, seed=0),
+        random_dataset(3, 8, 4, 500, seed=1),
+        # three heavy triplets: the draw is still one per observation
+        Dataset([0, 1, 2], [1, 0, 1], [0, 1, 1], n_items=3, n_labels=2, n_epochs=2,
+                weights=[40, 7, 13]),
+    ], ids=["light", "mixed", "heavy"])
+    def test_parts_match_the_per_observation_reference(self, data):
+        for plan in (SplitPlan(n_folds=1, seed=3), SplitPlan(n_folds=3, seed=8)):
+            for fold in range(plan.n_folds):
+                parts = plan.split(data, fold)
+                assert sum(len(part) for part in parts) == len(data)
+                for part, expected in zip(parts, reference.split(plan, data, fold)):
+                    for got, want in zip(part.compressed(), expected.compressed()):
+                        np.testing.assert_array_equal(got, want)
 
     def test_extents_are_preserved(self):
         data = random_dataset(5, 6, 4, 60, seed=3)
@@ -128,14 +145,17 @@ class TestSplitPlan:
 
 class TestScoreTestSet:
     def test_scores_are_the_model_mixtures(self):
+        # one row per unique test triplet, weighted by its multiplicity
         theta = random_memberships(2, 3, 2, seed=7)
         p = random_blocks(2, 2, 4, seed=8)
         test = random_dataset(2, 3, 4, 20, seed=9)
+        epochs, nodes, labels, weights = test.compressed()
+        assert weights.sum() == 20 and weights.size < 20
         table = score_test_set(theta, p, test)
-        expected = np.einsum("nk,nko->no", theta[test.epochs, test.nodes],
-                             p[test.epochs])
+        expected = np.einsum("nk,nko->no", theta[epochs, nodes], p[epochs])
         np.testing.assert_allclose(table.scores, expected, atol=1e-12)
-        np.testing.assert_array_equal(table.true_labels, test.labels)
+        np.testing.assert_array_equal(table.true_labels, labels)
+        np.testing.assert_array_equal(table.weights, weights)
 
     def test_other_extents_are_rejected(self):
         theta = random_memberships(2, 2, 2, seed=10)
@@ -151,8 +171,9 @@ class TestScoreTestSet:
         p = random_blocks(1, 2, 3, seed=14)
         test = random_dataset(6, 3, 3, 30, seed=15)
         table = score_test_set(theta, p, test)
-        assert table.scores.shape == (len(test), 3)
-        expected = theta[0, test.nodes] @ p[0]
+        _, nodes, _, weights = test.compressed()
+        assert table.scores.shape == (weights.size, 3)
+        expected = theta[0, nodes] @ p[0]
         np.testing.assert_allclose(table.scores, expected, atol=1e-12)
 
     def test_accepts_tensors_and_a_shared_block_slice(self):
@@ -160,23 +181,24 @@ class TestScoreTestSet:
         p = random_blocks(1, 2, 4, seed=20)
         test = random_dataset(3, 3, 4, 25, seed=21)
         table = score_test_set(MembershipTensor(theta), BlockTensor(p), test)
-        expected = np.einsum("nk,ko->no", theta[test.epochs, test.nodes], p[0])
+        epochs, nodes, _, _ = test.compressed()
+        expected = np.einsum("nk,ko->no", theta[epochs, nodes], p[0])
         np.testing.assert_allclose(table.scores, expected, atol=1e-12)
 
 
 class TestRocAuc:
     def test_perfect_separation(self):
-        table = ScoreTable(np.array([[0.9, 0.1], [0.8, 0.2]]), np.array([0, 0]))
+        table = score_table(np.array([[0.9, 0.1], [0.8, 0.2]]), np.array([0, 0]))
         assert roc_auc(table) == 1.0
 
     def test_all_ties_sit_in_the_middle(self):
-        table = ScoreTable(np.full((3, 4), 0.25), np.array([0, 1, 2]))
+        table = score_table(np.full((3, 4), 0.25), np.array([0, 1, 2]))
         assert roc_auc(table) == 0.5
 
     def test_hand_counted_pairs(self):
         # flattened pairs: positives 0.9 and 0.3, negatives 0.8 and 0.1;
         # three of the four orderings are correct
-        table = ScoreTable(np.array([[0.9, 0.8], [0.1, 0.3]]), np.array([0, 1]))
+        table = score_table(np.array([[0.9, 0.8], [0.1, 0.3]]), np.array([0, 1]))
         assert roc_auc(table) == 0.75
 
     def test_matches_brute_force_exactly(self):
@@ -192,28 +214,28 @@ class TestRocAuc:
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(20)
         table = random_table(rng, 8, 3, levels=np.array([0.1, 0.2, 0.5]))
-        transformed = ScoreTable(np.exp(5.0 * table.scores), table.true_labels)
+        transformed = score_table(np.exp(5.0 * table.scores), table.true_labels)
         assert roc_auc(table) == roc_auc(transformed)
 
     def test_rejects_degenerate_tables(self):
         with pytest.raises(ContractError):
-            roc_auc(ScoreTable(np.empty((0, 3)), np.empty(0, dtype=int)))
+            roc_auc(score_table(np.empty((0, 3)), np.empty(0, dtype=int)))
         with pytest.raises(ContractError):
-            roc_auc(ScoreTable(np.ones((3, 1)), np.zeros(3, dtype=int)))
+            roc_auc(score_table(np.ones((3, 1)), np.zeros(3, dtype=int)))
 
     def test_rejects_true_labels_that_do_not_match_the_rows(self):
         with pytest.raises(ContractError, match="true labels do not match"):
-            roc_auc(ScoreTable(np.full((3, 2), 0.5), np.zeros(2, dtype=int)))
+            roc_auc(score_table(np.full((3, 2), 0.5), np.zeros(2, dtype=int)))
 
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        table = ScoreTable(np.array([[0.9, 0.1], [0.8, 0.2]]), np.array([0, 0]))
+        table = score_table(np.array([[0.9, 0.1], [0.8, 0.2]]), np.array([0, 0]))
         assert average_precision(table) == 1.0
 
     def test_hand_computed_value(self):
         # sorted pairs: pos 0.9, neg 0.7, pos 0.5, neg 0.2 -> (1 + 2/3) / 2
-        table = ScoreTable(np.array([[0.9, 0.7], [0.5, 0.2]]), np.array([0, 0]))
+        table = score_table(np.array([[0.9, 0.7], [0.5, 0.2]]), np.array([0, 0]))
         assert average_precision(table) == pytest.approx(5 / 6, abs=1e-12)
 
     def test_matches_the_threshold_sweep(self):
@@ -232,7 +254,7 @@ class TestAveragePrecision:
         rng = np.random.default_rng(22)
         table = random_table(rng, 10, 4, levels=np.array([0.2, 0.4, 0.8]))
         shuffled = rng.permutation(10)
-        reordered = ScoreTable(table.scores[shuffled], table.true_labels[shuffled])
+        reordered = score_table(table.scores[shuffled], table.true_labels[shuffled])
         assert average_precision(table) == pytest.approx(
             average_precision(reordered), abs=1e-12
         )
@@ -240,15 +262,15 @@ class TestAveragePrecision:
 
 class TestCoverageError:
     def test_true_label_first_is_zero(self):
-        table = ScoreTable(np.array([[0.7, 0.2, 0.1]] * 3), np.array([0, 0, 0]))
+        table = score_table(np.array([[0.7, 0.2, 0.1]] * 3), np.array([0, 0, 0]))
         assert coverage_error_normalized(table) == 0.0
 
     def test_true_label_last_is_one(self):
-        table = ScoreTable(np.array([[0.7, 0.2, 0.1]] * 2), np.array([2, 2]))
+        table = score_table(np.array([[0.7, 0.2, 0.1]] * 2), np.array([2, 2]))
         assert coverage_error_normalized(table) == 1.0
 
     def test_uniform_scores_sit_at_one_half(self):
-        table = ScoreTable(np.full((4, 5), 0.2), np.array([0, 1, 2, 3]))
+        table = score_table(np.full((4, 5), 0.2), np.array([0, 1, 2, 3]))
         assert coverage_error_normalized(table) == 0.5
 
     def test_random_scores_average_near_one_half(self):
@@ -259,12 +281,12 @@ class TestCoverageError:
     def test_stable_under_rescaling(self):
         rng = np.random.default_rng(24)
         table = random_table(rng, 10, 4, levels=np.array([0.1, 0.5, 0.9]))
-        scaled = ScoreTable(7.0 * table.scores, table.true_labels)
+        scaled = score_table(7.0 * table.scores, table.true_labels)
         assert coverage_error_normalized(table) == coverage_error_normalized(scaled)
 
     def test_single_label_is_undefined(self):
         with pytest.raises(ContractError):
-            coverage_error_normalized(ScoreTable(np.ones((3, 1)),
+            coverage_error_normalized(score_table(np.ones((3, 1)),
                                                  np.zeros(3, dtype=int)))
 
 
@@ -276,7 +298,41 @@ class TestCoverageError:
     ([[0.2, np.inf, 0.3], [0.5, 0.1, 0.4]], [0, 1], "scores must be finite"),
 ])
 def test_metrics_reject_tables_they_cannot_score(metric, scores, true_labels, message):
-    table = ScoreTable(np.array(scores), np.array(true_labels))
+    table = score_table(np.array(scores), np.array(true_labels))
+    with pytest.raises(ContractError, match=message):
+        metric(table)
+
+
+@pytest.mark.parametrize("metric, expected", [
+    (roc_auc, reference.roc_auc),
+    (average_precision, reference.average_precision),
+    (coverage_error_normalized, reference.coverage_error_normalized),
+])
+def test_weighted_metrics_equal_their_expanded_tables(metric, expected):
+    # every weighted value is exact: the table with row r repeated weights[r]
+    # times, scored one observation per row, gives the same float
+    rng = np.random.default_rng(41)
+    for trial in range(150):
+        n_rows, n_labels = int(rng.integers(1, 25)), int(rng.integers(2, 6))
+        levels = None if trial % 3 == 0 else np.linspace(0.1, 0.9, int(rng.integers(1, 6)))
+        unit = random_table(rng, n_rows, n_labels, levels=levels)
+        table = score_table(unit.scores, unit.true_labels,
+                            rng.integers(1, 2000 if trial % 2 else 4, size=n_rows))
+        expanded = reference.expand_table(table.scores, table.true_labels, table.weights)
+        assert metric(table) == expected(*expanded)
+        assert metric(score_table(*expanded)) == expected(*expanded)
+
+
+@pytest.mark.parametrize("metric", [roc_auc, average_precision, coverage_error_normalized])
+@pytest.mark.parametrize("weights, message", [
+    (np.ones(3, dtype=np.int64), "one integer per score row"),
+    (np.ones((2, 1), dtype=np.int64), "one integer per score row"),
+    (np.ones(2), "one integer per score row"),
+    (np.array([1, 0]), "weights must be >= 1, got 0"),
+    (np.array([2, -3]), "weights must be >= 1, got -3"),
+])
+def test_metrics_reject_bad_weights(metric, weights, message):
+    table = score_table(np.full((2, 3), 1 / 3), [0, 1], weights)
     with pytest.raises(ContractError, match=message):
         metric(table)
 

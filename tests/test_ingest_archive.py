@@ -471,14 +471,6 @@ class TestDataset:
         assert counts.dtype == float
         np.testing.assert_array_equal(counts, [[3, 0], [0, 1]])
 
-    def test_subset_keeps_extents(self):
-        data = random_dataset(3, 4, 5, 30, seed=61)
-        part = data.subset([0, 2, 4])
-        assert len(part) == 3
-        assert (part.n_epochs, part.n_items, part.n_labels) == (3, 4, 5)
-        empty = data.subset(np.empty(0, dtype=int))
-        assert len(empty) == 0 and empty.n_epochs == 3
-
     def test_collapse_epochs(self):
         data = random_dataset(4, 3, 2, 40, seed=62)
         flat = data.collapse_epochs()
