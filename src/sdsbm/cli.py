@@ -28,7 +28,7 @@ from .evaluation import (
     write_results,
 )
 from .ingest import ingest
-from .model import BlockTensor, MembershipTensor
+from .model import BlockTensor, MembershipTensor, _label_rows
 from .prior import PriorConfig
 from .synthetic import (
     GroundTruth,
@@ -267,8 +267,8 @@ def _cmd_predict(args):
         raise ContractError(
             f"epoch {args.epoch} out of range [0, {theta.shape[0]})"
         )
-    distribution = theta[args.epoch, node] @ archive.p.epoch_slice(args.epoch)
-    for key, probability in zip(archive.label_keys, distribution):
+    rows = _label_rows(theta, archive.p.values, np.array([args.epoch]), np.array([node]))
+    for key, probability in zip(archive.label_keys, rows[0]):
         print(f"{key}\t{probability:.10g}")
     return 0
 

@@ -46,8 +46,6 @@ class Dataset:
     """
 
     def __init__(self, nodes, labels, epochs, n_items, n_labels, n_epochs, weights=None):
-        if min(n_items, n_labels, n_epochs) < 1:
-            raise ContractError("extents must all be >= 1")
         extents = [_integer(name, extent, 1) for name, extent in
                    (("n_items", n_items), ("n_labels", n_labels), ("n_epochs", n_epochs))]
         self.n_items, self.n_labels, self.n_epochs = extents

@@ -119,8 +119,9 @@ def _m_step(s_theta, s_p, averages, p, problem, p_mode):
     Counts, prior and fallback epochs (which take the flat beta=0 prior) come
     from ``problem``.  A row with no observations takes its neighbour average
     when coupled and is uniform otherwise.  The block tensor follows
-    ``p_mode``: ``dynamic`` updates one slice per epoch, ``static`` pools every
-    epoch into one slice with no temporal prior, ``fixed`` returns ``p`` as it
+    ``p_mode``: ``dynamic`` updates one slice per epoch, ``static`` its one
+    slice, whose sums ``_e_step`` pools over every epoch with no neighbour
+    average (zero at T = 1, a fallback epoch), ``fixed`` returns ``p`` as it
     came.  Returns ``(theta, p, rows_reset)``, where ``rows_reset`` counts the
     cluster rows of ``p`` with no mass and no prior pull, which were reset to
     uniform.  Rows of an epoch with no observations are reset too but not
@@ -132,9 +133,6 @@ def _m_step(s_theta, s_p, averages, p, problem, p_mode):
     theta = _coordinate_update(s_theta, *problem.theta_denominator, axis=1)
     if p_mode == "fixed":
         return theta, p, 0
-    if p_mode == "static":
-        s_p = s_p.sum(axis=0, keepdims=True)
-        avg_p = None
     counts = s_p.sum(axis=2, keepdims=True)
     if avg_p is not None:
         s_p = s_p + problem.open_betas[1] * avg_p
@@ -146,39 +144,38 @@ def _m_step(s_theta, s_p, averages, p, problem, p_mode):
     return theta, p, int(dead.sum())
 
 
-def _initial(data, config, restart, fixed_p):
-    """Dirichlet(1) start arrays, streams keyed by (seed, restart, epoch); ``fixed_p`` as is."""
+def _initial(data, config, restart):
+    """Dirichlet(1) start arrays, streams keyed by (seed, restart, epoch); ``p`` None when fixed."""
     T, I, O = data.n_epochs, data.n_items, data.n_labels
     K = config.n_clusters
     theta = np.empty((T, I, K))
-    p = np.empty((T, K, O))
+    p = np.empty((T, K, O)) if config.p_mode == "dynamic" else None
     for t in range(T):
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(restart, t))
         )
         theta[t] = rng.dirichlet(np.ones(K), size=I)
-        if config.p_mode == "dynamic":
+        if p is not None:
             p[t] = rng.dirichlet(np.ones(O), size=K)
     if config.p_mode == "static":
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(restart, T))
         )
         p = rng.dirichlet(np.ones(O), size=K)[None]
-    elif config.p_mode == "fixed":
-        p = fixed_p
     return theta, p
 
 
-def _run_chain(problem, config, restart, theta, p):
-    """One EM chain on plain arrays from the start ``(theta, p)``, numbered ``restart``.
+def _run_chain(problem, config, theta, p):
+    """One EM chain on plain arrays from the start ``(theta, p)``.
 
     The trace records the objective after each sweep; the chain converges once
     the log-likelihoods of two consecutive sweeps differ by less than
     ``config.tol`` relative.  A sweep need not raise the objective itself.  It
     is an exact EM step on the surrogate ``loglik(x) + beta * sum(<x_n> log x)``
     whose neighbour averages ``<x_n>`` are frozen at the sweep's start, so it
-    never lowers that surrogate.  Returns a report of its own, whose tensors
-    validate the final arrays once.
+    never lowers that surrogate.  Returns plain values, validated nowhere:
+    the final ``(T, I, K)`` and block arrays, the trace, whether the chain
+    converged, its dead-row resets and its seconds.
     """
     theta = theta.transpose(0, 2, 1).copy()  # the (T, K, I) working layout
     trace = []
@@ -196,19 +193,7 @@ def _run_chain(problem, config, restart, theta, p):
             converged = True
             break
     seconds = time.perf_counter() - started
-    return FitReport(
-        theta=MembershipTensor(theta.transpose(0, 2, 1).copy()),
-        p=BlockTensor(p),
-        trace=np.asarray(trace),
-        n_iterations=len(trace),
-        converged=converged,
-        best_restart=restart,
-        diagnostics={
-            "dead_cluster_resets": dead_total,
-            "seconds_per_iteration": seconds / len(trace),
-        },
-        config=config,
-    )
+    return theta.transpose(0, 2, 1).copy(), p, np.asarray(trace), converged, dead_total, seconds
 
 
 def fit(data, config, *, start=None):
@@ -219,8 +204,8 @@ def fit(data, config, *, start=None):
     sweep is guaranteed not to lower a surrogate whose neighbour averages are
     frozen at the sweep's start (see ``_run_chain``), not the objective in the
     trace; with both betas zero the two agree and the trace never falls.
-    Returns a FitReport whose trace belongs to the winning restart; its
-    tensors are validated once, when the chain ends.  In its ``diagnostics``,
+    Returns one FitReport, built for the winning restart: its tensors are
+    validated once per fit, for the winning chain.  In its ``diagnostics``,
     ``fallback_epochs`` counts the epochs with no weighted neighbours (0 when
     both betas are zero, since no epoch then has a coupled prior to fall back
     from), and ``aborted_restarts`` is always 0.
@@ -244,7 +229,7 @@ def fit(data, config, *, start=None):
         fixed_p = config.fixed_p.values
         _covers((T, data.n_items, K), fixed_p.shape, data)
     if start is None:
-        starts = (_initial(data, config, restart, fixed_p) for restart in range(config.restarts))
+        starts = (_initial(data, config, restart) for restart in range(config.restarts))
     else:
         theta, p = _arrays(*start, data)
         have = (len(theta), theta.shape[2], len(p))
@@ -252,19 +237,29 @@ def fit(data, config, *, start=None):
         if have != need:
             raise ContractError(f"start arrays have (epochs, K, block slices) = {have}, "
                                 f"a {config.p_mode} fit of this data needs {need}")
-        starts = [(theta, p if fixed_p is None else fixed_p)]
+        starts = [(theta, p)]
     problem = _Problem(data, config.prior, K)
-    chains = (_run_chain(problem, config, restart, theta, p)
-              for restart, (theta, p) in enumerate(starts))
-    best = max(chains, key=lambda report: report.objective)  # ties go to the first
-    coupled = config.prior.beta_theta > 0 or config.prior.beta_p > 0
-    best.diagnostics.update(
-        aborted_restarts=0,  # always 0; kept because perfbench/tracing.py reads the key
-        fallback_epochs=int(problem.coupling.fallback.sum()) if coupled else 0,
+    chains = (_run_chain(problem, config, theta, p if fixed_p is None else fixed_p)
+              for theta, p in starts)
+    # the highest final objective wins; max keeps the first of equal keys
+    best, (theta, p, trace, converged, dead_resets, seconds) = max(
+        enumerate(chains), key=lambda chain: chain[1][2][-1]
     )
-    if best.diagnostics["dead_cluster_resets"]:
-        _log.warning(
-            "winning restart reset %d dead cluster rows",
-            best.diagnostics["dead_cluster_resets"],
-        )
-    return best
+    if dead_resets:
+        _log.warning("winning restart reset %d dead cluster rows", dead_resets)
+    coupled = config.prior.beta_theta > 0 or config.prior.beta_p > 0
+    return FitReport(
+        theta=MembershipTensor(theta),
+        p=BlockTensor(p),
+        trace=trace,
+        n_iterations=len(trace),
+        converged=converged,
+        best_restart=best,
+        diagnostics={
+            "dead_cluster_resets": dead_resets,
+            "seconds_per_iteration": seconds / len(trace),
+            "aborted_restarts": 0,  # always 0; kept because perfbench/tracing.py reads the key
+            "fallback_epochs": int(problem.coupling.fallback.sum()) if coupled else 0,
+        },
+        config=config,
+    )

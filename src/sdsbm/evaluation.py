@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from .data import Dataset
 from .em import fit
 from .errors import ContractError, _integer
-from .model import MembershipTensor, _arrays
+from .model import MembershipTensor, _arrays, _label_rows
 
 _log = logging.getLogger(__name__)
 
@@ -81,19 +81,9 @@ class ScoreTable:
 
 
 def score_test_set(theta, p, test):
-    """Score every unique test triplet once with the mixture ``theta[t, i] @ p[t]``.
-
-    The pair passes the parameter check of ``_arrays`` against the test set;
-    a single-slice model (one epoch of ``theta``) scores every epoch with it.
-    """
-    th, pv = _arrays(theta, p, test)
+    """Score every unique test triplet once with ``_label_rows``; the pair passes ``_arrays``."""
     epochs, nodes, labels, weights = test.compressed()
-    epochs = np.zeros_like(epochs) if th.shape[0] == 1 else epochs
-    scores = np.empty((nodes.size, pv.shape[2]))
-    for t in np.unique(epochs):
-        idx = epochs == t
-        scores[idx] = th[t, nodes[idx], :] @ pv[0 if pv.shape[0] == 1 else t]
-    return ScoreTable(scores, labels, weights)
+    return ScoreTable(_label_rows(*_arrays(theta, p, test), epochs, nodes), labels, weights)
 
 
 def _check_table(table):
@@ -103,6 +93,8 @@ def _check_table(table):
         raise ContractError("metrics need at least two candidate labels")
     if table.true_labels.shape != (table.scores.shape[0],):
         raise ContractError("true labels do not match the score rows")
+    if table.true_labels.dtype.kind not in "iu":
+        raise ContractError(f"true labels must be integers, got {table.true_labels.dtype}")
     if table.true_labels.min() < 0 or table.true_labels.max() >= table.scores.shape[1]:
         raise ContractError(f"true labels must lie in [0, {table.scores.shape[1]})")
     if not np.isfinite(table.scores).all():

@@ -314,10 +314,13 @@ def ingest(path, slice_width=None, n_slices=None, delimiter=None):
             slice_width = 1.0
         else:
             slice_width = span / n_slices
+    n_epochs = n_slices if n_slices is not None else span // slice_width + 1
+    if not float(n_epochs) < 2**63:  # the cast of the stamps below would overflow
+        raise IngestError(f"slicing the time axis gives {n_epochs:.6g} epochs, past int64")
+    n_epochs = int(n_epochs)
     # (stamps - t_min) / slice_width, in place so no second float array exists
     stamps -= t_min
     stamps /= slice_width
-    n_epochs = n_slices if n_slices is not None else int(span // slice_width) + 1
     epochs = np.floor(stamps, out=stamps).astype(np.int64)
     del stamps
     np.minimum(epochs, n_epochs - 1, out=epochs)  # guard the exact upper boundary

@@ -6,8 +6,9 @@ per-cluster label distributions:
     P(node -> label | t) = sum_k theta[t_theta, node, k] * p[t_p, k, label]
 
 where each tensor carries one slice per epoch or one shared by all, and
-``_arrays`` checks the pair.  This module owns the one pass over the compressed
-observations, ``_e_step``: it yields EM's responsibility sums, the
+``_arrays`` checks the pair; ``_label_rows`` evaluates that mixture for test
+scoring, sampling and ``predict``.  This module owns the one pass over the
+compressed observations, ``_e_step``: it yields EM's responsibility sums, the
 log-likelihood and the objective.  ``fit`` runs it every sweep, and
 ``log_posterior`` is a thin call of it.  The pass works in one layout with the
 cluster axis second, memberships ``(T, K, I)`` and blocks ``(T_p, K, O)``, so
@@ -84,10 +85,6 @@ class BlockTensor:
     def n_labels(self):
         return self.values.shape[2]
 
-    def epoch_slice(self, t):
-        """Slice in force at epoch t (the shared slice when there is one)."""
-        return self.values[0 if self.values.shape[0] == 1 else t]
-
     def __repr__(self):
         return "BlockTensor(T={}, K={}, O={})".format(*self.values.shape)
 
@@ -104,6 +101,20 @@ def _arrays(theta, p, data=None):
     pv = (p if isinstance(p, BlockTensor) else BlockTensor(p)).values
     _covers(th.shape, pv.shape, data)
     return th, pv
+
+
+def _label_rows(theta, p, epochs, nodes):
+    """Rows ``theta[t, i] @ p[t]`` for (epoch, node) arrays, one product per epoch.
+
+    The arrays passed ``_arrays``; a tensor with one slice serves every epoch.
+    """
+    if theta.shape[0] == 1:
+        epochs = np.zeros_like(epochs)
+    rows = np.empty((nodes.size, p.shape[2]))
+    for t in np.unique(epochs):
+        at = epochs == t
+        rows[at] = theta[t, nodes[at]] @ p[0 if p.shape[0] == 1 else t]
+    return rows
 
 
 def _covers(theta_shape, p_shape, data=None):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractError, _integer
-from .model import BlockTensor, MembershipTensor, _arrays
+from .model import BlockTensor, MembershipTensor, _arrays, _label_rows
 
 PATTERNS = ("sinusoidal", "broken_line")
 
@@ -141,19 +141,18 @@ def sample_dataset(truth, schedule, seed=0):
     """
     th, pv = _arrays(truth.theta, truth.p)
     T, I, _ = th.shape
-    O = pv.shape[2]
     schedule = np.asarray(schedule, dtype=np.int64)
     if schedule.ndim == 0:
         schedule = np.full(T, int(schedule), dtype=np.int64)
     if schedule.shape != (T,) or np.any(schedule < 0):
         raise ContractError("schedule must be a non-negative int or (T,) array")
     rng = np.random.default_rng(np.random.SeedSequence(_integer("seed", seed, 0), spawn_key=(1,)))
-    counts = np.empty((T, I, O), dtype=np.int64)
+    counts = np.empty((T, I, pv.shape[2]), dtype=np.int64)
     for t in range(T):
-        mix = th[t] @ pv[0 if pv.shape[0] == 1 else t]
+        mix = _label_rows(th, pv, np.full(I, t), np.arange(I))
         counts[t] = rng.multinomial(int(schedule[t]), mix)
     flat = counts.ravel()
     occupied = np.flatnonzero(flat)
-    t_idx, i_idx, o_idx = np.unravel_index(occupied, (T, I, O))
-    return Dataset(i_idx, o_idx, t_idx, n_items=I, n_labels=O, n_epochs=T,
+    t_idx, i_idx, o_idx = np.unravel_index(occupied, counts.shape)
+    return Dataset(i_idx, o_idx, t_idx, n_items=I, n_labels=counts.shape[2], n_epochs=T,
                    weights=flat[occupied])

@@ -338,7 +338,7 @@ def test_criterion_6_property_suite(acceptance):
     big = sample_dataset(sample_truth, 4000, seed=36)
     observed, expected = [], []
     for t in range(2):
-        mix = sample_truth.theta.values[t] @ sample_truth.p.epoch_slice(t)
+        mix = sample_truth.theta.values[t] @ sample_truth.p.values[0]  # one shared slice
         for i in range(3):
             rows = (big.epochs == t) & (big.nodes == i)
             observed.extend(np.bincount(big.labels[rows], minlength=3))

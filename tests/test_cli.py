@@ -273,6 +273,25 @@ class TestPredict:
         total = sum(float(v) for _, v in lines)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_a_shared_block_slice_serves_every_epoch(self, tmp_path, capsys):
+        out = tmp_path / "static.npz"
+        code, _, _ = run(
+            capsys, "fit", "--data", str(small_events(tmp_path)), "--slices", "3",
+            "--clusters", "2", "--p-mode", "static", "--max-iter", "10",
+            "--restarts", "1", "--out", str(out),
+        )
+        assert code == 0
+        archive = ModelArchive.load(out)
+        assert archive.p.values.shape[0] == 1 and archive.theta.values.shape[0] == 3
+        code, stdout, _ = run(capsys, "predict", "--model", str(out),
+                              "--node", "n1", "--epoch", "2")
+        assert code == 0
+        node = archive.node_id("n1")
+        expected = archive.theta.values[2, node] @ archive.p.values[0]
+        assert stdout.splitlines() == [
+            f"{key}\t{value:.10g}" for key, value in zip(archive.label_keys, expected)
+        ]
+
     def test_unknown_node_exits_3(self, model_path, capsys):
         code, _, stderr = run(
             capsys, "predict", "--model", str(model_path),

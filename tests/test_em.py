@@ -241,10 +241,16 @@ class TestBlockUpdate:
         assert rows_reset == 1
 
     def test_static_mode_pools_epochs(self):
-        data = random_dataset(2, 2, 2, 8, seed=9)
-        omega_sums = np.array([[[3.0, 1.0]], [[1.0, 3.0]]])
-        p, _ = _block_step(data, omega_sums, None, PriorConfig(), mode="static")
-        assert p.shape[0] == 1
+        # a shared slice is indexed by label alone: its sums arrive pooled over every epoch
+        data = Dataset([0] * 8, [0, 0, 0, 1, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1],
+                       n_items=1, n_labels=2, n_epochs=2)
+        problem = model._Problem(data, PriorConfig(), 1)
+        theta = np.ones((2, 1, 1))
+        _, per_epoch, _ = model._accumulate(theta, np.full((2, 1, 2), 0.5), problem)
+        _, shared, _ = model._accumulate(theta, np.full((1, 1, 2), 0.5), problem)
+        np.testing.assert_array_equal(per_epoch, [[[3.0, 1.0]], [[1.0, 3.0]]])
+        np.testing.assert_array_equal(shared, per_epoch.sum(axis=0, keepdims=True))
+        p, _ = _block_step(data, shared, None, PriorConfig(), mode="static")
         np.testing.assert_allclose(p, [[[0.5, 0.5]]], atol=1e-15)
 
     def test_coupled_update_mixes_in_the_average(self):
@@ -514,7 +520,7 @@ class TestFit:
         config = FitConfig(n_clusters=3, p_mode=p_mode, restarts=1, seed=17)
         report = fit(data, config)
         problem = model._Problem(data, config.prior, 3)
-        theta, p = em._initial(data, config, 0, None)
+        theta, p = em._initial(data, config, 0)
         theta = _swap(theta)
         s_theta, s_p, averages, *_ = model._e_step(theta, p, problem)
         trace = []
@@ -592,9 +598,8 @@ class TestFit:
         chain = em._run_chain
 
         def tied(*args):
-            report = chain(*args)
-            report.trace = np.array([-1.0])
-            return report
+            theta, p, _, *rest = chain(*args)
+            return theta, p, np.array([-1.0]), *rest
 
         monkeypatch.setattr(em, "_run_chain", tied)
         data = sample_dataset(_toy_truth(3, 8, seed=13), 6, seed=13)
@@ -616,8 +621,9 @@ class TestFit:
     def test_tensors_are_validated_only_where_parameters_leave_a_chain(
         self, monkeypatch, p_mode
     ):
-        # the sweep runs on plain arrays: each chain validates its two final
-        # tensors, and FitConfig validates a fixed block tensor once
+        # the sweep runs on plain arrays: a fit validates the winning chain's two
+        # tensors, whatever the number of restarts, and FitConfig validates a
+        # fixed block tensor once
         truth = _toy_truth(3, 8, seed=17)
         data = sample_dataset(truth, 6, seed=17)
         fixed = random_blocks(3, 3, 3, seed=18) if p_mode == "fixed" else None
@@ -629,12 +635,14 @@ class TestFit:
             return validated(*args)
 
         monkeypatch.setattr(model, "_validated", counting)
-        report = fit(data, FitConfig(
-            n_clusters=3, prior=PriorConfig(beta_theta=2.0, beta_p=2.0), p_mode=p_mode,
-            fixed_p=fixed, max_iterations=50, tol=1e-300, restarts=2, seed=12,
-        ))
-        assert report.n_iterations == 50
-        assert len(calls) <= 2 * 2 + (p_mode == "fixed")
+        for restarts in (1, 3):
+            calls.clear()
+            report = fit(data, FitConfig(
+                n_clusters=3, prior=PriorConfig(beta_theta=2.0, beta_p=2.0), p_mode=p_mode,
+                fixed_p=fixed, max_iterations=50, tol=1e-300, restarts=restarts, seed=12,
+            ))
+            assert report.n_iterations == 50
+            assert len(calls) == 2 + (p_mode == "fixed")
 
     def test_uncoupled_fit_builds_no_coupling(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -715,19 +723,12 @@ class TestFitFromAStart:
                            max_iterations=15, restarts=4, seed=14)
         cold = fit(data, config)
         start = (cold.theta.values, cold.p.values)
-        chains = []
-        run_chain = em._run_chain
-
-        def counting(*args):
-            chains.append(args[2])
-            return run_chain(*args)
-
-        monkeypatch.setattr(em, "_run_chain", counting)
+        calls = _count_calls(monkeypatch, "_run_chain")
         warm = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
                    start=start)
         again = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
                     start=start)
-        assert chains == [0, 0]
+        assert calls == {"_run_chain": 2}
         assert warm.best_restart == 0
         assert np.array_equal(warm.theta.values, again.theta.values)
         assert np.array_equal(warm.p.values, again.p.values)

@@ -296,6 +296,7 @@ class TestCoverageError:
     (np.full((2, 3), 1 / 3), [-1, 0], r"true labels must lie in \[0, 3\)"),
     ([[0.2, np.nan, 0.3], [0.5, 0.1, 0.4]], [0, 1], "scores must be finite"),
     ([[0.2, np.inf, 0.3], [0.5, 0.1, 0.4]], [0, 1], "scores must be finite"),
+    (np.full((2, 3), 1 / 3), [2.0, 0.0], "true labels must be integers"),
 ])
 def test_metrics_reject_tables_they_cannot_score(metric, scores, true_labels, message):
     table = score_table(np.array(scores), np.array(true_labels))

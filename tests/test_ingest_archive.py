@@ -1,7 +1,9 @@
 """Event-file ingestion, dataset container semantics, model archives."""
 import importlib
+import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,17 @@ class TestIngest:
         path = write_events(tmp_path, "a,x,42\nb,y,42\n")
         with pytest.raises(IngestError, match="cannot cut 3 slices"):
             ingest(path, n_slices=3)
+
+    @pytest.mark.parametrize("slicing,count", [
+        ({"slice_width": 1e-300}, "2e+300"),
+        ({"n_slices": 10**19}, "1e+19"),
+    ])
+    def test_epoch_counts_past_int64_are_input_errors(self, tmp_path, slicing, count):
+        path = write_events(tmp_path, "a,x,0\nb,y,1\nc,x,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning comes first
+            with pytest.raises(IngestError, match=re.escape(f"gives {count} epochs")):
+                ingest(path, **slicing)
 
     def test_zero_span_with_a_width_is_one_epoch(self, tmp_path):
         path = write_events(tmp_path, "a,x,42\nb,y,42\n")
@@ -566,8 +579,13 @@ class TestDataset:
     def test_mismatched_columns_and_bad_extents(self):
         with pytest.raises(ContractError, match="equal length"):
             Dataset([0, 1], [0], [0, 0], n_items=2, n_labels=1, n_epochs=1)
-        with pytest.raises(ContractError, match="extents"):
+        with pytest.raises(ContractError, match="n_items must be >= 1"):
             Dataset([], [], [], n_items=0, n_labels=1, n_epochs=1)
+
+    @pytest.mark.parametrize("n_items", ["3", None])
+    def test_extents_that_are_not_integers_are_contract_errors(self, n_items):
+        with pytest.raises(ContractError, match="n_items must be an integer"):
+            Dataset([], [], [], n_items=n_items, n_labels=1, n_epochs=1)
 
 
 def _fitted_report():

@@ -36,12 +36,16 @@ class TestTensorValidation:
         assert p.values.shape == (1, 2, 2) and p.n_labels == 2
         assert repr(p) == "BlockTensor(T=1, K=2, O=2)"
         # the shared slice answers for every epoch
-        assert np.array_equal(p.epoch_slice(7), p.values[0])
+        theta = random_memberships(8, 1, 2, seed=3)
+        rows = model._label_rows(theta, p.values, np.array([7]), np.array([0]))
+        assert np.array_equal(rows, theta[7] @ p.values[0])
 
     def test_block_per_epoch_slices(self):
         p = BlockTensor(random_blocks(4, 2, 3, seed=2))
         assert p.values.shape == (4, 2, 3)
-        assert np.array_equal(p.epoch_slice(2), p.values[2])
+        theta = random_memberships(4, 1, 2, seed=3)
+        rows = model._label_rows(theta, p.values, np.array([2]), np.array([0]))
+        assert np.array_equal(rows, theta[2] @ p.values[2])
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ContractError):
