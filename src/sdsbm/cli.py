@@ -227,7 +227,8 @@ def _cmd_fit(args):
     archive.save(args.out)
     print(
         f"objective={report.objective:.6f} iterations={report.n_iterations} "
-        f"converged={report.converged} restart={report.best_restart} -> {args.out}"
+        f"sweeps={report.diagnostics['sweeps_total']} converged={report.converged} "
+        f"restart={report.best_restart} -> {args.out}"
     )
     return 0
 

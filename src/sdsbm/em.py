@@ -25,6 +25,8 @@ _log = logging.getLogger(__name__)
 
 #: updated probabilities are floored here, then rows renormalized
 PROB_FLOOR = 1e-12
+#: every cold restart runs this many sweeps (or to its stop); only the leader goes on
+RACE_SWEEPS = 40
 P_MODES = ("dynamic", "static", "fixed")
 
 
@@ -45,8 +47,11 @@ class FitConfig:
         consecutive iterations, whichever is first.  The prior term of the
         objective is left out of the test: it keeps growing with the coupling
         after the fit to the data has settled.
-    restarts : independent EM chains; the one with the highest final objective
-        wins.  Chains may stop after different numbers of iterations.
+    restarts : independent EM chains, raced: each runs ``RACE_SWEEPS`` sweeps
+        or to its own stop, if sooner, and only the one with the highest
+        objective at that point (the first of equals) runs on to its stop and
+        wins.  Every chain stopping inside the race, as with ``max_iterations
+        <= RACE_SWEEPS``, makes the winner the highest final objective.
     seed : every chain and epoch slice draws its start from a stream derived from
         (seed, restart, epoch): fits are reproducible bit for bit for a fixed numpy/BLAS
         build and BLAS thread count, since OpenBLAS rounds the coupling product
@@ -165,22 +170,26 @@ def _initial(data, config, restart):
     return theta, p
 
 
-def _run_chain(problem, config, theta, p):
-    """One EM chain on plain arrays from the start ``(theta, p)``.
+def _chain(problem, config, theta, p):
+    """One EM chain on plain arrays from the start ``(theta, p)``, as a generator.
 
-    The trace records the objective after each sweep; the chain converges once
-    the log-likelihoods of two consecutive sweeps differ by less than
-    ``config.tol`` relative.  A sweep need not raise the objective itself.  It
-    is an exact EM step on the surrogate ``loglik(x) + beta * sum(<x_n> log x)``
-    whose neighbour averages ``<x_n>`` are frozen at the sweep's start, so it
-    never lowers that surrogate.  Returns plain values, validated nowhere:
-    the final ``(T, I, K)`` and block arrays, the trace, whether the chain
-    converged, its dead-row resets and its seconds.
+    It yields the objective after each sweep and stops, returning its result,
+    once the log-likelihoods of two consecutive sweeps differ by less than
+    ``config.tol`` relative or after ``config.max_iterations`` sweeps.  A sweep
+    need not raise the objective itself.  It is an exact EM step on the
+    surrogate ``loglik(x) + beta * sum(<x_n> log x)`` whose neighbour averages
+    ``<x_n>`` are frozen at the sweep's start, so it never lowers that
+    surrogate.  A paused chain holds only its parameter and sum arrays, and a
+    resumed one carries on exactly as if it had never paused.  The result is
+    plain values, validated nowhere: the final ``(T, I, K)`` and block arrays,
+    the trace, whether the chain converged, its dead-row resets and the
+    seconds spent inside the chain, which leave out time while it is paused.
     """
     theta = theta.transpose(0, 2, 1).copy()  # the (T, K, I) working layout
     trace = []
     dead_total = 0
     converged = False
+    seconds = 0.0
     started = time.perf_counter()
     s_theta, s_p, averages, loglik, _ = _e_step(theta, p, problem)
     for _ in range(config.max_iterations):
@@ -189,23 +198,44 @@ def _run_chain(problem, config, theta, p):
         previous = loglik
         s_theta, s_p, averages, loglik, objective = _e_step(theta, p, problem)
         trace.append(objective)
-        if len(trace) > 1 and abs(loglik - previous) / max(abs(previous), 1e-12) < config.tol:
-            converged = True
+        change = abs(loglik - previous) / max(abs(previous), 1e-12)
+        converged = len(trace) > 1 and change < config.tol
+        seconds += time.perf_counter() - started
+        yield objective
+        if converged:
             break
-    seconds = time.perf_counter() - started
+        started = time.perf_counter()
     return theta.transpose(0, 2, 1).copy(), p, np.asarray(trace), converged, dead_total, seconds
 
 
-def fit(data, config, *, start=None):
-    """Run ``config.restarts`` EM chains on ``data`` and keep the best.
+def _advance(chain, sweeps):
+    """Run ``chain`` for up to ``sweeps`` more sweeps: their objectives, and the
+    chain's result once it has stopped (None while it can go on)."""
+    objectives = []
+    try:
+        while len(objectives) < sweeps:
+            objectives.append(next(chain))
+    except StopIteration as stop:
+        return objectives, stop.value
+    return objectives, None
 
-    Each chain stops once its log-likelihood settles (see ``FitConfig.tol``),
-    and the chain with the highest final objective wins.  Under coupling a
-    sweep is guaranteed not to lower a surrogate whose neighbour averages are
-    frozen at the sweep's start (see ``_run_chain``), not the objective in the
-    trace; with both betas zero the two agree and the trace never falls.
-    Returns one FitReport, built for the winning restart: its tensors are
-    validated once per fit, for the winning chain.  In its ``diagnostics``,
+
+def fit(data, config, *, start=None):
+    """Race ``config.restarts`` EM chains on ``data`` and run the leader to its stop.
+
+    Each chain runs ``RACE_SWEEPS`` sweeps, or fewer if its log-likelihood
+    settles first (see ``FitConfig.tol``).  The chain with the highest
+    objective at that point wins, the first of equals; the others stop, and
+    the winner runs on to its own stop.  A resumed chain ends exactly where it
+    would have ended unpaused, so the winner's report is that of its chain
+    run alone.  Under coupling a sweep is guaranteed not to lower a surrogate
+    whose neighbour averages are frozen at the sweep's start (see ``_chain``),
+    not the objective in the trace; with both betas zero the two agree and
+    the trace never falls.  Returns one FitReport, built for the winning
+    restart: its tensors are validated once per fit, for the winning chain.
+    In its ``diagnostics``, ``sweeps_total`` counts every chain's sweeps (the
+    losers' race sweeps plus the winner's ``n_iterations``),
+    ``seconds_per_iteration`` times the winner's own sweeps only,
     ``fallback_epochs`` counts the epochs with no weighted neighbours (0 when
     both betas are zero, since no epoch then has a coupled prior to fall back
     from), and ``aborted_restarts`` is always 0.
@@ -239,12 +269,15 @@ def fit(data, config, *, start=None):
                                 f"a {config.p_mode} fit of this data needs {need}")
         starts = [(theta, p)]
     problem = _Problem(data, config.prior, K)
-    chains = (_run_chain(problem, config, theta, p if fixed_p is None else fixed_p)
-              for theta, p in starts)
-    # the highest final objective wins; max keeps the first of equal keys
-    best, (theta, p, trace, converged, dead_resets, seconds) = max(
-        enumerate(chains), key=lambda chain: chain[1][2][-1]
-    )
+    chains = [_chain(problem, config, theta, p if fixed_p is None else fixed_p)
+              for theta, p in starts]
+    raced = [_advance(chain, RACE_SWEEPS) for chain in chains]
+    # the highest objective at the race wins; max keeps the first of equal keys
+    best = max(range(len(chains)), key=lambda restart: raced[restart][0][-1])
+    result = raced[best][1] or _advance(chains[best], config.max_iterations)[1]
+    theta, p, trace, converged, dead_resets, seconds = result
+    losers_sweeps = sum(len(objectives) for restart, (objectives, _) in enumerate(raced)
+                        if restart != best)
     if dead_resets:
         _log.warning("winning restart reset %d dead cluster rows", dead_resets)
     coupled = config.prior.beta_theta > 0 or config.prior.beta_p > 0
@@ -258,6 +291,7 @@ def fit(data, config, *, start=None):
         diagnostics={
             "dead_cluster_resets": dead_resets,
             "seconds_per_iteration": seconds / len(trace),
+            "sweeps_total": losers_sweeps + len(trace),
             "aborted_restarts": 0,  # always 0; kept because perfbench/tracing.py reads the key
             "fallback_epochs": int(problem.coupling.fallback.sum()) if coupled else 0,
         },

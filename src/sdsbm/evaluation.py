@@ -304,11 +304,12 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
     several epochs, which the static family's single epoch cannot use.
 
     The coupled family's grid is one path in ascending beta: the smallest
-    beta is fitted with the template's restarts, and each larger one runs a
-    single chain started from the previous beta's fit, since neighbouring
-    couplings have neighbouring solutions.  So a validation tie goes to the
-    smaller beta, and results do not depend on the order of the grid.  The
-    decoupled and static families are always fitted cold.
+    beta is fitted with the template's restarts, which ``fit`` races, and
+    each larger one runs a single chain started from the previous beta's
+    fit, since neighbouring couplings have neighbouring solutions.  So a
+    validation tie goes to the smaller beta, and results do not depend on the
+    order of the grid.  The decoupled and static families are always fitted
+    cold, with raced restarts too.
 
     ``template`` supplies everything but the coupling strengths: cluster
     count, block mode, kernel shape, iteration budget, restarts, seed.

@@ -115,6 +115,17 @@ class TestFit:
         assert np.array_equal(outputs[0].theta.values, outputs[1].theta.values)
         assert np.array_equal(outputs[0].p.values, outputs[1].p.values)
 
+    def test_fit_line_counts_every_chains_sweeps(self, tmp_path, capsys):
+        # no chain settles at this tol: 3 restarts race 40 sweeps, the leader runs all 45
+        events = small_events(tmp_path)
+        code, stdout, _ = run(
+            capsys, "fit", "--data", str(events), "--slice", "1", "--clusters", "2",
+            "--max-iter", "45", "--tol", "1e-300", "--restarts", "3",
+            "--out", str(tmp_path / "model.npz"),
+        )
+        assert code == 0
+        assert " iterations=45 sweeps=125 converged=False " in stdout
+
     def test_static_mode_and_slice_count(self, tmp_path, capsys):
         events = small_events(tmp_path)
         out = tmp_path / "static.npz"

@@ -1,5 +1,6 @@
 """EM engine: responsibilities, coordinate updates, full fits."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ def _count_calls(monkeypatch, *names):
             return _original(*args)
         monkeypatch.setattr(em, name, counted)
     return calls
+
+
+def _tie_every_objective(monkeypatch):
+    """Make every chain yield the same objective after each sweep, leaving its result as it is."""
+    chain = em._chain
+
+    def tied(*args):
+        sweeps = chain(*args)
+        try:
+            while True:
+                next(sweeps)
+                yield -1.0
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(em, "_chain", tied)
 
 
 def _swap(theta):
@@ -586,22 +603,16 @@ class TestFit:
             config = FitConfig(n_clusters=2, p_mode="fixed", fixed_p=fixed, restarts=3, seed=7)
             start = None
             triplet = (1, 1, 0)
-        calls = _count_calls(monkeypatch, "_run_chain", "_m_step")
+        calls = _count_calls(monkeypatch, "_e_step", "_m_step")
         with caplog.at_level("DEBUG", logger="sdsbm.em"):
             with pytest.raises(DegenerateParameterError) as err:
                 fit(data, config, start=start)
         assert err.value.triplet == triplet
-        assert calls == {"_run_chain": 1, "_m_step": 0}
+        assert calls == {"_e_step": 1, "_m_step": 0}
         assert not [record for record in caplog.records if record.name == "sdsbm.em"]
 
     def test_tied_restarts_go_to_the_first(self, monkeypatch):
-        chain = em._run_chain
-
-        def tied(*args):
-            theta, p, _, *rest = chain(*args)
-            return theta, p, np.array([-1.0]), *rest
-
-        monkeypatch.setattr(em, "_run_chain", tied)
+        _tie_every_objective(monkeypatch)
         data = sample_dataset(_toy_truth(3, 8, seed=13), 6, seed=13)
         report = fit(data, FitConfig(n_clusters=3, max_iterations=3, restarts=3, seed=8))
         assert report.best_restart == 0
@@ -612,7 +623,7 @@ class TestFit:
         report = fit(data, FitConfig(n_clusters=3, max_iterations=10, restarts=1,
                                      seed=8))
         for key in ("aborted_restarts", "dead_cluster_resets", "fallback_epochs",
-                    "seconds_per_iteration"):
+                    "seconds_per_iteration", "sweeps_total"):
             assert key in report.diagnostics
         assert report.diagnostics["aborted_restarts"] == 0
         assert report.n_iterations == len(report.trace)
@@ -707,6 +718,105 @@ class TestFit:
         assert np.array_equal(coupled.trace, plain.trace)
 
 
+def _chain_alone(data, config, theta, p):
+    """One chain run to its stop in a plain loop that never pauses, the reference
+    for a fit's winner: the final ``(T, I, K)`` and block arrays, and the trace."""
+    problem = model._Problem(data, config.prior, config.n_clusters)
+    theta = _swap(theta)
+    s_theta, s_p, averages, loglik, _ = model._e_step(theta, p, problem)
+    trace = []
+    for _ in range(config.max_iterations):
+        theta, p, _ = em._m_step(s_theta, s_p, averages, p, problem, config.p_mode)
+        previous = loglik
+        s_theta, s_p, averages, loglik, objective = model._e_step(theta, p, problem)
+        trace.append(objective)
+        if len(trace) > 1 and abs(loglik - previous) / max(abs(previous), 1e-12) < config.tol:
+            break
+    return _swap(theta), p, np.array(trace)
+
+
+def _assert_report_is(report, chain):
+    theta, p, trace = chain
+    assert np.array_equal(report.theta.values, theta)
+    assert np.array_equal(report.p.values, p)
+    assert np.array_equal(report.trace, trace)
+
+
+class TestRacedRestarts:
+    """Cold restarts race ``RACE_SWEEPS`` sweeps; only the leader runs on."""
+
+    @staticmethod
+    def _coupled(seed=1, restarts=3, **settings):
+        data = sample_dataset(_toy_truth(6, 12, seed=seed), 10, seed=seed)
+        config = FitConfig(n_clusters=3, prior=PriorConfig(beta_theta=5.0, beta_p=5.0),
+                           restarts=restarts, seed=seed, **settings)
+        return data, config
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-300])
+    def test_only_the_leader_sweeps_past_the_race(self, monkeypatch, tol):
+        data, config = self._coupled(tol=tol, max_iterations=70)
+        calls = _count_calls(monkeypatch, "_m_step")
+        report = fit(data, config)
+        assert calls["_m_step"] == report.diagnostics["sweeps_total"]
+        assert report.n_iterations > em.RACE_SWEEPS
+        if tol == 1e-300:  # no chain stops on its own
+            assert report.diagnostics["sweeps_total"] == 2 * em.RACE_SWEEPS + 70
+
+    def test_the_leader_ends_where_its_chain_run_alone_ends(self):
+        data, config = self._coupled()
+        report = fit(data, config)
+        restart = report.best_restart
+        assert restart > 0 and report.n_iterations > em.RACE_SWEEPS
+        _assert_report_is(report, _chain_alone(data, config, *em._initial(data, config, restart)))
+        assert report.diagnostics["sweeps_total"] == 2 * em.RACE_SWEEPS + report.n_iterations
+
+    def test_chains_stopping_inside_the_race_keep_the_highest_final_objective(self):
+        data = sample_dataset(_toy_truth(6, 12, seed=0), 10, seed=0)
+        config = FitConfig(n_clusters=3, tol=1e-3, restarts=3, seed=0)
+        chains = [_chain_alone(data, config, *em._initial(data, config, restart))
+                  for restart in range(3)]
+        assert all(len(trace) < em.RACE_SWEEPS for *_, trace in chains)
+        finals = [trace[-1] for *_, trace in chains]
+        report = fit(data, config)
+        assert report.best_restart == finals.index(max(finals)) > 0
+        _assert_report_is(report, chains[report.best_restart])
+        assert report.diagnostics["sweeps_total"] == sum(len(trace) for *_, trace in chains)
+
+    def test_a_tie_at_the_race_goes_to_the_first(self, monkeypatch):
+        data, config = self._coupled(max_iterations=60, tol=1e-300)
+        _tie_every_objective(monkeypatch)
+        report = fit(data, config)
+        assert report.best_restart == 0 and report.n_iterations == 60
+        _assert_report_is(report, _chain_alone(data, config, *em._initial(data, config, 0)))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_single_chains_are_unchanged(self, warm):
+        # one restart, or a given start, is one chain run to its stop as before
+        data, config = self._coupled(restarts=1 + 3 * warm)
+        start = em._initial(data, replace(config, seed=99), 0) if warm else None
+        report = fit(data, config, start=start)
+        assert report.n_iterations > em.RACE_SWEEPS and report.best_restart == 0
+        assert report.diagnostics["sweeps_total"] == report.n_iterations
+        _assert_report_is(report, _chain_alone(data, config, *(start or em._initial(data, config, 0))))
+
+    def test_seconds_per_iteration_times_the_winners_own_sweeps(self, monkeypatch):
+        # a clock that moves 1 s per M-step: the losers' race sweeps, run
+        # while the winner is paused, must not count toward its seconds
+        now = [0.0]
+        m_step = em._m_step
+
+        def ticking(*args):
+            now[0] += 1.0
+            return m_step(*args)
+
+        monkeypatch.setattr(em, "_m_step", ticking)
+        monkeypatch.setattr(em, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        data, config = self._coupled(max_iterations=60, tol=1e-300)
+        report = fit(data, config)
+        assert report.best_restart > 0 and now[0] == 2 * em.RACE_SWEEPS + 60
+        assert report.diagnostics["seconds_per_iteration"] == 1.0
+
+
 class TestFitFromAStart:
     """``fit(..., start=(theta, p))``: one chain from given arrays."""
 
@@ -723,12 +833,12 @@ class TestFitFromAStart:
                            max_iterations=15, restarts=4, seed=14)
         cold = fit(data, config)
         start = (cold.theta.values, cold.p.values)
-        calls = _count_calls(monkeypatch, "_run_chain")
+        calls = _count_calls(monkeypatch, "_chain")
         warm = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
                    start=start)
         again = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
                     start=start)
-        assert calls == {"_run_chain": 2}
+        assert calls == {"_chain": 2}
         assert warm.best_restart == 0
         assert np.array_equal(warm.theta.values, again.theta.values)
         assert np.array_equal(warm.p.values, again.p.values)
