@@ -27,7 +27,7 @@ from .evaluation import (
     write_results,
 )
 from .ingest import IngestResult, ingest
-from .model import BlockTensor, DegenerateParametersWarning, MembershipTensor, log_posterior
+from .model import BlockTensor, MembershipTensor, log_posterior
 from .prior import PriorConfig
 from .synthetic import (
     GroundTruth,
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_BETA_GRID",
     "Dataset",
     "DegenerateParameterError",
-    "DegenerateParametersWarning",
     "EvalResult",
     "FitConfig",
     "FitReport",

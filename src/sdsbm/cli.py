@@ -172,13 +172,10 @@ def _fit_config(args, label_keys, betas=(0.0, 0.0)):
 
 
 def _cmd_synth(args):
-    if args.clusters != 3:
-        raise ContractError("the cyclic block matrix is 3x3; only --clusters 3 is supported")
     pattern = PatternSpec(
         kind=args.pattern,
         n_epochs=args.epochs,
         n_items=args.items,
-        n_clusters=args.clusters,
         cycles=args.cycles,
         seed=args.seed,
     )
@@ -341,7 +338,6 @@ def _build_parser():
                        default="sinusoidal")
     synth.add_argument("--epochs", type=int, default=200)
     synth.add_argument("--items", type=int, default=100)
-    synth.add_argument("--clusters", type=int, default=3)
     synth.add_argument("--cycles", type=float, default=1.0)
     synth.add_argument("--noise", type=float, default=0.05,
                        help="off-diagonal mass of the cyclic block matrix")

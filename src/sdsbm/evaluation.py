@@ -25,15 +25,20 @@ _log = logging.getLogger(__name__)
 
 DEFAULT_BETA_GRID = (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 FAMILIES = ("sdsbm", "nc", "static")
+#: numpy's exact multivariate hypergeometric draw takes totals below this
+SPLIT_LIMIT = 10**9
 
 
 @dataclass(frozen=True)
 class SplitPlan:
     """Per-observation random split into train/validation/test, one per fold.
 
-    The permutation runs over the observations in (epoch, node, label) order,
-    so the order of an event file's lines does not move the split.  Each part
-    holds the triplets of the observations it drew, weighted by their count.
+    Train, then validation, is one multivariate hypergeometric draw from the
+    triplet weights left, taken in (epoch, node, label) order, and test keeps
+    the rest: the law of a random permutation of the observations, at memory
+    in the triplets, and the order of an event file's lines does not move it.
+    Each part holds the triplets it drew, weighted by their drawn counts.  A
+    dataset of ``SPLIT_LIMIT`` observations or more is a ContractError.
     """
 
     n_folds: int = 5
@@ -53,18 +58,20 @@ class SplitPlan:
         """(train, validation, test) datasets for the given fold; extents are kept."""
         if not 0 <= fold < self.n_folds:
             raise ContractError(f"fold {fold} out of range [0, {self.n_folds})")
-        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(fold,)))
         n = len(data)
-        perm = rng.permutation(n)
         n_train = int(n * self.train_fraction)
         n_val = int(n * self.validation_fraction)
         if n_train < 1 or n_val < 1 or n_train + n_val >= n:
             raise ContractError(f"dataset with {n} observations cannot fill all three splits")
+        if n >= SPLIT_LIMIT:
+            raise ContractError(f"cannot split {n} observations: the exact split draw "
+                                f"takes fewer than {SPLIT_LIMIT}")
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(fold,)))
         epochs, nodes, labels, weights = data.compressed()
-        owner = np.repeat(np.arange(weights.size), weights)[perm]  # drawn triplet ids
+        train = rng.multivariate_hypergeometric(weights, n_train, method="marginals")
+        val = rng.multivariate_hypergeometric(weights - train, n_val, method="marginals")
         parts = []
-        for drawn in np.split(owner, [n_train, n_train + n_val]):
-            counts = np.bincount(drawn, minlength=weights.size)
+        for counts in (train, val, weights - train - val):
             kept = counts > 0
             parts.append(Dataset(nodes[kept], labels[kept], epochs[kept], data.n_items,
                                  data.n_labels, data.n_epochs, weights=counts[kept]))

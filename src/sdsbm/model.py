@@ -17,7 +17,6 @@ public membership tensor stays ``(T, I, K)``.
 """
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 
 import numpy as np
@@ -29,10 +28,6 @@ from .prior import PriorConfig, TemporalCoupling
 ROW_SUM_TOL = 1e-9
 #: observations stream through the E-step in blocks of this many unique triplets
 CHUNK = 1 << 16
-
-
-class DegenerateParametersWarning(UserWarning):
-    """An observed triplet carries exactly zero probability mass."""
 
 
 def _validated(values, ndim, name):
@@ -257,20 +252,9 @@ def log_posterior(theta, p, data, prior=None):
     value is the objective of the E-step pass that ``fit`` runs, summed in its
     order (the last ulp may vary by release).
 
-    Returns ``-inf``, and emits a DegenerateParametersWarning naming the first
-    offending triplet, when any observed triplet has zero mixture probability.
+    Raises DegenerateParameterError naming the first observed triplet of zero
+    mixture probability, as ``fit`` does.
     """
     th, pv = _arrays(theta, p, data)
-    prior = PriorConfig() if prior is None else prior
-    try:
-        problem = _Problem(data, prior, th.shape[2])
-        *_, objective = _e_step(th.transpose(0, 2, 1).copy(), pv, problem)
-    except DegenerateParameterError as err:
-        warnings.warn(
-            "zero mixture probability for observed triplet "
-            "(node={}, label={}, epoch={})".format(*err.triplet),
-            DegenerateParametersWarning,
-            stacklevel=2,
-        )
-        return float("-inf")
-    return objective
+    problem = _Problem(data, PriorConfig() if prior is None else prior, th.shape[2])
+    return _e_step(th.transpose(0, 2, 1).copy(), pv, problem)[-1]

@@ -1,11 +1,17 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 import csv
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdsbm
 from sdsbm import BlockTensor, MembershipTensor, ModelArchive, PriorConfig, cli, flow_matrix
 
 from conftest import random_blocks, random_memberships
@@ -15,6 +21,19 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+def run_limited(*argv):
+    """The sdsbm command in a child process with 2 GB of address space and one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sdsbm.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "sdsbm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          preexec_fn=_limit_address_space)
 
 
 def make_events(tmp_path, lines, name="events.csv"):
@@ -68,12 +87,11 @@ class TestSynth:
         assert code == 0
         assert "(52 observations" in stdout  # 13 per item, 4 items
 
-    def test_only_three_clusters_are_supported(self, tmp_path, capsys):
-        code, _, stderr = run(
-            capsys, "synth", "--clusters", "4", "--out", str(tmp_path / "x"),
-        )
-        assert code == 3
-        assert "error:" in stderr
+    def test_cluster_count_is_not_an_option(self, tmp_path):
+        # the cyclic block matrix is 3x3, so synth always plants 3 clusters
+        with pytest.raises(SystemExit) as info:
+            cli.main(["synth", "--clusters", "3", "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
 
     def test_negative_seed_exits_3(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "synth", "--seed", "-1", "--out", str(tmp_path / "x"))
@@ -441,6 +459,21 @@ class TestCrossValidationCommand:
         code, _, _ = run(capsys, *common, "--models", "sdsbm,nc",
                          "--out", str(tmp_path / "cv_dynamic.csv"))
         assert code == 0
+
+    @pytest.mark.parametrize("weight,code", [(5 * 10**8, 0), (10**9, 3)])
+    def test_a_heavy_line_is_split_in_bounded_memory(self, tmp_path, weight, code):
+        # the split draws per weighted line, so 5*10**8 observations fit in
+        # 2 GB; from 10**9 on, the exact draw refuses them with one error line
+        events = make_events(tmp_path, [f"a,x,0,{weight}", "b,y,1,3", "a,y,1,2", "b,x,0,4"])
+        result = run_limited("cv", "--data", str(events), "--clusters", "2", "--folds", "1",
+                             "--beta-grid", "0,1", "--max-iter", "5",
+                             "--out", str(tmp_path / "cv.csv"))
+        assert result.returncode == code, result.stderr
+        if code == 3:
+            assert result.stderr.count("\n") == 1 and result.stderr.startswith("error:")
+            assert "fewer than 1000000000" in result.stderr
+        else:
+            assert (tmp_path / "cv.csv").exists()
 
     def test_negative_split_seed_exits_3(self, tmp_path, capsys):
         events = small_events(tmp_path)

@@ -2,10 +2,13 @@
 import csv
 import itertools
 import json
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sdsbm import (
     BlockTensor,
@@ -89,21 +92,49 @@ class TestSplitPlan:
         original = np.sort(data.epochs * 1000 + data.nodes * 10 + data.labels)
         np.testing.assert_array_equal(combined, original)
 
-    @pytest.mark.parametrize("data", [
-        random_dataset(4, 6, 5, 240, seed=0),
-        random_dataset(3, 8, 4, 500, seed=1),
-        # three heavy triplets: the draw is still one per observation
-        Dataset([0, 1, 2], [1, 0, 1], [0, 1, 1], n_items=3, n_labels=2, n_epochs=2,
-                weights=[40, 7, 13]),
-    ], ids=["light", "mixed", "heavy"])
-    def test_parts_match_the_per_observation_reference(self, data):
-        for plan in (SplitPlan(n_folds=1, seed=3), SplitPlan(n_folds=3, seed=8)):
-            for fold in range(plan.n_folds):
-                parts = plan.split(data, fold)
-                assert sum(len(part) for part in parts) == len(data)
-                for part, expected in zip(parts, reference.split(plan, data, fold)):
-                    for got, want in zip(part.compressed(), expected.compressed()):
-                        np.testing.assert_array_equal(got, want)
+    def test_parts_follow_the_per_observation_law(self):
+        # each fold's per-triplet train, validation and test counts have the
+        # law of the reference's permutation of the expanded observations:
+        # chi-squared on the joint outcomes of 2000 folds of each, at the 1%
+        # level, outcomes seen fewer than 10 times pooled into one
+        data = Dataset([0, 1, 2], [1, 0, 1], [0, 1, 1], n_items=3, n_labels=2, n_epochs=2,
+                       weights=[5, 3, 2])  # node u is triplet u
+        plan = SplitPlan(n_folds=2000, train_fraction=0.5, validation_fraction=0.3)
+
+        def outcome(parts):
+            return tuple(tuple(np.bincount(part.compressed()[1], weights=part.compressed()[3],
+                                           minlength=3).astype(int))
+                         for part in parts)
+
+        got = Counter(outcome(plan.split(data, fold)) for fold in range(plan.n_folds))
+        want = Counter(outcome(reference.split(plan, data, fold))
+                       for fold in range(plan.n_folds))
+        assert all(sum(map(sum, parts)) == 10 for parts in got)
+        common = [key for key in got | want if got[key] + want[key] >= 10]
+        table = [[counts[key] for key in common] for counts in (got, want)]
+        table = [row + [plan.n_folds - sum(row)] for row in table]
+        assert stats.chi2_contingency(table)[1] > 0.01
+
+    def test_a_heavy_triplet_splits_in_little_memory(self):
+        # the draw is per triplet, never one entry per observation
+        data = Dataset([0, 1, 2], [1, 0, 1], [0, 1, 1], n_items=3, n_labels=2, n_epochs=2,
+                       weights=[10**7, 7, 13])
+        tracemalloc.start()
+        try:
+            parts = SplitPlan().split(data, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sum(len(part) for part in parts) == len(data)
+
+    def test_a_billion_observations_are_refused(self):
+        # numpy's exact draw takes totals below 10**9; a larger one is an
+        # input error before anything is drawn
+        data = Dataset([0, 1, 2], [1, 0, 1], [0, 1, 1], n_items=3, n_labels=2, n_epochs=2,
+                       weights=[10**9 - 20, 7, 13])
+        with pytest.raises(ContractError, match="fewer than 1000000000"):
+            SplitPlan().split(data, 0)
 
     def test_extents_are_preserved(self):
         data = random_dataset(5, 6, 4, 60, seed=3)

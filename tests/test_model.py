@@ -7,7 +7,7 @@ from sdsbm import (
     BlockTensor,
     ContractError,
     Dataset,
-    DegenerateParametersWarning,
+    DegenerateParameterError,
     FitConfig,
     GroundTruth,
     MembershipTensor,
@@ -277,13 +277,12 @@ class TestLogPosterior:
         with_pull = log_posterior(theta, p, data, PriorConfig(beta_p=50.0))
         assert with_pull == log_posterior(theta, p, data)
 
-    def test_degenerate_triplet_warns_and_returns_neg_inf(self):
+    def test_degenerate_triplet_raises_as_fit_does(self):
         data = Dataset([0], [1], [0], n_items=1, n_labels=2, n_epochs=1)
         theta = [[[1.0, 0.0]]]
         p = [[1.0, 0.0], [0.5, 0.5]]  # cluster 0 never emits label 1
-        with pytest.warns(DegenerateParametersWarning, match="node=0, label=1, epoch=0"):
-            value = log_posterior(theta, p, data)
-        assert value == -np.inf
+        with pytest.raises(DegenerateParameterError, match="node=0, label=1, epoch=0"):
+            log_posterior(theta, p, data)
 
     @pytest.mark.parametrize("axis", ["items", "labels"])
     def test_parameters_need_the_data_extents(self, axis):
