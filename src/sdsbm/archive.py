@@ -6,7 +6,9 @@ JSON round-trips exactly).
 """
 from __future__ import annotations
 
+import functools
 import json
+import os
 import zipfile
 from dataclasses import dataclass, field
 
@@ -40,6 +42,24 @@ def read_npz(path, names, what):
     if missing:
         raise ContractError(f"{path} is not a {what}: it has no {missing[0]!r} array")
     return arrays
+
+
+@functools.cache
+def _build():
+    """The numpy build and BLAS thread settings that a fit's last bits depend on.
+
+    ``blas`` is the name and version numpy reports, or None on numpy releases
+    whose ``show_config`` takes no ``mode``; a thread variable the
+    environment does not set is None.  Read once per process, as BLAS does.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = None
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, "blas": blas,
+            **{name: os.environ.get(name) for name in threads}}
 
 
 @dataclass
@@ -97,6 +117,7 @@ class ModelArchive:
             "t_min": self.t_min,
             "slice_width": self.slice_width,
             "converged": bool(self.converged),
+            "build": _build(),
         }
         np.savez(
             path,

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import Dataset
 from .em import fit
@@ -168,6 +167,40 @@ def coverage_error_normalized(table):
     return float((mean_rank - 1.0) / (n_labels - 1))
 
 
+def _assignment(cost):
+    """Column of each row in a minimum-cost perfect matching of a square cost matrix.
+
+    Kuhn-Munkres with Jonker-Volgenant shortest augmenting paths, O(n^3) for
+    n rows: each row enters through a virtual column n and follows the
+    shortest path of reduced costs to a free column, along which the matching
+    flips.  The row and column duals keep every reduced cost non-negative, and
+    each step updates the path distance of every column in one vectorised pass.
+    """
+    n = len(cost)
+    row_dual, col_dual = np.zeros(n), np.zeros(n + 1)
+    owner = np.full(n + 1, n)  # row matched to each column; n: none yet
+    for row in range(n):
+        owner[n], col = row, n
+        dist, via = np.full(n, np.inf), np.zeros(n, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        while owner[col] != n:
+            used[col] = True
+            i, free = owner[col], ~used[:n]
+            reduced = cost[i] - row_dual[i] - col_dual[:n]
+            closer = free & (reduced < dist)
+            dist[closer], via[closer] = reduced[closer], col
+            col = np.argmin(np.where(free, dist, np.inf))
+            delta = dist[col]
+            row_dual[owner[used]] += delta
+            col_dual[used] -= delta
+            dist[free] -= delta
+        while col != n:
+            owner[col], col = owner[via[col]], via[col]
+    cols = np.empty(n, dtype=int)
+    cols[owner[:n]] = np.arange(n)
+    return cols
+
+
 def _memberships(values):
     """The (T, I, K) values of a membership tensor or array; a 2-D array is one slice."""
     if isinstance(values, MembershipTensor):
@@ -182,9 +215,10 @@ def rmse_aligned(estimate, truth):
     One permutation is applied to the estimate's cluster axis for all epochs
     and items at once.  The squared error of a relabeling is a sum of
     per-cluster-pair costs, so the best one solves a K x K linear assignment
-    problem exactly.  A single-slice estimate is compared against every epoch
-    of the truth.  Both pass the membership-tensor checks (a 2-D array is one
-    slice), so a non-finite, negative or unnormalized row is a ContractError.
+    problem, which ``_assignment`` (Kuhn-Munkres) solves exactly.  A
+    single-slice estimate is compared against every epoch of the truth.  Both
+    pass the membership-tensor checks (a 2-D array is one slice), so a
+    non-finite, negative or unnormalized row is a ContractError.
     """
     est, tru = _memberships(estimate), _memberships(truth)
     if est.shape[0] == 1 and tru.shape[0] > 1:
@@ -198,8 +232,8 @@ def rmse_aligned(estimate, truth):
     for a in range(n_clusters):
         diff = flat_est[:, a, None] - flat_tru
         cost[a] = np.einsum("nk,nk->k", diff, diff)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].sum() / flat_tru.size))
+    cols = _assignment(cost)
+    return float(np.sqrt(cost[np.arange(n_clusters), cols].sum() / flat_tru.size))
 
 
 def flow_matrix(source, target):
@@ -226,10 +260,11 @@ def membership_flows(theta, p):
 
     Cluster ids are arbitrary in each epoch, so with one block slice per epoch
     the clusters of epoch t+1 are first matched to those of the aligned epoch
-    t: a linear assignment on the squared distance between their block rows
-    permutes epoch t+1's block rows and membership columns together.  Cluster
-    ids in the output are those of epoch 0.  A single shared slice needs no
-    alignment.  The pair passes the parameter check of ``_arrays``.
+    t: a linear assignment on the squared distance between their block rows,
+    solved exactly by ``_assignment`` (Kuhn-Munkres), permutes epoch t+1's
+    block rows and membership columns together.  Cluster ids in the output
+    are those of epoch 0.  A single shared slice needs no alignment.  The
+    pair passes the parameter check of ``_arrays``.
 
     Yields ``(epoch_from, epoch_to, node, cluster_from, cluster_to, mass)``
     for every positive entry of the per-node flow matrices.
@@ -239,7 +274,7 @@ def membership_flows(theta, p):
         th, pv = th.copy(), pv.copy()
         for t in range(1, pv.shape[0]):
             cost = ((pv[t - 1][:, None, :] - pv[t][None, :, :]) ** 2).sum(axis=2)
-            _, order = linear_sum_assignment(cost)
+            order = _assignment(cost)
             th[t], pv[t] = th[t][:, order], pv[t][order]
     n_epochs, n_items, _ = th.shape
     for t in range(n_epochs - 1):

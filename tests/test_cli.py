@@ -745,3 +745,34 @@ class TestBlockFileLoading:
         assert code == 3
         assert re.search(message, stderr)
         assert not out.exists()
+
+
+_WITHOUT_SCIPY = """
+import sys
+from sdsbm.cli import main
+out = sys.argv[1]
+bench, model = out + "/bench", out + "/model.npz"
+short = ["--clusters", "3", "--max-iter", "5", "--restarts", "1"]
+for argv in (
+    ["synth", "--epochs", "4", "--items", "6", "--obs-per-epoch", "5", "--out", bench],
+    ["fit", "--data", bench + "/events.csv", *short, "--beta-theta", "1", "--beta-p", "1",
+     "--out", model],
+    ["cv", "--data", bench + "/events.csv", *short, "--truth", bench + "/truth.npz",
+     "--folds", "1", "--beta-grid", "0,1", "--out", out + "/cv.csv"],
+    ["export-flows", "--model", model, "--out", out + "/flows.csv"],
+):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    # a fresh interpreter, since this test process has imported scipy.stats
+    env = dict(os.environ, PYTHONPATH=str(Path(sdsbm.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    with open(tmp_path / "cv.csv") as handle:
+        assert all(row["rmse"] for row in csv.DictReader(handle))  # truth was scored
+    assert (tmp_path / "flows.csv").is_file()

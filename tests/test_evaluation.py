@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
 
 from sdsbm import (
     BlockTensor,
@@ -438,6 +439,29 @@ class TestRmseAligned:
         args = (corrupt(good), good) if side == "estimate" else (good, corrupt(good))
         with pytest.raises(ContractError, match=message):
             rmse_aligned(*args)
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("ties", [False, True], ids=["floats", "small-integers"])
+    def test_total_cost_is_the_exhaustive_minimum(self, k, ties):
+        rng = np.random.default_rng(60 + k)
+        rows = np.arange(k)
+        permutations = np.array(list(itertools.permutations(range(k))))
+        for _ in range(20):
+            cost = rng.integers(0, 3, (k, k)).astype(float) if ties else rng.random((k, k))
+            cols = evaluation._assignment(cost)
+            assert sorted(cols) == list(range(k))
+            best = cost[rows, permutations].sum(axis=1).min()
+            assert cost[rows, cols].sum() == pytest.approx(best, abs=1e-12)
+
+    def test_tie_free_costs_give_scipys_permutation(self):
+        rng = np.random.default_rng(70)
+        for k in range(1, 31):
+            for _ in range(5):
+                cost = rng.random((k, k)) * 10.0 ** rng.uniform(-6, 6)
+                np.testing.assert_array_equal(evaluation._assignment(cost),
+                                              linear_sum_assignment(cost)[1])
 
 
 class TestFlows:

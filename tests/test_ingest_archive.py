@@ -1,5 +1,6 @@
 """Event-file ingestion, dataset container semantics, model archives."""
 import importlib
+import json
 import re
 import tracemalloc
 import types
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sdsbm.archive as archive_module
 import sdsbm.model as model
 from sdsbm import (
     BlockTensor,
@@ -659,3 +661,61 @@ class TestModelArchive:
         np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(ContractError, match="unsupported archive format"):
             ModelArchive.load(path)
+
+    @pytest.fixture()
+    def fresh_build(self):
+        archive_module._build.cache_clear()
+        yield
+        archive_module._build.cache_clear()
+
+    @staticmethod
+    def _saved_meta(tmp_path, archive):
+        path = tmp_path / "model.npz"
+        archive.save(path)
+        with np.load(path, allow_pickle=False) as payload:
+            return json.loads(str(payload["meta"])), path
+
+    def test_records_the_numpy_build_and_the_blas_threads(self, tmp_path, monkeypatch,
+                                                          fresh_build):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        config = {"Build Dependencies": {"blas": {"name": "someblas", "version": "1.2"}}}
+        monkeypatch.setattr(archive_module.np, "show_config",
+                            lambda mode: config if mode == "dicts" else None)
+        meta, _ = self._saved_meta(tmp_path, ModelArchive.from_fit(_fitted_report()))
+        assert meta["build"] == {
+            "numpy": np.__version__,
+            "blas": "someblas 1.2",
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": "3",
+        }
+
+    def test_the_build_is_read_once_per_process(self, tmp_path, monkeypatch, fresh_build):
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        first, _ = self._saved_meta(tmp_path, ModelArchive.from_fit(_fitted_report()))
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        again, _ = self._saved_meta(tmp_path, ModelArchive.from_fit(_fitted_report()))
+        assert first["build"]["OMP_NUM_THREADS"] == again["build"]["OMP_NUM_THREADS"] == "2"
+        if np.lib.NumpyVersion(np.__version__) >= "1.25.0":  # show_config takes a mode
+            assert isinstance(first["build"]["blas"], str)
+
+    def test_numpy_without_config_modes_records_no_blas(self, tmp_path, monkeypatch,
+                                                        fresh_build):
+        # numpy 1.24's show_config takes no arguments
+        monkeypatch.setattr(archive_module.np, "show_config", lambda: None)
+        meta, _ = self._saved_meta(tmp_path, ModelArchive.from_fit(_fitted_report()))
+        assert meta["build"]["blas"] is None
+        assert meta["build"]["numpy"] == np.__version__
+
+    def test_archives_without_the_build_still_load(self, tmp_path):
+        archive = ModelArchive.from_fit(_fitted_report())
+        meta, path = self._saved_meta(tmp_path, archive)
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {k: payload[k] for k in payload.files if k != "meta"}
+        del meta["build"]
+        np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+        loaded = ModelArchive.load(path)
+        assert np.array_equal(loaded.theta.values, archive.theta.values)
+        assert np.array_equal(loaded.p.values, archive.p.values)
