@@ -60,9 +60,7 @@ class Dataset:
         nodes, labels, epochs = columns
         if not (nodes.shape == labels.shape == epochs.shape):
             raise ContractError("nodes, labels and epochs must have equal length")
-        if weights is None:
-            weights = np.ones(nodes.shape, dtype=np.int64)
-        else:
+        if weights is not None:
             weights = _int64_column("weights", weights)
             if weights.shape != nodes.shape:
                 raise ContractError("weights must have one entry per row")
@@ -90,9 +88,12 @@ class Dataset:
         starts = np.flatnonzero(first)
         del first
         unique = key[starts]
-        # the sorted weights go into the sorted key's buffer, no longer needed;
-        # "clip" (a no-op on in-range indices) lets take write there directly
-        weights = np.add.reduceat(np.take(weights, order, out=key, mode="clip"), starts)
+        if weights is None:  # every row counts once: the run lengths
+            weights = np.diff(starts, append=key.size).astype(np.int64, copy=False)
+        else:
+            # the sorted weights go into the sorted key's buffer, no longer
+            # needed; "clip" (a no-op on in-range indices) lets take write there
+            weights = np.add.reduceat(np.take(weights, order, out=key, mode="clip"), starts)
         del order, key
         epoch_node, labels = np.divmod(unique, self.n_labels)
         epochs, nodes = np.divmod(epoch_node, self.n_items)

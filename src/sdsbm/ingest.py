@@ -25,9 +25,9 @@ Keys get dense ids in first-appearance order; timestamps map to epochs by
 uniform slicing from the earliest event.  Epochs that happen to contain no
 events are kept.
 
-The file is read in blocks of whole lines and each block is tokenized with
-numpy byte masks, so Python code runs once per distinct key per block, not
-once per line.
+Blocks of whole lines are tokenized with numpy byte masks: Python code runs
+once per distinct key of the file and once per number that neither the exact
+decimal parser nor numpy's string cast reads, not once per line.
 """
 from __future__ import annotations
 
@@ -42,21 +42,6 @@ from .errors import IngestError
 #: bytes read per block; a block ends at its last line end, so a line longer
 #: than this grows its block until the line ends
 BLOCK = 1 << 18
-
-
-def _byte_table(characters):
-    table = np.zeros(256, dtype=bool)
-    table[list(characters)] = True
-    return table
-
-
-_WHITESPACE = _byte_table(b" \t\n\r\x0b\x0c")
-#: fields made only of these bytes go to numpy's string casts; any other
-#: field is parsed by Python's ``float``/``int``, which numpy's casts match
-#: on these bytes
-_FLOAT_BYTES = _byte_table(b"0123456789+-.eE")
-_INT_BYTES = _byte_table(b"0123456789+-")
-_INT64_MAX = np.iinfo(np.int64).max
 #: a multi-byte delimiter is rewritten to this byte, which UTF-8 never uses
 _SENTINEL = 0xFF
 
@@ -75,9 +60,7 @@ class IngestResult:
 def _blocks(handle):
     """Yield the file as blocks of whole lines (only the last may lack an ending).
 
-    Each read is searched once and joined once, so a line many reads long
-    costs linear time.
-    """
+    Each read is searched once and joined once: a line many reads long costs linear time."""
     pending = []  # reads since the last cut, with no line end to cut at
     while chunk := handle.read(BLOCK):
         # a final "\r" may be the first half of "\r\n", so it waits for the next read
@@ -91,54 +74,93 @@ def _blocks(handle):
 
 
 def _length_groups(b, starts, lengths):
-    """Yield ``(rows, cells)`` per field length: the (rows, length) bytes of those fields."""
+    """Yield ``(length, rows, cells)`` per field length; cells are the fields' bytes."""
     for length in np.flatnonzero(np.bincount(lengths)):
         rows = np.flatnonzero(lengths == length)
-        yield rows, sliding_window_view(b, length)[starts[rows]]
+        yield length, rows, sliding_window_view(b, length)[starts[rows]]
 
 
-def _numbers(b, data, starts, stops, dtype, allowed):
-    """Parse fields as ``dtype``; return the values and a mask of fields that parsed."""
-    values = np.zeros(starts.size, dtype)
-    ok = np.ones(starts.size, dtype=bool)
-    slow = [np.empty(0, dtype=np.intp)]
-    for rows, cells in _length_groups(b, starts, stops - starts):
-        fast = allowed[cells].all(axis=1)
-        try:
-            values[rows[fast]] = cells[fast].view(f"S{cells.shape[1]}").ravel().astype(dtype)
-        except (ValueError, OverflowError):
-            fast[:] = False
-        slow.append(rows[~fast])
+def _numbers(b, data, starts, stops, dtype):
+    """Parse fields as ``dtype``; return the values and a mask of fields that parsed.
+
+    A plain decimal of at most 18 bytes (digits, at least one, and for a float
+    at most one ``.``) is read as ``M / 10**k``: an int64 mantissa over an exact
+    power of ten rounds once while ``M < 2**53``, to ``float``'s bits (Clinger's
+    fast path).  Other fields of ``0-9+-`` (and ``.eE`` for a float) go to
+    numpy's string cast, which reads them as ``float``/``int`` do; the rest, and
+    groups the cast rejects, to ``float``/``int`` per field.
+    """
+    values, ok = np.zeros(starts.size, dtype), np.zeros(starts.size, dtype=bool)
+    castable = np.frombuffer(b"0123456789+-.eE"[:15 if dtype == np.float64 else 12], np.uint8)
+    for length, rows, cells in _length_groups(b, starts, stops - starts):
+        if length <= 18:
+            digits = cells - np.uint8(48)
+            mantissa = (digits * (digits < 10)) @ 10 ** np.arange(length, dtype=np.int64)[::-1]
+            other = np.flatnonzero(digits > 9)  # flat positions of the bytes that are no digit
+            is_dot = (cells.ravel()[other] == 46) & (dtype == np.float64)
+            row, column = np.divmod(other[is_dot], length)
+            scale = 10 ** (length - 1 - column)  # the dot was read as a 0 digit: drop it
+            mantissa[row] = mantissa[row] // (10 * scale) * scale + mantissa[row] % scale
+            values[rows] = mantissa
+            values[rows[row]] = mantissa[row] / scale
+            ok[rows] = (mantissa < 2**53) | (dtype == np.int64)
+            ok[rows[other[~is_dot] // length]] = False
+            ok[rows] &= np.bincount(row, minlength=rows.size) <= min(1, length - 1)  # "." is none
+        cast = np.flatnonzero(~ok[rows])
+        if cast.size:
+            cast = cast[np.isin(cells[cast], castable).all(axis=1)]
+            try:
+                values[rows[cast]] = cells[cast].view(f"S{length}").ravel().astype(dtype)
+                ok[rows[cast]] = True
+            except (ValueError, OverflowError):
+                pass
     parse = float if dtype == np.float64 else int
-    for row in np.concatenate(slow).tolist():
+    for row in np.flatnonzero(~ok).tolist():
         try:
-            values[row] = parse(data[starts[row]:stops[row]])
+            values[row], ok[row] = parse(data[starts[row]:stops[row]]), True
         except (ValueError, OverflowError):
-            ok[row] = False
+            pass
     return values, ok
 
 
-def _key_ids(b, data, starts, stops, ids):
-    """Global ids of key fields; keys new to ``ids`` join it in first-appearance order."""
+def _key_ids(b, data, starts, stops, keys, tables):
+    """Ids of key fields; keys new to ``keys`` join it in first-appearance order.
+
+    ``tables`` maps a length to the file's keys of that length as sorted runs of
+    (codes, ids), each at least twice the next: a block's new codes form a run
+    that absorbs smaller ones, so a code is merged O(log n) times.  A code is the
+    key as one NUL-padded ``uint64`` up to 8 bytes, else ``S{length}``: exact,
+    as the length fixes the bytes.
+    """
     out = np.empty(starts.size, dtype=np.int64)
-    firsts, groups, offset = [np.empty(0, dtype=np.intp)], [], 0
-    for rows, cells in _length_groups(b, starts, stops - starts):
-        codes = cells.view(f"S{cells.shape[1]}").ravel()
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        firsts.append(rows[first])
-        groups.append((rows, offset + inverse.ravel()))
-        offset += first.size
-    # the block's distinct keys, in the order they first appear
+    firsts, groups = [np.empty(0, dtype=np.intp)], []
+    for length, rows, cells in _length_groups(b, starts, stops - starts):
+        codes = cells.view(f"S{length}").ravel()
+        codes = codes.astype("S8").view(np.uint64) if length <= 8 else codes  # NUL-padded
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        ids = np.full(distinct.size, -1)
+        for known, known_ids in tables.setdefault(length, []):
+            at = np.searchsorted(known, distinct).clip(max=known.size - 1)
+            ids = np.where(known[at] == distinct, known_ids[at], ids)
+        new = ids < 0
+        later = np.flatnonzero(new[inverse])  # rows holding a new key
+        firsts.append(rows[later[np.unique(inverse[later], return_index=True)[1]]])
+        groups.append((tables[length], rows, inverse, ids, new, distinct[new]))
+    # the block's new keys get ids in the order they first appear
     firsts = np.concatenate(firsts)
     order = np.argsort(firsts)
-    rows = firsts[order]
-    block_ids = np.empty(order.size, dtype=np.int64)
-    block_ids[order] = [
-        ids.setdefault(data[start:stop].decode("utf-8"), len(ids))
-        for start, stop in zip(starts[rows].tolist(), stops[rows].tolist())
-    ]
-    for rows, distinct in groups:
-        out[rows] = block_ids[distinct]
+    fresh = np.argsort(order) + len(keys)
+    keys += [data[start:stop].decode("utf-8") for start, stop in
+             zip(starts[firsts[order]].tolist(), stops[firsts[order]].tolist())]
+    for runs, rows, inverse, ids, new, distinct in groups:
+        ids[new], fresh = fresh[:new.sum()], fresh[new.sum():]
+        out[rows] = ids[inverse]
+        if new.any():
+            runs.append((distinct, ids[new]))
+            while len(runs) > 1 and runs[-2][0].size < 2 * runs[-1][0].size:
+                (known, known_ids), (codes, code_ids) = runs.pop(-2), runs.pop()
+                at = np.searchsorted(known, codes)  # a linear merge of the two sorted runs
+                runs.append((np.insert(known, at, codes), np.insert(known_ids, at, code_ids)))
     return out
 
 
@@ -162,17 +184,16 @@ def _weight_error(text):
         return f"weight {text!r} is not an integer"
     if weight < 1:
         return f"weight must be a positive integer, got {weight}"
-    return f"weight {text!r} exceeds the largest weight, {_INT64_MAX}"
+    return f"weight {text!r} exceeds the largest weight, {2**63 - 1}"
 
 
-def _parse_block(data, separator, first_line, node_ids, label_ids):
+def _parse_block(data, separator, first_line, nodes, labels):
     """Events of one block of whole lines: (nodes, labels, stamps, weights, n_lines).
 
-    ``separator`` is None to choose comma or whitespace per line, ``b""`` for
-    whitespace, else the delimiter's bytes.  ``first_line`` is the number of
-    lines before the block.  Raises the ``IngestError`` of the block's first
-    failing line, ranking a line's own failures in the order they are listed
-    in the module's input contract.
+    ``weights`` is None when no line has one.  ``separator`` is None to choose comma or
+    whitespace per line, ``b""`` for whitespace, else the delimiter's bytes.  ``first_line``
+    is the number of lines before the block.  Raises the ``IngestError`` of the block's
+    first failing line, ranking a line's own failures as the input contract lists them.
     """
     errors = []  # (line within the block, rank within the line, message)
     undecodable = len(data)  # a line index past every line
@@ -181,8 +202,7 @@ def _parse_block(data, separator, first_line, node_ids, label_ids):
     except UnicodeDecodeError as err:
         head = data[:err.start]
         undecodable = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        errors.append((undecodable, 0,
-                       f"bytes {data[err.start:err.end]!r} are not valid UTF-8"))
+        errors.append((undecodable, 0, f"bytes {data[err.start:err.end]!r} are not valid UTF-8"))
     marks_lines = separator is None or separator.strip() != b""
     if separator is not None and len(separator) > 1:
         data = data.replace(separator, bytes([_SENTINEL]))
@@ -193,7 +213,7 @@ def _parse_block(data, separator, first_line, node_ids, label_ids):
     term = b == 13
     term[:-1] &= ~is_n[1:]  # the "\r" of "\r\n" is whitespace, not a line end
     term |= is_n
-    ws = _WHITESPACE[b]
+    ws = ((b - np.uint8(9)) < 5) | (b == 32)  # tab, \n, vertical tab, form feed, \r, space
     ends = np.flatnonzero(term)
     if not term[-1]:
         ends = np.append(ends, b.size)  # the last line has no ending
@@ -220,17 +240,14 @@ def _parse_block(data, separator, first_line, node_ids, label_ids):
         filled = lo <= hi
         starts[padded[filled]] = solid[lo[filled]]
         stops[padded[filled]] = solid[hi[filled]] + 1
-        keep = np.ones(starts.size, dtype=bool)
-        keep[padded[~filled]] = False
-        starts, stops = starts[keep], stops[keep]
+        starts, stops = np.delete(starts, padded[~filled]), np.delete(stops, padded[~filled])
 
     counts = _per_line(starts, ends)
     written = (counts > 0) | delimited
     shaped = (counts == 3) | (counts == 4)
     misshaped = np.flatnonzero(written & ~shaped)
     if misshaped.size:
-        line = misshaped[0]
-        errors.append((line, 1, f"expected 3 or 4 fields, got {counts[line]}"))
+        errors.append((misshaped[0], 1, f"expected 3 or 4 fields, got {counts[misshaped[0]]}"))
     events = np.flatnonzero(written & shaped)
     field = (np.cumsum(counts) - counts)[events]
     if first_line == 0 and events.size and events[0] == 0:
@@ -248,21 +265,20 @@ def _parse_block(data, separator, first_line, node_ids, label_ids):
             errors.append((lines[failed[0]], rank, message(text)))
 
     at = field + 2
-    stamps, parsed = _numbers(b, data, starts[at], stops[at], np.float64, _FLOAT_BYTES)
+    stamps, parsed = _numbers(b, data, starts[at], stops[at], np.float64)
     fail(~parsed | ~np.isfinite(stamps), events, at, 2, _stamp_error)
     weighted = counts[events] == 4
     at = field[weighted] + 3
     weights = np.ones(events.size, dtype=np.int64)
-    weights[weighted], parsed = _numbers(b, data, starts[at], stops[at], np.int64,
-                                         _INT_BYTES)
+    weights[weighted], parsed = _numbers(b, data, starts[at], stops[at], np.int64)
     fail(~parsed | (weights[weighted] < 1), events[weighted], at, 3, _weight_error)
     if errors:
         line, _, message = min(errors)
         raise IngestError(message, first_line + int(line) + 1)
 
-    nodes = _key_ids(b, data, starts[field], stops[field], node_ids)
-    labels = _key_ids(b, data, starts[field + 1], stops[field + 1], label_ids)
-    return nodes, labels, stamps, weights, ends.size
+    return (_key_ids(b, data, starts[field], stops[field], *nodes),
+            _key_ids(b, data, starts[field + 1], stops[field + 1], *labels),
+            stamps, weights if weighted.any() else None, ends.size)
 
 
 def ingest(path, slice_width=None, n_slices=None, delimiter=None):
@@ -284,36 +300,31 @@ def ingest(path, slice_width=None, n_slices=None, delimiter=None):
     if separator is not None and (b"\n" in separator or b"\r" in separator):
         raise IngestError(f"delimiter {delimiter!r} contains a line break")
 
-    node_ids, label_ids = {}, {}
-    # columns grow in place by realloc, so no block's arrays outlive it and no
-    # join copies them
-    columns = [bytearray() for _ in range(4)]
-    first_line = 0
+    node_keys, label_keys = ([], {}), ([], {})
+    # columns grow in place by realloc, so no block's arrays outlive it and no join
+    # copies them; weights start at the first weighted line, lines without one weigh 1
+    columns, first_line = [bytearray() for _ in range(4)], 0
     with open(path, "rb") as handle:
         for data in _blocks(handle):
-            *parsed, n_lines = _parse_block(data, separator, first_line,
-                                            node_ids, label_ids)
-            for column, part in zip(columns, parsed):
-                column += memoryview(part).cast("B")
+            *parsed, weights, n_lines = _parse_block(data, separator, first_line,
+                                                     node_keys, label_keys)
+            if weights is not None or columns[3]:
+                columns[3] += np.ones((len(columns[0]) - len(columns[3])) // 8, np.int64).tobytes()
+                parsed.append(np.ones(parsed[0].size, np.int64) if weights is None else weights)
+            for at, part in enumerate(parsed):  # by index: a loop name would keep a column
+                columns[at] += memoryview(part).cast("B")
             first_line += n_lines
-    nodes, labels, stamps, weights = (
-        np.frombuffer(columns.pop(0), dtype)
-        for dtype in (np.int64, np.int64, np.float64, np.int64)
-    )
+    nodes, labels, stamps, weights = (np.frombuffer(columns.pop(0), dtype) for dtype in
+                                      (np.int64, np.int64, np.float64, np.int64))
 
     if not nodes.size:
         raise IngestError("no events found")
     t_min = float(stamps.min())
     span = float(stamps.max()) - t_min
+    if n_slices is not None and span == 0.0 and n_slices > 1:
+        raise IngestError(f"all events share one timestamp; cannot cut {n_slices} slices")
     if n_slices is not None:
-        if span == 0.0:
-            if n_slices > 1:
-                raise IngestError(
-                    f"all events share one timestamp; cannot cut {n_slices} slices"
-                )
-            slice_width = 1.0
-        else:
-            slice_width = span / n_slices
+        slice_width = span / n_slices if span else 1.0
     n_epochs = n_slices if n_slices is not None else span // slice_width + 1
     if not float(n_epochs) < 2**63:  # the cast of the stamps below would overflow
         raise IngestError(f"slicing the time axis gives {n_epochs:.6g} epochs, past int64")
@@ -322,8 +333,8 @@ def ingest(path, slice_width=None, n_slices=None, delimiter=None):
     stamps -= t_min
     stamps /= slice_width
     epochs = np.floor(stamps, out=stamps).astype(np.int64)
-    del stamps
+    del stamps  # its column was popped, so this frees it
     np.minimum(epochs, n_epochs - 1, out=epochs)  # guard the exact upper boundary
-    dataset = Dataset(nodes, labels, epochs, n_items=len(node_ids), n_labels=len(label_ids),
-                      n_epochs=n_epochs, weights=weights)
-    return IngestResult(dataset, list(node_ids), list(label_ids), t_min, float(slice_width))
+    dataset = Dataset(nodes, labels, epochs, len(node_keys[0]), len(label_keys[0]), n_epochs,
+                      weights=weights if weights.size else None)
+    return IngestResult(dataset, node_keys[0], label_keys[0], t_min, float(slice_width))

@@ -92,6 +92,23 @@ class TestIngest:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: total weight")
 
+    def test_an_unweighted_log_builds_no_weights_column(self, tmp_path):
+        # the column would hold 1.6 MB at 200k lines; Dataset counts the rows instead
+        lines = [f"u{i % 997},g{i % 13},{i / 1000:.3f}" for i in range(200_000)]
+        peaks, results = [], []
+        for suffix in ("", ",1"):
+            path = write_events(tmp_path, "".join(line + suffix + "\n" for line in lines),
+                                name=f"events{suffix}.csv")
+            tracemalloc.start()
+            try:
+                results.append(ingest(path, slice_width=1.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        for a, b in zip(*(result.dataset.compressed() for result in results)):
+            np.testing.assert_array_equal(a, b)
+        assert peaks[0] <= peaks[1] - 1_000_000, peaks
+
     def test_header_row_is_skipped(self, tmp_path):
         path = write_events(
             tmp_path, "node,label,timestamp,weight\na,x,5,2\nb,y,15,1\n"
@@ -286,9 +303,26 @@ class TestIngest:
         assert a.dataset.n_labels == b.dataset.n_labels
 
 
+def _plain_decimal(rng):
+    """Digits with at most one dot, at the exact parser's edges, of small magnitude.
+
+    15 to 17 significant digits straddle 2**53; 0 to 25 fraction digits span
+    the exact powers of ten and past them; the dot may lead or trail.
+    """
+    fraction = int(rng.integers(26))
+    significant = min(int(rng.choice([1, 2, 15, 16, 17, 18])), fraction + 2)
+    digits = "".join(map(str, rng.integers(0, 10, significant)))
+    split = max(significant - fraction, 0)
+    text = (digits[:split] or str(rng.choice(["0", ""]))) + "." + (
+        "0" * (fraction - significant) + digits[split:])
+    if fraction == 0 and rng.random() < 0.5:
+        text = text.rstrip(".")
+    return "0" * int(rng.choice([0, 0, 1, 3, 12])) + text  # leading zeros
+
+
 def _random_stamp(rng):
     value = float(rng.uniform(-5, 30))
-    kind = int(rng.integers(8))
+    kind = int(rng.integers(12))
     if kind == 0:
         return str(int(value))
     if kind == 1:
@@ -303,6 +337,16 @@ def _random_stamp(rng):
         return f"{int(rng.integers(3))}_{int(rng.integers(10))}"
     if kind == 6:
         return str(rng.choice([f"+{abs(value):g}", ".5", "7.", "-0"]))
+    if kind == 7:  # one length with the dot in every column: 1.25, 12.5, 125., .125
+        digits = "".join(map(str, rng.integers(0, 10, 3)))
+        at = int(rng.integers(4))
+        return digits[:at] + "." + digits[at:]
+    if kind == 8:  # mantissas either side of 2**53 = 9007199254740992
+        return str(rng.choice(["0.9007199254740991", "0.9007199254740992",
+                               "0.9007199254740993", "9.007199254740993", "0." + "9" * 17,
+                               "0000000000000000.5", "00000000000000000.5"]))
+    if kind in (9, 10):
+        return _plain_decimal(rng)
     return f"{value:g}"
 
 
@@ -314,16 +358,22 @@ def _random_event_file(rng):
     """
     keys = ["a", "b", "c", "node7", "x_1", "Zeta", "é", "naïve", "日本", "🙂",
             "k" * 9, "longer-key-" * 3,
+            # 7, 8 and 9 bytes: either side of the one-uint64 codes
+            "seven77", "eight888", "nine99999", "日本語", "ab日本", "ab日本é",
             # differ only by a trailing NUL, which fixed-width byte strings drop
-            "z", "z\x00", "trailing-nul", "trailing-nul\x00"]
+            "z", "z\x00", "trailing-nul", "trailing-nul\x00", "seven77\x00",
+            "eight888\x00"]
+    late_keys = ["late", "late-comer", "l8\x00"]  # only on the last lines, so in late blocks
     delimiter = [None, None, None, "", ",", ";", "::", "\t", " ", " | ", "§"][
         rng.integers(11)]
     spaces = [" ", "\t", "  ", " \x0b", "\x0c", "\t \t"]
     blanks = ["", " ", "\t", " \x0b\x0c "]
     bad_counts = [["a", "x"], ["a", "x", "1", "2", "3"], ["", "", ""]]
     bad_stamps = ["noon", "1e", "--1", "0x10", "1.2.3", "nan", "inf", "-Infinity",
-                  "1e999", "NaN", "timestamp"]
-    bad_weights = ["heavy", "1.5", "0", "-2", "+-1", "-99999999999999999999"]
+                  "1e999", "NaN", "timestamp", ".", "..", "1..", ".1.", "1.2.",
+                  "1" * 400]
+    bad_weights = ["heavy", "1.5", "0", "-2", "+-1", "-99999999999999999999",
+                   "0" * 18, "0" * 19, "1.", "2.0"]
     n_bad = int(rng.choice([0, 0, 1, 2]))
     bad_at = set(rng.integers(1, 30, n_bad).tolist())
     lines = []
@@ -334,10 +384,12 @@ def _random_event_file(rng):
             lines.append(str(rng.choice(blanks)))
             continue
         # by index: a numpy string array would drop the trailing NULs
-        fields = [keys[rng.integers(len(keys))], keys[rng.integers(len(keys))],
+        pool = keys + late_keys if number > 20 else keys
+        fields = [pool[rng.integers(len(pool))], pool[rng.integers(len(pool))],
                   _random_stamp(rng)]
-        if rng.random() < 0.4:
-            fields.append(str(rng.choice(["1", "2", "3", "+2", "07", "1_0"])))
+        if rng.random() < 0.4:  # 18 and 19 digits: either side of the exact int64 parse
+            fields.append(str(rng.choice(["1", "2", "3", "+2", "07", "1_0",
+                                          "0" * 17 + "2", "0" * 18 + "3"])))
         if number in bad_at:
             kind = int(rng.integers(4))
             if kind == 0:
@@ -379,6 +431,102 @@ def _outcome(parse, path, **kwargs):
     return ("ok", result.node_keys, result.label_keys, result.t_min,
             result.slice_width, data.n_items, data.n_labels, data.n_epochs,
             data.nodes.tolist(), data.labels.tolist(), data.epochs.tolist())
+
+
+def _number_fields(rng, count):
+    """Number fields: plain decimals of 1 to 20 digits, the dot anywhere or
+    nowhere, some with leading zeros, and one in ten that Python must read."""
+    junk = ["+1.5", "-2", "-0", "1e3", "2E-5", "1_0", ".", "..", "1.2.3", "0x1f", "inf",
+            "nan", "1e400", "+", "-", "١٢", "9" * 30, "0" * 25 + "1.5", "12a", "a12"]
+    pool = "".join(map(str, rng.integers(0, 10, 20 * count).tolist()))
+    fields = []
+    for at, (size, dot, zeros) in enumerate(zip(
+            rng.integers(1, 21, count).tolist(), rng.integers(-1, 21, count).tolist(),
+            rng.choice([0, 0, 0, 1, 4, 12], count).tolist())):
+        digits = "0" * zeros + pool[20 * at:20 * at + size]
+        fields.append(digits if dot < 0 else digits[:dot] + "." + digits[dot:])
+    for at in rng.choice(count, count // 10, replace=False).tolist():
+        fields[at] = str(rng.choice(junk))
+    return fields
+
+
+def _field_block(fields):
+    """One field a line: the block's bytes, as bytes and as uint8, and the fields' spans."""
+    data = "\n".join(fields).encode()
+    lengths = np.array([len(field.encode()) for field in fields])
+    starts = np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
+    return np.frombuffer(data, dtype=np.uint8), data, starts, starts + lengths
+
+
+def _parse_numbers(fields, dtype):
+    return ingest_module._numbers(*_field_block(fields), dtype)
+
+
+class TestNumbers:
+    """The vectorised number parser against Python's ``float`` and ``int``."""
+
+    def test_floats_have_the_bits_of_python_float(self):
+        fields = _number_fields(np.random.default_rng(31), 100_000)
+        fields += ["0.9007199254740991", "0.9007199254740993", "9007199254740993",
+                   "1." + "0" * 16 + "1", "." + "1" * 17, "5e-324", "1" * 18 + "."]
+        values, parsed = _parse_numbers(fields, np.float64)
+        expected = []
+        for field in fields:
+            try:
+                expected.append(float(field.encode()))  # as ingest reads it: ASCII only
+            except ValueError:
+                expected.append(None)
+        np.testing.assert_array_equal(parsed, [value is not None for value in expected])
+        expected = np.array([0.0 if value is None else value for value in expected])
+        np.testing.assert_array_equal(values.view(np.int64)[parsed],
+                                      expected.view(np.int64)[parsed])
+
+    def test_signs_exponents_and_long_fields_stay_in_numpy(self, monkeypatch):
+        # numpy's string cast reads these as float/int do, with no call per field
+        def refuse(text):
+            raise AssertionError(f"{text!r} went to Python")
+
+        monkeypatch.setattr(ingest_module, "float", refuse, raising=False)
+        monkeypatch.setattr(ingest_module, "int", refuse, raising=False)
+        stamps = [f"{0.1 * i:.18e}" for i in range(50)] + [
+            str(1.76e9 + i / 7) for i in range(50)] + ["-1.5", "+2.25", "1E5", "0" * 19 + "1.5"]
+        values, parsed = _parse_numbers(stamps, np.float64)
+        assert parsed.all()
+        assert values.tolist() == [float(stamp) for stamp in stamps]
+        weights = ["+7", "-3", "0" * 18 + "12", str(2**63 - 1)]
+        values, parsed = _parse_numbers(weights, np.int64)
+        assert parsed.all() and values.tolist() == [int(weight) for weight in weights]
+
+    def test_integers_equal_python_int(self):
+        fields = _number_fields(np.random.default_rng(32), 100_000)
+        fields += ["9" * 18, "9" * 19, str(2**63 - 1), str(2**63), "0" * 18, "0" * 30 + "7"]
+        values, parsed = _parse_numbers(fields, np.int64)
+        expected = []
+        for field in fields:
+            try:
+                value = int(field.encode())
+            except ValueError:
+                value = None
+            expected.append(value if value is not None and -(2**63) <= value < 2**63 else None)
+        assert parsed.tolist() == [value is not None for value in expected]
+        assert values[parsed].tolist() == [value for value in expected if value is not None]
+
+
+def test_key_tables_stay_logarithmic():
+    # keys new in every block, as in a log of mostly distinct ids: each
+    # length's sorted runs are at least twice the next, so there are
+    # O(log n) of them and a code is merged O(log n) times
+    rng = np.random.default_rng(7)
+    keys, tables, expected = [], {}, {}
+    for _ in range(300):
+        fields = [f"k{value}" for value in rng.integers(0, 30_000, 100).tolist()]
+        ids = ingest_module._key_ids(*_field_block(fields), keys, tables)
+        assert ids.tolist() == [expected.setdefault(field, len(expected)) for field in fields]
+    assert keys == list(expected)
+    for length, runs in tables.items():
+        sizes = [codes.size for codes, _ in runs]
+        assert sum(sizes) == sum(len(key) == length for key in keys)
+        assert all(size >= 2 * smaller for size, smaller in zip(sizes, sizes[1:])), sizes
 
 
 class TestIngestMatchesReference:
