@@ -20,6 +20,10 @@ def _int64_column(name, values):
     column = np.asarray(values).ravel()
     if column.size and column.dtype.kind not in "iu":
         raise ContractError(f"{name} must be integers, got dtype {column.dtype}")
+    if column.size and column.dtype.kind == "u":  # refused before the cast can wrap them
+        above = column > np.uint64(_INT64_MAX)
+        if above.any():
+            raise ContractError(f"{name} must be at most {_INT64_MAX}, got {column[above][0]}")
     return column.astype(np.int64, copy=False)
 
 

@@ -5,8 +5,9 @@ runs the forward-model pass of ``sdsbm.model`` (``_e_step``) at the new
 parameters.  That one pass gives the next sweep's responsibility sums, the
 log-likelihood that decides convergence, and the objective that
 ``log_posterior`` reports.  With zero coupling every epoch decouples into plain
-maximum likelihood; with positive coupling the numerator gains ``beta * <x>``
-and the denominator ``beta``, pulling each row toward its neighbour average.
+maximum likelihood; with positive coupling each row's responsibility sums gain
+``beta * <x>`` before the row is divided by its own total, pulling it toward
+its neighbour average.
 """
 from __future__ import annotations
 
@@ -104,46 +105,53 @@ class FitReport:
         return float(self.trace[-1])
 
 
-def _coordinate_update(sums, denominator, dead, axis):
-    """Floored simplex rows ``sums / denominator`` along ``axis`` of (T, K, R) sums.
+def _coordinate_update(sums, axis):
+    """Floored simplex rows along ``axis`` of (T, K, R) sums, each divided by its own total.
 
-    ``dead`` rows (no mass, no prior pull, denominator 1) become uniform, the
-    mode of their flat prior.  Membership rows (``axis=1``) add their K
-    entries left to right; block rows run along the labels.
+    A row whose total is 0 (no mass, no prior pull) becomes uniform, the mode
+    of its flat prior, and is flagged in the returned mask.  Membership rows
+    (``axis=1``) add their K entries left to right; block rows run along the
+    labels.  Returns ``(rows, dead)``.
     """
-    out = sums / denominator
+    def row_sums(rows):
+        if axis == 1:
+            return _sum_rows(rows.swapaxes(0, 1))[:, None]
+        return rows.sum(axis=2, keepdims=True)
+
+    total = row_sums(sums)
+    dead = total == 0
+    out = sums / np.where(dead, 1.0, total)
     np.copyto(out, 1.0 / sums.shape[axis], where=dead)
     np.maximum(out, PROB_FLOOR, out=out)
-    out /= _sum_rows(out.swapaxes(0, 1))[:, None] if axis == 1 else out.sum(axis=2, keepdims=True)
-    return out
+    out /= row_sums(out)
+    return out, dead
 
 
 def _m_step(s_theta, s_p, averages, p, problem, p_mode):
     """The M-step on ``(T, K, I)`` and ``(T_p, K, O)`` arrays, from ``_e_step`` at ``(theta, p)``.
 
-    Counts, prior and fallback epochs (which take the flat beta=0 prior) come
-    from ``problem``.  A row with no observations takes its neighbour average
-    when coupled and is uniform otherwise.  The block tensor follows
-    ``p_mode``: ``dynamic`` updates one slice per epoch, ``static`` its one
-    slice, whose sums ``_e_step`` pools over every epoch with no neighbour
-    average (zero at T = 1, a fallback epoch), ``fixed`` returns ``p`` as it
-    came.  Returns ``(theta, p, rows_reset)``, where ``rows_reset`` counts the
-    cluster rows of ``p`` with no mass and no prior pull, which were reset to
-    uniform.  Rows of an epoch with no observations are reset too but not
-    counted: they had no mass to lose.
+    Each coupled family adds ``beta * <x>`` to its responsibility sums, and
+    every row is then divided by its own total: ``N + beta`` for a row whose
+    neighbour average sums to 1, ``N`` at a fallback epoch, whose average is
+    zero, so that it takes the flat beta=0 prior.  A row with no observations
+    takes its neighbour average when coupled and is uniform otherwise.  The
+    block tensor follows ``p_mode``: ``dynamic`` updates one slice per epoch,
+    ``static`` its one slice, whose sums ``_e_step`` pools over every epoch
+    with no neighbour average (zero at T = 1, a fallback epoch), ``fixed``
+    returns ``p`` as it came.  Returns ``(theta, p, rows_reset)``, where
+    ``rows_reset`` counts the cluster rows of ``p`` with no mass and no prior
+    pull, which were reset to uniform.  Rows of an epoch with no observations
+    are reset too but not counted: they had no mass to lose.
     """
     avg_theta, avg_p = averages
     if avg_theta is not None:
-        s_theta = s_theta + problem.open_betas[0] * avg_theta
-    theta = _coordinate_update(s_theta, *problem.theta_denominator, axis=1)
+        s_theta = s_theta + problem.prior.beta_theta * avg_theta
+    theta, _ = _coordinate_update(s_theta, axis=1)
     if p_mode == "fixed":
         return theta, p, 0
-    counts = s_p.sum(axis=2, keepdims=True)
     if avg_p is not None:
-        s_p = s_p + problem.open_betas[1] * avg_p
-        counts = counts + problem.open_betas[1]
-    dead = counts == 0
-    p = _coordinate_update(s_p, np.where(dead, 1.0, counts), dead, axis=2)
+        s_p = s_p + problem.prior.beta_p * avg_p
+    p, dead = _coordinate_update(s_p, axis=2)
     if p_mode == "dynamic":
         dead = dead[problem.data.epoch_counts > 0]
     return theta, p, int(dead.sum())

@@ -131,13 +131,13 @@ def _covers(theta_shape, p_shape, data=None):
 
 
 class _Problem:
-    """Immutable per-fit constants: compressed triplets, base offsets, counts, coupling.
+    """Immutable per-fit constants: compressed triplets, base offsets, coupling.
 
     ``base_theta = t*K*I + i`` and ``base_p = t*K*O + o`` locate each triplet
     in the flat ``(T, K, I)`` and ``(T, K, O)`` working arrays, cluster k lying
     ``k*I`` or ``k*O`` further on; a single slice shared by every epoch is
-    indexed by the nodes or labels alone.  The rest is built on first use:
-    ``log_posterior`` needs no counts, and an uncoupled fit no coupling.
+    indexed by the nodes or labels alone.  The coupling is built on first use:
+    an uncoupled fit needs none.
     """
 
     def __init__(self, data, prior, n_clusters):
@@ -149,28 +149,8 @@ class _Problem:
         self.base_p = self.epochs_u * (n_clusters * data.n_labels) + self.labels_u
 
     @cached_property
-    def counts(self):
-        """(T, I) float observation counts N_{i,t}, summed from the triplet weights."""
-        T, I = self.data.n_epochs, self.data.n_items
-        rows = self.epochs_u * I + self.nodes_u
-        return np.bincount(rows, weights=self.weights, minlength=T * I).reshape(T, I)
-
-    @cached_property
     def coupling(self):
         return TemporalCoupling(self.data.epoch_counts, self.prior)
-
-    @cached_property
-    def open_betas(self):
-        """(T, 1, 1) beta_theta and beta_p, 0 at fallback epochs: those take the flat prior."""
-        open_epochs = ~self.coupling.fallback[:, None, None]
-        return self.prior.beta_theta * open_epochs, self.prior.beta_p * open_epochs
-
-    @cached_property
-    def theta_denominator(self):
-        """(T, 1, I) membership denominators ``N + beta``, 1 where that is 0, and that mask."""
-        total = self.counts[:, None, :] + (self.open_betas[0] if self.prior.beta_theta > 0 else 0.0)
-        dead = total == 0
-        return np.where(dead, 1.0, total), dead
 
 
 def _sum_rows(rows):

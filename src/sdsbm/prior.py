@@ -51,8 +51,9 @@ class TemporalCoupling:
     Precomputes the (T, T) matrix A with ``A[t, t'] ∝ N_{t'} / |t - t'|**a``
     for ``t' != t`` inside the window and rows normalized to 1, so that
     ``A @ x`` gives every epoch's neighbour average in one product.  Rows
-    whose weights all vanish are flagged in ``fallback`` and average to zero;
-    such epochs take the flat beta=0 prior, and callers mask their rows out.
+    whose weights all vanish are flagged in ``fallback`` and average to
+    exactly zero, so that the pull ``beta * <x>`` adds nothing there and such
+    epochs take the flat beta=0 prior with no special case.
     """
 
     def __init__(self, counts, config):

@@ -50,6 +50,13 @@ def random_dataset(n_epochs, n_items, n_labels, n_obs, seed=0):
     )
 
 
+def item_counts(data):
+    """(T, I) observation counts N_{t,i}, summed from the weighted unique triplets."""
+    epochs, nodes, _, weights = data.compressed()
+    T, I = data.n_epochs, data.n_items
+    return np.bincount(epochs * I + nodes, weights=weights, minlength=T * I).reshape(T, I)
+
+
 def score_table(scores, true_labels, weights=None):
     """A hand-built ScoreTable; every row stands for one observation unless weighted."""
     true_labels = np.asarray(true_labels)

@@ -35,7 +35,7 @@ from sdsbm.em import _m_step
 from sdsbm.evaluation import FAMILIES
 from sdsbm.model import _Problem
 
-from conftest import random_blocks, random_memberships, score_table
+from conftest import item_counts, random_blocks, random_memberships, score_table
 from model_reference import responsibilities
 from prior_reference import concentration, dirichlet_mode
 
@@ -86,7 +86,7 @@ def test_criterion_1_static_recovery(acceptance):
 
     s_theta, s_p = omega_sums(report.theta, report.p, data)
     problem = _Problem(data, config.prior, 3)
-    theta_formula = s_theta / problem.counts[:, :, None]
+    theta_formula = s_theta / item_counts(data)[:, :, None]
     p_formula = s_p / s_p.sum(axis=2, keepdims=True)
     theta_step, p_step, _ = _m_step(s_theta.transpose(0, 2, 1), s_p, (None, None),
                                     report.p.values, problem, "dynamic")

@@ -27,7 +27,7 @@ from sdsbm import (
 
 from sdsbm.prior import TemporalCoupling
 
-from conftest import random_blocks, random_dataset, random_memberships
+from conftest import item_counts, random_blocks, random_dataset, random_memberships
 from model_reference import edge_probability, log_posterior, responsibilities
 from sweep_reference import sweep
 
@@ -206,11 +206,11 @@ class TestMembershipUpdate:
         np.testing.assert_allclose(theta, avg, atol=1e-6)
 
     def test_fallback_epoch_ignores_the_coupling(self):
-        # a single epoch has no neighbours: its prior is flat whatever avg holds
+        # a single epoch has no neighbours: its average is zero, its prior flat
         data = _two_label_dataset()
         omega_sums = np.array([[[1.5, 0.5]]])
-        avg = np.array([[[0.1, 0.9]]])
         prior = PriorConfig(beta_theta=100.0)
+        avg = TemporalCoupling(data.epoch_counts, prior).average(np.array([[[0.1, 0.9]]]))
         theta = _theta_step(data, omega_sums, avg, prior)
         np.testing.assert_allclose(theta, [[[0.75, 0.25]]], atol=1e-15)
 
@@ -219,7 +219,7 @@ class TestMembershipUpdate:
         rng = np.random.default_rng(6)
         omega_sums = rng.random((3, 5, 4))
         # scale each row to its observation count so the update is consistent
-        counts = model._Problem(data, PriorConfig(), 4).counts
+        counts = item_counts(data)
         scale = np.where(counts > 0, counts / omega_sums.sum(axis=2), 0.0)
         omega_sums *= scale[:, :, None]
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
@@ -326,7 +326,7 @@ class TestAccumulation:
         problem = model._Problem(data, PriorConfig(), 3)
         s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
         # every observation contributes exactly one unit of responsibility
-        np.testing.assert_allclose(s_theta.sum(axis=1), problem.counts, atol=1e-9)
+        np.testing.assert_allclose(s_theta.sum(axis=1), item_counts(data), atol=1e-9)
         assert s_theta.sum() == pytest.approx(len(data), abs=1e-9)
         assert s_p.sum() == pytest.approx(len(data), abs=1e-9)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
@@ -433,6 +433,20 @@ class TestFit:
         assert np.array_equal(first.p.values, second.p.values)
         assert np.array_equal(first.trace, second.trace)
         assert first.best_restart == second.best_restart
+
+    def test_lone_epoch_fits_as_if_uncoupled(self):
+        # one epoch has no neighbours: its zero average leaves the prior flat,
+        # so the strongest coupling gives the beta = 0 fit bit for bit
+        data = sample_dataset(_toy_truth(1, 12, seed=5), 10, seed=5)
+        flat, coupled = (
+            fit(data, FitConfig(n_clusters=3, prior=PriorConfig(beta_theta=beta, beta_p=beta),
+                                max_iterations=30, restarts=2, seed=3))
+            for beta in (0.0, 100.0)
+        )
+        assert coupled.diagnostics["fallback_epochs"] == 1
+        assert np.array_equal(coupled.theta.values, flat.theta.values)
+        assert np.array_equal(coupled.p.values, flat.p.values)
+        assert np.array_equal(coupled.trace, flat.trace)
 
     def test_different_seeds_differ(self):
         truth = _toy_truth(2, 10, seed=4)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import sdsbm.archive as archive_module
-import sdsbm.model as model
 from sdsbm import (
     BlockTensor,
     ContractError,
@@ -626,14 +625,6 @@ class TestDataset:
         with pytest.raises(ContractError, match="overflow"):
             Dataset([5], [3], [1], n_items=2**32, n_labels=2**32, n_epochs=2)
 
-    def test_item_epoch_counts(self):
-        # the fit's (T, I) counts come from the weighted unique triplets
-        data = Dataset([0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-                       n_items=2, n_labels=2, n_epochs=2)
-        counts = model._Problem(data, PriorConfig(), 1).counts
-        assert counts.dtype == float
-        np.testing.assert_array_equal(counts, [[3, 0], [0, 1]])
-
     def test_collapse_epochs(self):
         data = random_dataset(4, 3, 2, 40, seed=62)
         flat = data.collapse_epochs()
@@ -650,6 +641,16 @@ class TestDataset:
             Dataset([0], [-1], [0], n_items=3, n_labels=2, n_epochs=1)
         with pytest.raises(ContractError, match="epoch id 4"):
             Dataset([0], [0], [4], n_items=3, n_labels=2, n_epochs=2)
+
+    def test_unsigned_values_past_int64_are_named(self):
+        # refused as the caller passed them, not as the int64 they would wrap to
+        with pytest.raises(ContractError, match="node ids .* got 18446744073709551615"):
+            Dataset(np.array([2**64 - 1], dtype=np.uint64), [0], [0], 3, 2, 1)
+        with pytest.raises(ContractError, match="weights .* got 9223372036854775813"):
+            Dataset([0], [0], [0], 3, 2, 1, weights=np.array([2**63 + 5], dtype=np.uint64))
+        data = Dataset(np.array([2], dtype=np.uint64), [0], [0], 3, 2, 1,
+                       weights=np.array([2**63 - 1], dtype=np.uint64))
+        assert len(data) == 2**63 - 1
 
     def test_ids_and_extents_must_be_integers(self):
         with pytest.raises(ContractError, match="node ids must be integers"):
