@@ -119,13 +119,10 @@ class ModelArchive:
             "converged": bool(self.converged),
             "build": _build(),
         }
-        np.savez(
-            path,
-            theta=self.theta.values,
-            p=self.p.values,
-            trace_tail=np.asarray(self.trace_tail, dtype=float),
-            meta=np.array(json.dumps(meta)),
-        )
+        with open(path, "wb") as handle:  # a path given to np.savez gains ".npz"
+            np.savez(handle, theta=self.theta.values, p=self.p.values,
+                     trace_tail=np.asarray(self.trace_tail, dtype=float),
+                     meta=np.array(json.dumps(meta)))
 
     @staticmethod
     def load(path):

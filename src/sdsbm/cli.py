@@ -295,10 +295,11 @@ def _add_config_option(parser):
 
 def _add_data_options(parser):
     parser.add_argument("--data", required=True, help="event file: node,label,timestamp[,weight]")
-    parser.add_argument("--slice", type=float, default=None,
-                        help="epoch width in timestamp units (default 1)")
-    parser.add_argument("--slices", type=int, default=None,
-                        help="total epoch count (alternative to --slice)")
+    slicing = parser.add_mutually_exclusive_group()
+    slicing.add_argument("--slice", type=float, default=None,
+                         help="epoch width in timestamp units (default 1)")
+    slicing.add_argument("--slices", type=int, default=None,
+                         help="total epoch count (exclusive with --slice)")
     parser.add_argument("--delimiter", default=None,
                         help="field separator (default: comma, else whitespace)")
 

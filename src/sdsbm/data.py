@@ -18,6 +18,16 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 def _int64_column(name, values):
     column = np.asarray(values).ravel()
+    if column.dtype.kind in "fO" and not isinstance(values, np.ndarray):
+        # numpy reads a list holding an int outside int64 as float64 or object
+        items = np.asarray(values, dtype=object).ravel()
+        if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items):
+            ints = [int(v) for v in items]
+            bad = next((v for v in ints if not -_INT64_MAX - 1 <= v <= _INT64_MAX), None)
+            if bad is not None:
+                bound = f"at most {_INT64_MAX}" if bad > 0 else f"at least {-_INT64_MAX - 1}"
+                raise ContractError(f"{name} must be {bound}, got {bad}")
+            column = np.array(ints, dtype=np.int64)
     if column.size and column.dtype.kind not in "iu":
         raise ContractError(f"{name} must be integers, got dtype {column.dtype}")
     if column.size and column.dtype.kind == "u":  # refused before the cast can wrap them

@@ -237,21 +237,23 @@ def rmse_aligned(estimate, truth):
 
 
 def flow_matrix(source, target):
-    """Elementwise min-flow decomposition between two simplex rows.
+    """Elementwise min-flow decomposition between simplex rows, ``(..., K)`` to ``(..., K, K)``.
 
     Mass that stays in a cluster is ``min(source, target)``; the rest moves
     from shrinking clusters to growing ones in proportion to their gains.
-    Rows sum to ``source`` and columns to ``target``.
+    Rows sum to ``source`` and columns to ``target``.  Pairs of rows stacked
+    along leading axes give one matrix per pair.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
-    if src.shape != tgt.shape or src.ndim != 1:
-        raise ContractError("source and target must be equal-length vectors")
+    if src.shape != tgt.shape or src.ndim < 1:
+        raise ContractError("source and target must be rows of equal shape")
     stay = np.minimum(src, tgt)
-    flows = np.diag(stay)
-    moved = (src - stay).sum()
-    if moved > 0:
-        flows += np.outer(src - stay, (tgt - stay) / moved)
+    loss, gain = src - stay, tgt - stay
+    moved = loss.sum(axis=-1, keepdims=True)
+    flows = loss[..., :, None] * (gain / np.where(moved > 0, moved, 1.0))[..., None, :]
+    diagonal = np.arange(src.shape[-1])
+    flows[..., diagonal, diagonal] += stay
     return flows
 
 
@@ -276,12 +278,10 @@ def membership_flows(theta, p):
             cost = ((pv[t - 1][:, None, :] - pv[t][None, :, :]) ** 2).sum(axis=2)
             order = _assignment(cost)
             th[t], pv[t] = th[t][:, order], pv[t][order]
-    n_epochs, n_items, _ = th.shape
-    for t in range(n_epochs - 1):
-        for i in range(n_items):
-            flows = flow_matrix(th[t, i], th[t + 1, i])
-            for k_from, k_to in zip(*np.nonzero(flows > 0)):
-                yield (t, t + 1, i, int(k_from), int(k_to), float(flows[k_from, k_to]))
+    for t in range(th.shape[0] - 1):
+        flows = flow_matrix(th[t], th[t + 1])
+        for i, k_from, k_to in zip(*np.nonzero(flows > 0)):
+            yield (t, t + 1, int(i), int(k_from), int(k_to), float(flows[i, k_from, k_to]))
 
 
 @dataclass
@@ -321,26 +321,23 @@ class EvalResult:
         }
 
 
-def _family_config(template, family, beta):
-    if family == "sdsbm":
-        beta_p = beta if template.p_mode == "dynamic" else 0.0
-        prior = replace(template.prior, beta_theta=beta, beta_p=beta_p)
-    else:
-        prior = replace(template.prior, beta_theta=0.0, beta_p=0.0)
-    return replace(template, prior=prior)
+def _family_config(template, beta):
+    """The template at coupling ``beta``; ``nc`` and ``static`` are its beta = 0."""
+    beta_p = beta if template.p_mode == "dynamic" else 0.0
+    return replace(template, prior=replace(template.prior, beta_theta=beta, beta_p=beta_p))
 
 
 def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
                    template, truth=None):
     """Cross-validated evaluation of model families, one result each, in order.
 
-    Per fold: split the observations once, fit one model per candidate
-    coupling on the training split (the grid collapses to {0} for the
-    decoupled and static families), pick each family's candidate with the
-    best validation ROC-AUC, and report test metrics for the pick.  A model
-    that several families list, such as the decoupled family's and the
-    coupled family's beta = 0, is fitted once per fold, and scored on the
-    test split once when several families pick it.  With planted truth
+    Per fold: split the observations once, fit every model on the training
+    split once, pick each family's model with the best validation ROC-AUC,
+    and report test metrics for the pick, scored once however many families
+    pick it.  The models form one list in fitting order: the coupled
+    family's grid in ascending beta, then the decoupled family's beta = 0
+    unless the grid holds 0 (then it reuses that fit), then the static
+    family's beta = 0 on the epochs collapsed into one.  With planted truth
     available, membership recovery error is reported as well; its extents
     are checked before anything is fitted, as is a fixed block tensor with
     several epochs, which the static family's single epoch cannot use.
@@ -374,54 +371,41 @@ def cross_validate(data, families, beta_grid=DEFAULT_BETA_GRID, plan=None, *,
         raise ContractError(f"the static family fits one epoch, but the fixed block "
                             f"tensor has {slices} epochs")
     plan = plan if plan is not None else SplitPlan()
-    # Models are keyed by (epochs collapsed, prior).  sdsbm's grid is walked
-    # first, in ascending beta, so the fit walked just before a warm sdsbm
-    # model is the one at its start beta.
-    configs, betas, starts = {}, {}, {}
-    previous = None
-    for family in sorted(names, key=lambda name: name != "sdsbm"):
-        for beta in sorted(beta_grid) if family == "sdsbm" else (0.0,):
-            config = _family_config(template, family, beta)
-            key = (family == "static", config.prior)
-            if key not in configs:
-                configs[key] = config
-                starts[key] = previous if family == "sdsbm" else None
-            betas.setdefault(family, {}).setdefault(key, beta)
-            if family == "sdsbm":
-                previous = beta
+    # (config, epochs collapsed, started from the model before it) in fitting
+    # order, and the indices each family picks among
+    grid = sorted(set(beta_grid)) if "sdsbm" in names else []
+    models = [(_family_config(template, beta), False, index > 0)
+              for index, beta in enumerate(grid)]
+    picks = {"sdsbm": range(len(grid))}
+    if grid[:1] == [0.0]:
+        picks["nc"] = [0]
+    for family in ("nc", "static"):
+        if family in names and family not in picks:
+            picks[family] = [len(models)]
+            models.append((_family_config(template, 0.0), family == "static", False))
     results = [EvalResult(family, []) for family in names]
     for fold in range(plan.n_folds):
         train, val, test = plan.split(data, fold)
-        best = {}
-        fitted = None
-        for key, config in configs.items():
-            fit_data = train.collapse_epochs() if key[0] else train
-            report = fit(fit_data, config, start=None if starts[key] is None else fitted)
-            fitted = (report.theta, report.p)
-            val_auc = roc_auc(score_test_set(*fitted, val))
-            for family, candidates in betas.items():
-                if key in candidates and (family not in best or val_auc > best[family][0]):
-                    best[family] = (val_auc, key, fitted)
-        tested = {}
+        fits, val_aucs, tested = [], [], {}
+        for config, collapsed, warm in models:
+            report = fit(train.collapse_epochs() if collapsed else train, config,
+                         start=fits[-1] if warm else None)
+            fits.append((report.theta, report.p))
+            val_aucs.append(roc_auc(score_test_set(*fits[-1], val)))
         for result in results:
-            _, key, (th, pv) = best[result.family]
-            if key not in tested:
-                table = score_test_set(th, pv, test)
-                tested[key] = {
-                    "roc": roc_auc(table),
-                    "ap": average_precision(table),
-                    "nce": coverage_error_normalized(table),
-                }
+            index = max(picks[result.family], key=val_aucs.__getitem__)
+            if index not in tested:
+                table = score_test_set(*fits[index], test)
+                tested[index] = {"roc": roc_auc(table), "ap": average_precision(table),
+                                 "nce": coverage_error_normalized(table)}
                 if truth is not None:
-                    tested[key]["rmse"] = rmse_aligned(th, truth.theta)
-            beta = betas[result.family][key]
-            metrics = dict(tested[key])
-            result.folds.append(FoldOutcome(fold=fold, beta=beta, metrics=metrics,
-                                            start=starts[key]))
-            _log.info(
-                "fold %d %s: beta=%g start=%s %s", fold, result.family,
-                beta, starts[key], {k: round(v, 4) for k, v in metrics.items()},
-            )
+                    tested[index]["rmse"] = rmse_aligned(fits[index][0], truth.theta)
+            config, _, warm = models[index]
+            beta = config.prior.beta_theta
+            start = models[index - 1][0].prior.beta_theta if warm else None
+            result.folds.append(FoldOutcome(fold, beta, dict(tested[index]), start))
+            _log.info("fold %d %s: beta=%g start=%s %s", fold, result.family, beta, start,
+                      {k: round(v, 4) for k, v in tested[index].items()})
     return results
 
 

@@ -136,8 +136,9 @@ def sample_dataset(truth, schedule, seed=0):
     Every item emits ``schedule[t]`` labels at epoch t (an int applies to all
     epochs): a cluster is drawn from the item's memberships, then a label from
     that cluster's row.  Sampling draws per-(item, epoch) label counts from the
-    marginal mixture, which has exactly that law.  The planted pair passes
-    the parameter check of ``_arrays``: arrays are checked like tensors.
+    marginal mixture, which has exactly that law, one epoch at a time, keeping
+    only the non-zero counts.  The planted pair passes the parameter check of
+    ``_arrays``: arrays are checked like tensors.
     """
     th, pv = _arrays(truth.theta, truth.p)
     T, I, _ = th.shape
@@ -147,12 +148,17 @@ def sample_dataset(truth, schedule, seed=0):
     if schedule.shape != (T,) or np.any(schedule < 0):
         raise ContractError("schedule must be a non-negative int or (T,) array")
     rng = np.random.default_rng(np.random.SeedSequence(_integer("seed", seed, 0), spawn_key=(1,)))
-    counts = np.empty((T, I, pv.shape[2]), dtype=np.int64)
+    # flat (t, i, o) index and count of every non-zero count: at most min(n_t, O) per item
+    cells = np.empty(int(np.minimum(schedule, pv.shape[2]).sum()) * I, dtype=np.int64)
+    weights, size = np.empty_like(cells), 0
     for t in range(T):
         mix = _label_rows(th, pv, np.full(I, t), np.arange(I))
-        counts[t] = rng.multinomial(int(schedule[t]), mix)
-    flat = counts.ravel()
-    occupied = np.flatnonzero(flat)
-    t_idx, i_idx, o_idx = np.unravel_index(occupied, counts.shape)
-    return Dataset(i_idx, o_idx, t_idx, n_items=I, n_labels=counts.shape[2], n_epochs=T,
-                   weights=flat[occupied])
+        counts = rng.multinomial(int(schedule[t]), mix).ravel()
+        occupied = np.flatnonzero(counts)
+        cells[size:size + occupied.size] = occupied + t * counts.size
+        weights[size:size + occupied.size] = counts[occupied]
+        size += occupied.size
+    epochs, nodes, labels = np.unravel_index(cells[:size], (T, I, pv.shape[2]))
+    del cells  # the merge in Dataset peaks on top of whatever is still alive
+    return Dataset(nodes, labels, epochs, n_items=I, n_labels=pv.shape[2], n_epochs=T,
+                   weights=weights[:size])

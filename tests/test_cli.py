@@ -188,6 +188,30 @@ class TestFit:
         assert code == 3
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("config", ["", "slices = 5\n"], ids=["flags", "config"])
+    def test_slice_and_slices_together_are_a_usage_error(self, tmp_path, config):
+        # neither flag may silently win, whether both are typed or one comes from a file
+        path = tmp_path / "it.cfg"
+        path.write_text(config)
+        argv = ["fit", "--config", str(path), "--data", str(small_events(tmp_path)),
+                "--slice", "2", "--clusters", "2", "--out", str(tmp_path / "m.npz")]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ([] if config else ["--slices", "5"]))
+        assert info.value.code == 2
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_an_out_path_without_suffix_is_written_as_given(self, tmp_path, capsys):
+        out = tmp_path / "model"
+        code, stdout, _ = run(
+            capsys, "fit", "--data", str(small_events(tmp_path)), "--clusters", "2",
+            "--max-iter", "5", "--restarts", "1", "--out", str(out),
+        )
+        assert code == 0 and stdout.rstrip().endswith(f"-> {out}")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["events.csv", "model"]
+        code, stdout, _ = run(capsys, "predict", "--model", str(out), "--node", "n0",
+                              "--epoch", "0")
+        assert code == 0 and len(stdout.splitlines()) == 3
+
     def test_unknown_flag_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             cli.main(["fit", "--data", "x", "--clusters", "2",

@@ -36,6 +36,7 @@ from sdsbm import (
 )
 from sdsbm import evaluation
 from sdsbm.evaluation import (
+    DEFAULT_BETA_GRID,
     FAMILIES,
     EvalResult,
     FoldOutcome,
@@ -490,6 +491,22 @@ class TestFlows:
     def test_rejects_mismatched_vectors(self):
         with pytest.raises(ContractError):
             flow_matrix(np.ones(2) / 2, np.ones(3) / 3)
+        with pytest.raises(ContractError):
+            flow_matrix(np.ones((2, 3)) / 3, np.ones(3) / 3)
+        with pytest.raises(ContractError):
+            flow_matrix(1.0, 1.0)
+
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_stacked_rows_give_the_per_row_matrices(self, k):
+        rng = np.random.default_rng(40 + k)
+        src = rng.dirichlet(np.ones(k), size=(4, 5))
+        tgt = rng.dirichlet(np.ones(k), size=(4, 5))
+        tgt[1] = src[1]  # rows with no moved mass
+        flows = flow_matrix(src, tgt)
+        assert flows.shape == (4, 5, k, k)
+        for index in np.ndindex(4, 5):
+            np.testing.assert_array_equal(flows[index], flow_matrix(src[index], tgt[index]))
+        np.testing.assert_array_equal(flows[1], np.stack([np.diag(row) for row in src[1]]))
 
     def test_membership_flows_cover_every_transition(self):
         theta = random_memberships(3, 2, 3, seed=34)
@@ -543,13 +560,13 @@ class TestEvalResult:
 class TestFamilyConfigs:
     def test_coupled_family_ties_both_strengths_when_dynamic(self):
         template = FitConfig(n_clusters=3, p_mode="dynamic")
-        config = _family_config(template, "sdsbm", 30.0)
+        config = _family_config(template, 30.0)
         assert config.prior.beta_theta == 30.0
         assert config.prior.beta_p == 30.0
 
     def test_coupled_family_leaves_shared_blocks_unpulled(self):
         template = FitConfig(n_clusters=3, p_mode="static")
-        config = _family_config(template, "sdsbm", 30.0)
+        config = _family_config(template, 30.0)
         assert config.prior.beta_theta == 30.0
         assert config.prior.beta_p == 0.0
 
@@ -558,11 +575,11 @@ class TestFamilyConfigs:
             n_clusters=3, prior=PriorConfig(beta_theta=9.0, beta_p=9.0,
                                             kernel_exponent=2),
         )
-        for family in ("nc", "static"):
-            config = _family_config(template, family, 123.0)
-            assert config.prior.beta_theta == 0.0
-            assert config.prior.beta_p == 0.0
-            assert config.prior.kernel_exponent == 2
+        # nc and static are the coupling at beta = 0, whatever the template's betas
+        config = _family_config(template, 0.0)
+        assert config.prior.beta_theta == 0.0
+        assert config.prior.beta_p == 0.0
+        assert config.prior.kernel_exponent == 2
 
 
 def _small_benchmark(seed=0):
@@ -761,6 +778,33 @@ class TestCrossValidate:
             assert outcome.start == starts[outcome.beta]
         assert all(o.start is None for result in results[1:] for o in result.folds)
 
+    def test_each_fold_fits_one_list_of_models(self, monkeypatch):
+        # per fold: the default grid ascending, each beta after the first warm,
+        # nc sharing beta = 0, then static on collapsed epochs; a grid without
+        # 0 gives nc its own cold fit before static
+        _, data = _small_benchmark(seed=10)
+        template = FitConfig(n_clusters=3, max_iterations=3, tol=1e-4, restarts=1,
+                             seed=0)
+        plan = SplitPlan(n_folds=2, train_fraction=0.7, validation_fraction=0.15,
+                         seed=10)
+        calls = []
+        real_fit = evaluation.fit
+
+        def recording(data, config, *, start=None):
+            calls.append((config.prior.beta_theta, start is not None, data.n_epochs == 1))
+            return real_fit(data, config, start=start)
+
+        monkeypatch.setattr(evaluation, "fit", recording)
+        cross_validate(data, FAMILIES, plan=plan, template=template)
+        fold = [(beta, beta > 0, False) for beta in DEFAULT_BETA_GRID] + [(0.0, False, True)]
+        assert calls == fold * 2
+        assert [len(fold), sum(warm for _, warm, _ in fold),
+                sum(collapsed for *_, collapsed in fold)] == [9, 7, 1]
+        calls.clear()
+        cross_validate(data, FAMILIES, (3.0, 1.0), plan, template=template)
+        assert calls == [(1.0, False, False), (3.0, True, False),
+                         (0.0, False, False), (0.0, False, True)] * 2
+
     def test_results_do_not_depend_on_the_grid_order(self):
         truth, data = _small_benchmark(seed=8)
         template = FitConfig(n_clusters=3, max_iterations=12, tol=1e-4, restarts=2,
@@ -787,6 +831,16 @@ class TestCrossValidate:
                               (data, replace(template, n_clusters=2))):
             with pytest.raises(ContractError, match="truth memberships have shape"):
                 cross_validate(other, FAMILIES, (0.0, 1.0), template=config, truth=truth)
+
+    @pytest.mark.parametrize("grid", [(0.0, 1.0, np.inf), (0.0, np.nan, 1.0), (3.0, -1.0)])
+    def test_a_bad_beta_is_rejected_before_any_split_or_fit(self, monkeypatch, grid):
+        _, data = _small_benchmark(seed=9)
+        calls = []
+        monkeypatch.setattr(evaluation, "fit", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(SplitPlan, "split", lambda *args: calls.append(args))
+        with pytest.raises(ContractError, match="beta_theta must be finite and >= 0"):
+            cross_validate(data, FAMILIES, grid, template=FitConfig(n_clusters=3))
+        assert calls == []
 
     def test_per_epoch_fixed_block_with_the_static_family_is_rejected_before_any_fit(
         self, monkeypatch

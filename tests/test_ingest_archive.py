@@ -652,6 +652,21 @@ class TestDataset:
                        weights=np.array([2**63 - 1], dtype=np.uint64))
         assert len(data) == 2**63 - 1
 
+    @pytest.mark.parametrize("value, bound", [
+        (2**63, "at most 9223372036854775807"),
+        (2**64, "at most 9223372036854775807"),
+        (-2**63 - 1, "at least -9223372036854775808"),
+    ])
+    def test_python_ints_past_int64_are_named(self, value, bound):
+        # numpy reads these lists as float64 or object, not as integers
+        with pytest.raises(ContractError, match=f"node ids must be {bound}, got {value}$"):
+            Dataset([value, 0], [0, 0], [0, 0], 3, 2, 1)
+        with pytest.raises(ContractError, match=f"weights must be {bound}, got {value}$"):
+            Dataset([0, 1], [0, 0], [0, 0], 3, 2, 1, weights=[1, value])
+        # a float beside them is still no integer
+        with pytest.raises(ContractError, match="node ids must be integers"):
+            Dataset([value, 0.0], [0, 0], [0, 0], 3, 2, 1)
+
     def test_ids_and_extents_must_be_integers(self):
         with pytest.raises(ContractError, match="node ids must be integers"):
             Dataset([0.7], [0], [0], 1, 1, 1)

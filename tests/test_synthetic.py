@@ -1,4 +1,6 @@
 """Planted-trajectory generators and the observation sampler."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,6 +8,7 @@ from scipy import stats
 from sdsbm import (
     BlockTensor,
     ContractError,
+    Dataset,
     GroundTruth,
     MembershipTensor,
     PatternSpec,
@@ -14,6 +17,8 @@ from sdsbm import (
     generate_memberships,
     sample_dataset,
 )
+
+from sdsbm.model import _arrays, _label_rows
 
 from conftest import random_blocks
 from model_reference import edge_probability
@@ -144,7 +149,50 @@ def _truth(kind="sinusoidal", n_epochs=4, n_items=6, noise=0.2, seed=0):
     return GroundTruth(generate_memberships(spec), block_matrix(noise), spec)
 
 
+def dense_sample_dataset(truth, schedule, seed):
+    """The sampler's draw through the dense (T, I, O) count tensor: same RNG calls, same order."""
+    th, pv = _arrays(truth.theta, truth.p)
+    T, I, _ = th.shape
+    schedule = np.broadcast_to(np.asarray(schedule, dtype=np.int64), (T,))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    counts = np.empty((T, I, pv.shape[2]), dtype=np.int64)
+    for t in range(T):
+        counts[t] = rng.multinomial(int(schedule[t]),
+                                    _label_rows(th, pv, np.full(I, t), np.arange(I)))
+    t_idx, i_idx, o_idx = np.nonzero(counts)
+    return Dataset(i_idx, o_idx, t_idx, I, pv.shape[2], T, weights=counts[t_idx, i_idx, o_idx])
+
+
 class TestSampleDataset:
+    @pytest.mark.parametrize("kind, schedule, slices, seed", [
+        ("sinusoidal", 6, 1, 0),
+        ("broken_line", [3, 0, 9, 1, 0], 5, 1),
+        ("sinusoidal", [0, 0, 0, 0, 2], 1, 2),
+    ])
+    def test_matches_the_dense_draw(self, kind, schedule, slices, seed):
+        spec = PatternSpec(kind=kind, n_epochs=5, n_items=7, seed=seed)
+        truth = GroundTruth(generate_memberships(spec),
+                            BlockTensor(random_blocks(slices, 3, 4, seed=seed)), spec)
+        data = sample_dataset(truth, schedule, seed=seed)
+        dense = dense_sample_dataset(truth, schedule, seed)
+        assert (data.n_epochs, data.n_items, data.n_labels) == (5, 7, 4)
+        for got, expected in zip(data.compressed(), dense.compressed()):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_memory_holds_one_epoch_of_counts(self):
+        # the dense (T, I, O) count tensor alone would take 20 MB here
+        spec = PatternSpec(kind="sinusoidal", n_epochs=50, n_items=50)
+        truth = GroundTruth(generate_memberships(spec),
+                            BlockTensor(random_blocks(1, 3, 1000, seed=4)), spec)
+        tracemalloc.start()
+        try:
+            data = sample_dataset(truth, 1, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 50 * 50
+        assert peak < 5 * 2**20
+
     def test_counts_follow_the_schedule_exactly(self):
         truth = _truth(n_epochs=3, n_items=4)
         data = sample_dataset(truth, [2, 0, 5], seed=1)
