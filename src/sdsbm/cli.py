@@ -154,15 +154,13 @@ def _fit_config(args, label_keys, betas=(0.0, 0.0)):
         kernel_exponent=args.kernel_exponent,
         window=args.window,
     )
-    p_mode = args.p_mode
     fixed = None
     if args.fixed_p is not None:
-        p_mode = "fixed"
         fixed = _load_block_file(args.fixed_p, label_keys)
     return FitConfig(
         n_clusters=args.clusters,
         prior=prior,
-        p_mode=p_mode,
+        p_mode=args.p_mode or ("dynamic" if fixed is None else "fixed"),
         fixed_p=fixed,
         max_iterations=args.max_iter,
         tol=args.tol,
@@ -309,9 +307,10 @@ def _add_engine_options(parser):
     parser.add_argument("--kernel-exponent", type=int, default=1)
     parser.add_argument("--window", type=int, default=None,
                         help="ignore epochs farther apart than this")
-    parser.add_argument("--p-mode", choices=("dynamic", "static"), default="dynamic",
-                        help="per-epoch or single shared block tensor")
-    parser.add_argument("--fixed-p", default=None,
+    blocks = parser.add_mutually_exclusive_group()
+    blocks.add_argument("--p-mode", choices=("dynamic", "static"), default=None,
+                        help="per-epoch (the default) or single shared block tensor")
+    blocks.add_argument("--fixed-p", default=None,
                         help="npz file with a 'p' array; keeps the block tensor fixed")
     parser.add_argument("--max-iter", type=int, default=200)
     parser.add_argument("--tol", type=float, default=1e-6,

@@ -5,9 +5,9 @@ runs the forward-model pass of ``sdsbm.model`` (``_e_step``) at the new
 parameters.  That one pass gives the next sweep's responsibility sums, the
 log-likelihood that decides convergence, and the objective that
 ``log_posterior`` reports.  With zero coupling every epoch decouples into plain
-maximum likelihood; with positive coupling each row's responsibility sums gain
-``beta * <x>`` before the row is divided by its own total, pulling it toward
-its neighbour average.
+maximum likelihood; for each family the prior couples, the pass adds
+``beta * <x>`` to the responsibility sums, and the M-step's division of each
+row by its own total pulls it toward its neighbour average.
 """
 from __future__ import annotations
 
@@ -127,30 +127,24 @@ def _coordinate_update(sums, axis):
     return out, dead
 
 
-def _m_step(s_theta, s_p, averages, p, problem, p_mode):
-    """The M-step on ``(T, K, I)`` and ``(T_p, K, O)`` arrays, from ``_e_step`` at ``(theta, p)``.
+def _m_step(s_theta, s_p, p, problem, p_mode):
+    """The M-step on ``(T, K, I)`` and ``(T_p, K, O)`` sums from ``_e_step`` at ``(theta, p)``.
 
-    Each coupled family adds ``beta * <x>`` to its responsibility sums, and
-    every row is then divided by its own total: ``N + beta`` for a row whose
-    neighbour average sums to 1, ``N`` at a fallback epoch, whose average is
-    zero, so that it takes the flat beta=0 prior.  A row with no observations
+    Every row is divided by its own total.  ``_e_step`` has already added a
+    coupled family's prior pull ``beta * <x>`` to its sums, so a row's total
+    is ``N + beta`` where its neighbour average sums to 1 and ``N`` at a
+    fallback epoch, whose flat prior adds nothing.  A row with no observations
     takes its neighbour average when coupled and is uniform otherwise.  The
     block tensor follows ``p_mode``: ``dynamic`` updates one slice per epoch,
-    ``static`` its one slice, whose sums ``_e_step`` pools over every epoch
-    with no neighbour average (zero at T = 1, a fallback epoch), ``fixed``
-    returns ``p`` as it came.  Returns ``(theta, p, rows_reset)``, where
-    ``rows_reset`` counts the cluster rows of ``p`` with no mass and no prior
-    pull, which were reset to uniform.  Rows of an epoch with no observations
-    are reset too but not counted: they had no mass to lose.
+    ``static`` its one slice, whose sums ``_e_step`` pools over every epoch,
+    ``fixed`` returns ``p`` as it came.  Returns ``(theta, p, rows_reset)``,
+    where ``rows_reset`` counts the cluster rows of ``p`` with no mass and no
+    prior pull, which were reset to uniform.  Rows of an epoch with no
+    observations are reset too but not counted: they had no mass to lose.
     """
-    avg_theta, avg_p = averages
-    if avg_theta is not None:
-        s_theta = s_theta + problem.prior.beta_theta * avg_theta
     theta, _ = _coordinate_update(s_theta, axis=1)
     if p_mode == "fixed":
         return theta, p, 0
-    if avg_p is not None:
-        s_p = s_p + problem.prior.beta_p * avg_p
     p, dead = _coordinate_update(s_p, axis=2)
     if p_mode == "dynamic":
         dead = dead[problem.data.epoch_counts > 0]
@@ -186,12 +180,13 @@ def _chain(problem, config, theta, p):
     ``config.tol`` relative or after ``config.max_iterations`` sweeps.  A sweep
     need not raise the objective itself.  It is an exact EM step on the
     surrogate ``loglik(x) + beta * sum(<x_n> log x)`` whose neighbour averages
-    ``<x_n>`` are frozen at the sweep's start, so it never lowers that
-    surrogate.  A paused chain holds only its parameter and sum arrays, and a
-    resumed one carries on exactly as if it had never paused.  The result is
-    plain values, validated nowhere: the final ``(T, I, K)`` and block arrays,
-    the trace, whether the chain converged, its dead-row resets and the
-    seconds spent inside the chain, which leave out time while it is paused.
+    ``<x_n>`` the E-step pass before it took and added to the sums, so it
+    never lowers that surrogate.  A paused chain holds only its parameter and
+    sum arrays, and a resumed one carries on exactly as if it had never
+    paused.  The result is plain values, validated nowhere: the final
+    ``(T, I, K)`` and block arrays, the trace, whether the chain converged,
+    its dead-row resets and the seconds spent inside the chain, which leave
+    out time while it is paused.
     """
     theta = theta.transpose(0, 2, 1).copy()  # the (T, K, I) working layout
     trace = []
@@ -199,12 +194,12 @@ def _chain(problem, config, theta, p):
     converged = False
     seconds = 0.0
     started = time.perf_counter()
-    s_theta, s_p, averages, loglik, _ = _e_step(theta, p, problem)
+    s_theta, s_p, loglik, _ = _e_step(theta, p, problem)
     for _ in range(config.max_iterations):
-        theta, p, dead = _m_step(s_theta, s_p, averages, p, problem, config.p_mode)
+        theta, p, dead = _m_step(s_theta, s_p, p, problem, config.p_mode)
         dead_total += dead
         previous = loglik
-        s_theta, s_p, averages, loglik, objective = _e_step(theta, p, problem)
+        s_theta, s_p, loglik, objective = _e_step(theta, p, problem)
         trace.append(objective)
         change = abs(loglik - previous) / max(abs(previous), 1e-12)
         converged = len(trace) > 1 and change < config.tol
@@ -237,16 +232,16 @@ def fit(data, config, *, start=None):
     the winner runs on to its own stop.  A resumed chain ends exactly where it
     would have ended unpaused, so the winner's report is that of its chain
     run alone.  Under coupling a sweep is guaranteed not to lower a surrogate
-    whose neighbour averages are frozen at the sweep's start (see ``_chain``),
-    not the objective in the trace; with both betas zero the two agree and
-    the trace never falls.  Returns one FitReport, built for the winning
-    restart: its tensors are validated once per fit, for the winning chain.
-    In its ``diagnostics``, ``sweeps_total`` counts every chain's sweeps (the
-    losers' race sweeps plus the winner's ``n_iterations``),
+    whose neighbour averages the E-step pass froze and added to the sums (see
+    ``_chain``), not the objective in the trace; with both betas zero the two
+    agree and the trace never falls.  Returns one FitReport, built for the
+    winning restart: its tensors are validated once per fit, for the winning
+    chain.  In its ``diagnostics``, ``sweeps_total`` counts every chain's
+    sweeps (the losers' race sweeps plus the winner's ``n_iterations``),
     ``seconds_per_iteration`` times the winner's own sweeps only,
     ``fallback_epochs`` counts the epochs with no weighted neighbours (0 when
-    both betas are zero, since no epoch then has a coupled prior to fall back
-    from), and ``aborted_restarts`` is always 0.
+    the prior couples no family, so that no epoch has a coupled prior to fall
+    back from), and ``aborted_restarts`` is always 0.
 
     An observed triplet of zero probability raises ``DegenerateParameterError``
     naming it from the first chain's first E-step, before any sweep; no other
@@ -266,17 +261,18 @@ def fit(data, config, *, start=None):
     if config.p_mode == "fixed":
         fixed_p = config.fixed_p.values
         _covers((T, data.n_items, K), fixed_p.shape, data)
+    p_slices = {"dynamic": T, "static": 1}.get(config.p_mode) or len(fixed_p)
     if start is None:
         starts = (_initial(data, config, restart) for restart in range(config.restarts))
     else:
         theta, p = _arrays(*start, data)
         have = (len(theta), theta.shape[2], len(p))
-        need = (T, K, {"dynamic": T, "static": 1}.get(config.p_mode) or len(fixed_p))
+        need = (T, K, p_slices)
         if have != need:
             raise ContractError(f"start arrays have (epochs, K, block slices) = {have}, "
                                 f"a {config.p_mode} fit of this data needs {need}")
         starts = [(theta, p)]
-    problem = _Problem(data, config.prior, K)
+    problem = _Problem(data, config.prior, K, T, p_slices)
     chains = [_chain(problem, config, theta, p if fixed_p is None else fixed_p)
               for theta, p in starts]
     raced = [_advance(chain, RACE_SWEEPS) for chain in chains]
@@ -288,7 +284,6 @@ def fit(data, config, *, start=None):
                         if restart != best)
     if dead_resets:
         _log.warning("winning restart reset %d dead cluster rows", dead_resets)
-    coupled = config.prior.beta_theta > 0 or config.prior.beta_p > 0
     return FitReport(
         theta=MembershipTensor(theta),
         p=BlockTensor(p),
@@ -301,7 +296,7 @@ def fit(data, config, *, start=None):
             "seconds_per_iteration": seconds / len(trace),
             "sweeps_total": losers_sweeps + len(trace),
             "aborted_restarts": 0,  # always 0; kept because perfbench/tracing.py reads the key
-            "fallback_epochs": int(problem.coupling.fallback.sum()) if coupled else 0,
+            "fallback_epochs": int(problem.coupling.fallback.sum()) if any(problem.pulls) else 0,
         },
         config=config,
     )

@@ -8,12 +8,12 @@ per-cluster label distributions:
 where each tensor carries one slice per epoch or one shared by all, and
 ``_arrays`` checks the pair; ``_label_rows`` evaluates that mixture for test
 scoring, sampling and ``predict``.  This module owns the one pass over the
-compressed observations, ``_e_step``: it yields EM's responsibility sums, the
-log-likelihood and the objective.  ``fit`` runs it every sweep, and
-``log_posterior`` is a thin call of it.  The pass works in one layout with the
-cluster axis second, memberships ``(T, K, I)`` and blocks ``(T_p, K, O)``, so
-every gather, broadcast and reduction runs along a long contiguous axis; the
-public membership tensor stays ``(T, I, K)``.
+compressed observations, ``_e_step``: it yields EM's responsibility sums and
+objective, each with the prior's pull, and the log-likelihood.  ``fit`` runs it
+every sweep, and ``log_posterior`` is a thin call of it.  The pass works in one
+layout with the cluster axis second, memberships ``(T, K, I)`` and blocks
+``(T_p, K, O)``, so every gather, broadcast and reduction runs along a long
+contiguous axis; the public membership tensor stays ``(T, I, K)``.
 """
 from __future__ import annotations
 
@@ -131,22 +131,28 @@ def _covers(theta_shape, p_shape, data=None):
 
 
 class _Problem:
-    """Immutable per-fit constants: compressed triplets, base offsets, coupling.
+    """Immutable per-fit constants for a pair of ``theta_slices`` and ``p_slices`` slices.
 
     ``base_theta = t*K*I + i`` and ``base_p = t*K*O + o`` locate each triplet
     in the flat ``(T, K, I)`` and ``(T, K, O)`` working arrays, cluster k lying
     ``k*I`` or ``k*O`` further on; a single slice shared by every epoch is
-    indexed by the nodes or labels alone.  The coupling is built on first use:
-    an uncoupled fit needs none.
+    indexed by the nodes or labels alone.  ``pulls`` decides once which
+    families the prior couples: a family's beta where it has one slice per
+    epoch, else 0.  ``_e_step`` adds each positive pull to its family's sums
+    from averages frozen for the next M-step; the coupling is built on first use.
     """
 
-    def __init__(self, data, prior, n_clusters):
+    def __init__(self, data, prior, n_clusters, theta_slices, p_slices):
         self.data = data
         self.prior = prior
         self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
         self.weights = w.astype(float)
-        self.base_theta = self.epochs_u * (n_clusters * data.n_items) + self.nodes_u
-        self.base_p = self.epochs_u * (n_clusters * data.n_labels) + self.labels_u
+        self.base_theta = (self.nodes_u if theta_slices == 1
+                           else self.epochs_u * (n_clusters * data.n_items) + self.nodes_u)
+        self.base_p = (self.labels_u if p_slices == 1
+                       else self.epochs_u * (n_clusters * data.n_labels) + self.labels_u)
+        self.pulls = (prior.beta_theta if theta_slices == data.n_epochs else 0.0,
+                      prior.beta_p if p_slices == data.n_epochs else 0.0)
 
     @cached_property
     def coupling(self):
@@ -172,16 +178,14 @@ def _accumulate(theta, p, problem):
     partial sums merge by addition, so sharding the pass over triplet ranges
     changes nothing beyond float associativity.
     """
-    base_theta = problem.nodes_u if theta.shape[0] == 1 else problem.base_theta
-    base_p = problem.labels_u if p.shape[0] == 1 else problem.base_p
     step_theta = np.arange(theta.shape[1])[:, None] * theta.shape[2]
     step_p = np.arange(p.shape[1])[:, None] * p.shape[2]
     s_theta, s_p = np.zeros(theta.size), np.zeros(p.size)
     loglik = 0.0
     for start in range(0, problem.weights.size, CHUNK):
         sl = slice(start, start + CHUNK)
-        at_theta = base_theta[sl] + step_theta
-        at_p = base_p[sl] + step_p
+        at_theta = problem.base_theta[sl] + step_theta
+        at_p = problem.base_p[sl] + step_p
         omega = theta.take(at_theta)
         omega *= p.take(at_p)
         denom = _sum_rows(omega)
@@ -199,25 +203,24 @@ def _accumulate(theta, p, problem):
 
 
 def _e_step(theta, p, problem):
-    """Responsibility sums, averages, log-likelihood and objective at working-layout arrays.
+    """Responsibility sums, log-likelihood and objective at working-layout arrays.
 
-    The objective is the log-likelihood plus, for each coupled family of
-    ``problem.prior``, the prior pull ``beta * sum(<x> * log x)`` where
-    ``<x> > 0``, at the averages the next M-step needs (zero at fallback
-    epochs).  An average is None for a family uncoupled or with one shared slice.
+    For each family with a positive pull ``beta`` in ``problem.pulls``, one
+    neighbour average ``<x>`` adds ``beta * <x>`` to its sums and ``beta *
+    sum(<x> * log x)``, over ``<x> > 0``, to the objective.  Dividing each row
+    of the sums by its total is then an exact EM step on that surrogate, with
+    ``<x>`` frozen at this pass.  Returns ``(s_theta, s_p, loglik, objective)``.
     """
     s_theta, s_p, loglik = _accumulate(theta, p, problem)
     objective = loglik
-    averages = []
-    for values, beta in ((theta, problem.prior.beta_theta), (p, problem.prior.beta_p)):
-        avg = None
-        if beta > 0 and values.shape[0] == problem.coupling.n_epochs:
+    for values, sums, pull in zip((theta, p), (s_theta, s_p), problem.pulls):
+        if pull > 0:
             avg = problem.coupling.average(values)
+            sums += pull * avg
             with np.errstate(divide="ignore"):
                 log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
-            objective += beta * float(np.vdot(avg, log_values))
-        averages.append(avg)
-    return s_theta, s_p, averages, loglik, objective
+            objective += pull * float(np.vdot(avg, log_values))
+    return s_theta, s_p, loglik, objective
 
 
 def log_posterior(theta, p, data, prior=None):
@@ -236,5 +239,6 @@ def log_posterior(theta, p, data, prior=None):
     mixture probability, as ``fit`` does.
     """
     th, pv = _arrays(theta, p, data)
-    problem = _Problem(data, PriorConfig() if prior is None else prior, th.shape[2])
+    problem = _Problem(data, PriorConfig() if prior is None else prior, th.shape[2],
+                       len(th), len(pv))
     return _e_step(th.transpose(0, 2, 1).copy(), pv, problem)[-1]

@@ -85,10 +85,10 @@ def test_criterion_1_static_recovery(acceptance):
     monotone = bool(np.all(np.diff(trace) > -1e-8))
 
     s_theta, s_p = omega_sums(report.theta, report.p, data)
-    problem = _Problem(data, config.prior, 3)
+    problem = _Problem(data, config.prior, 3, 1, 1)
     theta_formula = s_theta / item_counts(data)[:, :, None]
     p_formula = s_p / s_p.sum(axis=2, keepdims=True)
-    theta_step, p_step, _ = _m_step(s_theta.transpose(0, 2, 1), s_p, (None, None),
+    theta_step, p_step, _ = _m_step(s_theta.transpose(0, 2, 1), s_p,
                                     report.p.values, problem, "dynamic")
     theta_step = theta_step.transpose(0, 2, 1)
     formula_ok = (
@@ -274,10 +274,10 @@ def test_criterion_6_property_suite(acceptance):
     theta0 = random_memberships(6, 12, 3, seed=31)
     p0 = random_blocks(6, 3, 3, seed=32)
     s_theta, s_p = omega_sums(theta0, p0, data)
-    problem = _Problem(data, prior, 3)
-    theta1, p1, _ = _m_step(s_theta.transpose(0, 2, 1), s_p,
-                            (problem.coupling.average(theta0.transpose(0, 2, 1)),
-                             problem.coupling.average(p0)),
+    problem = _Problem(data, prior, 3, 6, 6)
+    pull_theta = prior.beta_theta * problem.coupling.average(theta0.transpose(0, 2, 1))
+    theta1, p1, _ = _m_step(s_theta.transpose(0, 2, 1) + pull_theta,
+                            s_p + prior.beta_p * problem.coupling.average(p0),
                             p0, problem, "dynamic")
     theta1 = theta1.transpose(0, 2, 1)
     report = fit(data, FitConfig(n_clusters=3, prior=prior, max_iterations=25,

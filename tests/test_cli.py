@@ -200,6 +200,35 @@ class TestFit:
         assert info.value.code == 2
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    @pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+    def test_p_mode_and_fixed_p_together_are_a_usage_error(self, tmp_path, config, mode):
+        # a block file must not silently override the mode, whether both are
+        # typed or the mode comes from a file
+        path = tmp_path / "it.cfg"
+        path.write_text(f"p_mode = {mode}\n" if config else "")
+        blocks = tmp_path / "fp.npz"
+        np.savez(blocks, p=np.full((2, 3), 1 / 3))
+        argv = ["fit", "--config", str(path), "--data", str(small_events(tmp_path)),
+                "--fixed-p", str(blocks), "--clusters", "2", "--out", str(tmp_path / "m.npz")]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ([] if config else ["--p-mode", mode]))
+        assert info.value.code == 2
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_a_prior_on_shared_blocks_builds_no_coupling(self, tmp_path, capsys):
+        # beta_p on the one block slice of a static fit couples nothing, so no
+        # (T, T) coupling is built: at 20000 epochs it alone would need 3.2 GB
+        bench = tmp_path / "bench"
+        assert run(capsys, "synth", "--epochs", "4", "--items", "6", "--obs-per-epoch", "5",
+                   "--out", str(bench))[0] == 0
+        result = run_limited("fit", "--data", str(bench / "events.csv"), "--slices", "20000",
+                             "--clusters", "3", "--p-mode", "static", "--beta-theta", "0",
+                             "--beta-p", "1", "--max-iter", "2", "--restarts", "1",
+                             "--out", str(tmp_path / "model.npz"))
+        assert result.returncode == 0, result.stderr
+        assert ModelArchive.load(tmp_path / "model.npz").theta.values.shape == (20000, 6, 3)
+
     def test_an_out_path_without_suffix_is_written_as_given(self, tmp_path, capsys):
         out = tmp_path / "model"
         code, stdout, _ = run(

@@ -156,17 +156,22 @@ def _swap(theta):
 
 def _theta_step(data, omega_sums, avg, prior):
     """Membership half of the engine's M-step on (T, I, K) arrays; the block tensor is held fixed."""
-    K = np.shape(omega_sums)[2]
-    theta, _, _ = em._m_step(_swap(omega_sums), None, (None if avg is None else _swap(avg), None),
-                             None, model._Problem(data, prior, K), "fixed")
+    T, _, K = np.shape(omega_sums)
+    sums = _swap(omega_sums)
+    if avg is not None:
+        sums = sums + prior.beta_theta * _swap(avg)
+    theta, _, _ = em._m_step(sums, None, None, model._Problem(data, prior, K, T, T), "fixed")
     return _swap(theta)
 
 
 def _block_step(data, omega_sums, avg, prior, mode="dynamic", current=None):
     """Block half of the engine's M-step: ``(p, rows_reset)``."""
     T, K, _ = np.shape(omega_sums)
-    _, p, reset = em._m_step(np.zeros((T, K, data.n_items)), omega_sums, (None, avg),
-                             current, model._Problem(data, prior, K), mode)
+    sums = omega_sums
+    if avg is not None:
+        sums = sums + prior.beta_p * avg
+    _, p, reset = em._m_step(np.zeros((T, K, data.n_items)), sums, current,
+                             model._Problem(data, prior, K, data.n_epochs, T), mode)
     return p, reset
 
 
@@ -261,10 +266,11 @@ class TestBlockUpdate:
         # a shared slice is indexed by label alone: its sums arrive pooled over every epoch
         data = Dataset([0] * 8, [0, 0, 0, 1, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1],
                        n_items=1, n_labels=2, n_epochs=2)
-        problem = model._Problem(data, PriorConfig(), 1)
         theta = np.ones((2, 1, 1))
-        _, per_epoch, _ = model._accumulate(theta, np.full((2, 1, 2), 0.5), problem)
-        _, shared, _ = model._accumulate(theta, np.full((1, 1, 2), 0.5), problem)
+        _, per_epoch, _ = model._accumulate(theta, np.full((2, 1, 2), 0.5),
+                                            model._Problem(data, PriorConfig(), 1, 2, 2))
+        _, shared, _ = model._accumulate(theta, np.full((1, 1, 2), 0.5),
+                                         model._Problem(data, PriorConfig(), 1, 2, 1))
         np.testing.assert_array_equal(per_epoch, [[[3.0, 1.0]], [[1.0, 3.0]]])
         np.testing.assert_array_equal(shared, per_epoch.sum(axis=0, keepdims=True))
         p, _ = _block_step(data, shared, None, PriorConfig(), mode="static")
@@ -293,7 +299,7 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 80, seed=13)
         theta = random_memberships(3, 4, 2, seed=14)
         p = random_blocks(3, 2, 3, seed=15)
-        problem = model._Problem(data, PriorConfig(), 2)
+        problem = model._Problem(data, PriorConfig(), 2, 3, 3)
         s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
         expected_theta = np.zeros((3, 4, 2))
         expected_p = np.zeros((3, 2, 3))
@@ -309,7 +315,7 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 60, seed=16)
         theta = random_memberships(3, 4, 2, seed=17)
         p = random_blocks(1, 2, 3, seed=18)
-        problem = model._Problem(data, PriorConfig(), 2)
+        problem = model._Problem(data, PriorConfig(), 2, 3, 1)
         s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
         assert s_p.shape == (1, 2, 3)
         expected_p = np.zeros((2, 3))
@@ -323,7 +329,7 @@ class TestAccumulation:
         data = random_dataset(2, 3, 2, 40, seed=19)
         theta = random_memberships(2, 3, 3, seed=20)
         p = random_blocks(2, 3, 2, seed=21)
-        problem = model._Problem(data, PriorConfig(), 3)
+        problem = model._Problem(data, PriorConfig(), 3, 2, 2)
         s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
         # every observation contributes exactly one unit of responsibility
         np.testing.assert_allclose(s_theta.sum(axis=1), item_counts(data), atol=1e-9)
@@ -342,7 +348,7 @@ class TestAccumulation:
                           rng.integers(0, 5, size=200))
         data = Dataset(rng.integers(0, 6, size=200), labels, epochs,
                        n_items=6, n_labels=6, n_epochs=3)
-        problem = model._Problem(data, PriorConfig(), n_clusters)
+        problem = model._Problem(data, PriorConfig(), n_clusters, 3, n_slices)
         assert 70 <= problem.weights.size <= 100
         theta = _swap(random_memberships(3, 6, n_clusters, seed=23))
         p = random_blocks(n_slices, n_clusters, 6, seed=24)
@@ -365,6 +371,37 @@ class TestAccumulation:
         assert info.value.triplet == (i, 5, 2)
 
 
+class TestPriorPull:
+    """``_Problem`` decides once which families the prior pulls; ``_e_step`` adds each pull."""
+
+    @pytest.mark.parametrize("theta_slices,p_slices,betas", [
+        (6, 6, (2.0, 3.0)),  # both families coupled
+        (6, 6, (0.0, 3.0)),  # blocks alone
+        (6, 6, (0.0, 0.0)),  # no prior
+        (6, 1, (2.0, 3.0)),  # a static or one-slice fixed block tensor
+        (1, 1, (2.0, 3.0)),  # one-slice memberships, as log_posterior may take them
+    ], ids=["both", "blocks-alone", "no-prior", "one-block-slice", "one-slice-pair"])
+    def test_sums_gain_the_pull_of_each_coupled_family(self, theta_slices, p_slices, betas):
+        # epochs 3 and 4 are empty: with window 1, epoch 5 falls back
+        rng = np.random.default_rng(50)
+        data = Dataset(rng.integers(0, 5, size=60), rng.integers(0, 4, size=60),
+                       rng.choice([0, 1, 2, 5], size=60), n_items=5, n_labels=4, n_epochs=6)
+        prior = PriorConfig(beta_theta=betas[0], beta_p=betas[1], window=1)
+        theta = _swap(random_memberships(theta_slices, 5, 3, seed=51))
+        p = random_blocks(p_slices, 3, 4, seed=52)
+        problem = model._Problem(data, prior, 3, theta_slices, p_slices)
+        bare_theta, bare_p, loglik = model._accumulate(theta, p, problem)
+        s_theta, s_p, e_loglik, _ = model._e_step(theta, p, problem)
+        coupling = TemporalCoupling(data.epoch_counts, prior)
+        for values, bare, sums, beta in ((theta, bare_theta, s_theta, betas[0]),
+                                         (p, bare_p, s_p, betas[1])):
+            if beta > 0 and len(values) == data.n_epochs:
+                np.testing.assert_array_equal(sums, bare + beta * coupling.average(values))
+            else:
+                np.testing.assert_array_equal(sums, bare)
+        assert e_loglik == loglik
+
+
 class TestSweepOracle:
     @pytest.mark.parametrize("chunk", [model.CHUNK, 7])
     @pytest.mark.parametrize("beta", [0.0, 2.0])
@@ -384,10 +421,11 @@ class TestSweepOracle:
             theta[4] /= theta[4].sum(axis=1, keepdims=True)
         p = random_blocks(1 if p_mode == "static" else 6, n_clusters, 4, seed=42)
         monkeypatch.setattr(model, "CHUNK", chunk)
-        problem = model._Problem(data, prior, n_clusters)
+        problem = model._Problem(data, prior, n_clusters, 6, len(p))
 
-        s_theta, s_p, averages, loglik, objective = model._e_step(_swap(theta), p, problem)
-        new_theta, new_p, rows_reset = em._m_step(s_theta, s_p, averages, p, problem, p_mode)
+        s_theta, s_p, _ = model._accumulate(_swap(theta), p, problem)
+        sums_theta, sums_p, loglik, objective = model._e_step(_swap(theta), p, problem)
+        new_theta, new_p, rows_reset = em._m_step(sums_theta, sums_p, p, problem, p_mode)
 
         expected = sweep(theta, p, data, prior, p_mode)
         np.testing.assert_allclose(_swap(s_theta), expected.s_theta, rtol=1e-12)
@@ -498,7 +536,7 @@ class TestFit:
         truth = _toy_truth(5, 10, seed=8)
         data = sample_dataset(truth, 12, seed=8)
         prior = PriorConfig(beta_theta=beta, beta_p=beta)
-        problem = model._Problem(data, prior, 3)
+        problem = model._Problem(data, prior, 3, 5, 5)
         fallback = problem.coupling.fallback
         theta = _swap(random_memberships(5, 10, 3, seed=9))
         p = random_blocks(5, 3, 3, seed=10)
@@ -512,9 +550,10 @@ class TestFit:
             return value
 
         for _ in range(30):
-            s_theta, s_p, averages, *_ = model._e_step(theta, p, problem)
+            s_theta, s_p, *_ = model._e_step(theta, p, problem)
+            averages = problem.coupling.average(theta), problem.coupling.average(p)
             before = frozen_objective(theta, p, averages)
-            theta, p, _ = em._m_step(s_theta, s_p, averages, p, problem, "dynamic")
+            theta, p, _ = em._m_step(s_theta, s_p, p, problem, "dynamic")
             after = frozen_objective(theta, p, averages)
             assert after >= before - 1e-10 * abs(before)
 
@@ -550,14 +589,14 @@ class TestFit:
         data = sample_dataset(truth, 8, seed=32)
         config = FitConfig(n_clusters=3, p_mode=p_mode, restarts=1, seed=17)
         report = fit(data, config)
-        problem = model._Problem(data, config.prior, 3)
         theta, p = em._initial(data, config, 0)
+        problem = model._Problem(data, config.prior, 3, 4, len(p))
         theta = _swap(theta)
-        s_theta, s_p, averages, *_ = model._e_step(theta, p, problem)
+        s_theta, s_p, *_ = model._e_step(theta, p, problem)
         trace = []
         for _ in range(config.max_iterations):
-            theta, p, _ = em._m_step(s_theta, s_p, averages, p, problem, p_mode)
-            s_theta, s_p, averages, _, objective = model._e_step(theta, p, problem)
+            theta, p, _ = em._m_step(s_theta, s_p, p, problem, p_mode)
+            s_theta, s_p, _, objective = model._e_step(theta, p, problem)
             trace.append(objective)
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) < config.tol * abs(trace[-2]):
                 break
@@ -679,6 +718,30 @@ class TestFit:
         report = fit(data, FitConfig(n_clusters=3, max_iterations=5, restarts=1, seed=13))
         assert report.diagnostics["fallback_epochs"] == 0
 
+    @pytest.mark.parametrize("case", ["static", "one-slice fixed", "log_posterior"])
+    def test_a_prior_on_one_block_slice_builds_no_coupling(self, monkeypatch, case):
+        # beta_p pulls only a block tensor with one slice per epoch: on one
+        # shared slice it couples nothing, and no epoch falls back, although
+        # with window 1 epochs 3 and 5 have no observed neighbour
+        def refuse(*args, **kwargs):
+            raise AssertionError("TemporalCoupling built for an uncoupled fit")
+
+        monkeypatch.setattr(model, "TemporalCoupling", refuse)
+        data = sample_dataset(_toy_truth(6, 8, seed=19), np.array([6, 6, 0, 0, 0, 6]), seed=19)
+        prior = PriorConfig(beta_p=2.0, window=1)
+        blocks = random_blocks(1, 3, 3, seed=20)
+        if case == "log_posterior":
+            theta = random_memberships(6, 8, 3, seed=21)
+            value = model.log_posterior(theta, blocks, data, prior)
+            assert value == model.log_posterior(theta, blocks, data)
+            return
+        fixed = case == "one-slice fixed"
+        report = fit(data, FitConfig(n_clusters=3, prior=prior,
+                                     p_mode="fixed" if fixed else "static",
+                                     fixed_p=blocks if fixed else None,
+                                     max_iterations=5, restarts=1, seed=13))
+        assert report.diagnostics["fallback_epochs"] == 0
+
     def test_empty_epoch_resets_no_dead_clusters(self, caplog):
         # epoch 2 has no observations: at beta_p = 0 its block rows have no
         # mass and no pull on every sweep, which is not a dead cluster
@@ -714,6 +777,25 @@ class TestFit:
         expected = log_posterior(report.theta, report.p, data, prior)
         assert report.objective == pytest.approx(expected, rel=1e-12)
 
+    def test_objective_skips_the_log_of_structural_zeros(self):
+        # block_matrix(0.05) has a zero in every row; fixed at all 10 epochs,
+        # its neighbour average is zero there too, so the prior term leaves
+        # log 0 out: an unmasked log gives nan for 0 * log 0
+        data = sample_dataset(_toy_truth(10, 10, seed=14), 8, seed=14)
+        blocks = np.repeat(block_matrix(0.05).values, 10, axis=0)
+        prior = PriorConfig(beta_p=3.0)
+        report = fit(data, FitConfig(n_clusters=3, prior=prior, p_mode="fixed", fixed_p=blocks,
+                                     max_iterations=30, restarts=2, seed=10))
+        assert np.all(np.isfinite(report.trace))
+        assert report.objective == model.log_posterior(report.theta, report.p, data, prior)
+        assert report.objective == pytest.approx(
+            log_posterior(report.theta, report.p, data, prior), rel=1e-12)
+        # every epoch is observed, so each one's average is the slice itself
+        mass = blocks > 0
+        prior_term = report.objective - model.log_posterior(report.theta, report.p, data)
+        assert prior_term == pytest.approx(3.0 * np.sum(blocks[mass] * np.log(blocks[mass])),
+                                           rel=1e-9)
+
     @pytest.mark.parametrize("p_mode", ["dynamic", "static"])
     def test_coupling_is_inert_on_a_single_epoch(self, p_mode):
         # one epoch has no neighbours: its prior is uniform whatever beta is
@@ -735,14 +817,14 @@ class TestFit:
 def _chain_alone(data, config, theta, p):
     """One chain run to its stop in a plain loop that never pauses, the reference
     for a fit's winner: the final ``(T, I, K)`` and block arrays, and the trace."""
-    problem = model._Problem(data, config.prior, config.n_clusters)
+    problem = model._Problem(data, config.prior, config.n_clusters, len(theta), len(p))
     theta = _swap(theta)
-    s_theta, s_p, averages, loglik, _ = model._e_step(theta, p, problem)
+    s_theta, s_p, loglik, _ = model._e_step(theta, p, problem)
     trace = []
     for _ in range(config.max_iterations):
-        theta, p, _ = em._m_step(s_theta, s_p, averages, p, problem, config.p_mode)
+        theta, p, _ = em._m_step(s_theta, s_p, p, problem, config.p_mode)
         previous = loglik
-        s_theta, s_p, averages, loglik, objective = model._e_step(theta, p, problem)
+        s_theta, s_p, loglik, objective = model._e_step(theta, p, problem)
         trace.append(objective)
         if len(trace) > 1 and abs(loglik - previous) / max(abs(previous), 1e-12) < config.tol:
             break
