@@ -10,7 +10,7 @@ import functools
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -106,12 +106,7 @@ class ModelArchive:
             "format_version": FORMAT_VERSION,
             "p_mode": self.p_mode,
             "seed": int(self.seed),
-            "prior": {
-                "beta_theta": self.prior.beta_theta,
-                "beta_p": self.prior.beta_p,
-                "kernel_exponent": self.prior.kernel_exponent,
-                "window": self.prior.window,
-            },
+            "prior": asdict(self.prior),
             "node_keys": [str(k) for k in self.node_keys],
             "label_keys": [str(k) for k in self.label_keys],
             "t_min": self.t_min,

@@ -127,7 +127,7 @@ def _coordinate_update(sums, axis):
     return out, dead
 
 
-def _m_step(s_theta, s_p, p, problem, p_mode):
+def _m_step(s_theta, s_p, p, problem):
     """The M-step on ``(T, K, I)`` and ``(T_p, K, O)`` sums from ``_e_step`` at ``(theta, p)``.
 
     Every row is divided by its own total.  ``_e_step`` has already added a
@@ -135,20 +135,20 @@ def _m_step(s_theta, s_p, p, problem, p_mode):
     is ``N + beta`` where its neighbour average sums to 1 and ``N`` at a
     fallback epoch, whose flat prior adds nothing.  A row with no observations
     takes its neighbour average when coupled and is uniform otherwise.  The
-    block tensor follows ``p_mode``: ``dynamic`` updates one slice per epoch,
-    ``static`` its one slice, whose sums ``_e_step`` pools over every epoch,
-    ``fixed`` returns ``p`` as it came.  Returns ``(theta, p, rows_reset)``,
-    where ``rows_reset`` counts the cluster rows of ``p`` with no mass and no
-    prior pull, which were reset to uniform.  Rows of an epoch with no
-    observations are reset too but not counted: they had no mass to lose.
+    block tensor has one slice per epoch or one whose sums ``_e_step`` pools
+    over every epoch; ``s_p`` is ``None`` when the fit holds it fixed, and
+    ``p`` is returned as it came.  Returns ``(theta, p, rows_reset)``, where
+    ``rows_reset`` counts the cluster rows of ``p`` with no mass and no prior
+    pull, which were reset to uniform.  A row counts only where its slice saw
+    observations, those of its epoch or, for a shared slice, of the whole
+    data: a slice with none had no mass to lose.
     """
     theta, _ = _coordinate_update(s_theta, axis=1)
-    if p_mode == "fixed":
+    if s_p is None:
         return theta, p, 0
     p, dead = _coordinate_update(s_p, axis=2)
-    if p_mode == "dynamic":
-        dead = dead[problem.data.epoch_counts > 0]
-    return theta, p, int(dead.sum())
+    seen = problem.data.epoch_counts > 0
+    return theta, p, int(dead[seen if len(p) > 1 else seen.any(keepdims=True)].sum())
 
 
 def _initial(data, config, restart):
@@ -183,7 +183,9 @@ def _chain(problem, config, theta, p):
     ``<x_n>`` the E-step pass before it took and added to the sums, so it
     never lowers that surrogate.  A paused chain holds only its parameter and
     sum arrays, and a resumed one carries on exactly as if it had never
-    paused.  The result is plain values, validated nowhere: the final
+    paused.  Which families a sweep updates is ``problem.updates``: a block
+    tensor the fit holds fixed gets no sums and passes through each M-step as
+    it came.  The result is plain values, validated nowhere: the final
     ``(T, I, K)`` and block arrays, the trace, whether the chain converged,
     its dead-row resets and the seconds spent inside the chain, which leave
     out time while it is paused.
@@ -196,7 +198,7 @@ def _chain(problem, config, theta, p):
     started = time.perf_counter()
     s_theta, s_p, loglik, _ = _e_step(theta, p, problem)
     for _ in range(config.max_iterations):
-        theta, p, dead = _m_step(s_theta, s_p, p, problem, config.p_mode)
+        theta, p, dead = _m_step(s_theta, s_p, p, problem)
         dead_total += dead
         previous = loglik
         s_theta, s_p, loglik, objective = _e_step(theta, p, problem)
@@ -272,7 +274,7 @@ def fit(data, config, *, start=None):
             raise ContractError(f"start arrays have (epochs, K, block slices) = {have}, "
                                 f"a {config.p_mode} fit of this data needs {need}")
         starts = [(theta, p)]
-    problem = _Problem(data, config.prior, K, T, p_slices)
+    problem = _Problem(data, config.prior, K, T, p_slices, (True, fixed_p is None))
     chains = [_chain(problem, config, theta, p if fixed_p is None else fixed_p)
               for theta, p in starts]
     raced = [_advance(chain, RACE_SWEEPS) for chain in chains]

@@ -8,12 +8,13 @@ per-cluster label distributions:
 where each tensor carries one slice per epoch or one shared by all, and
 ``_arrays`` checks the pair; ``_label_rows`` evaluates that mixture for test
 scoring, sampling and ``predict``.  This module owns the one pass over the
-compressed observations, ``_e_step``: it yields EM's responsibility sums and
-objective, each with the prior's pull, and the log-likelihood.  ``fit`` runs it
-every sweep, and ``log_posterior`` is a thin call of it.  The pass works in one
-layout with the cluster axis second, memberships ``(T, K, I)`` and blocks
-``(T_p, K, O)``, so every gather, broadcast and reduction runs along a long
-contiguous axis; the public membership tensor stays ``(T, I, K)``.
+compressed observations, ``_e_step``: it yields the responsibility sums of the
+families a sweep updates and the objective, each with the prior's pull, and the
+log-likelihood.  ``fit`` runs it every sweep, and ``log_posterior`` is a thin
+call of it that updates nothing.  The pass works in one layout with the cluster
+axis second, memberships ``(T, K, I)`` and blocks ``(T_p, K, O)``, so every
+gather, broadcast and reduction runs along a long contiguous axis; the public
+membership tensor stays ``(T, I, K)``.
 """
 from __future__ import annotations
 
@@ -136,15 +137,20 @@ class _Problem:
     ``base_theta = t*K*I + i`` and ``base_p = t*K*O + o`` locate each triplet
     in the flat ``(T, K, I)`` and ``(T, K, O)`` working arrays, cluster k lying
     ``k*I`` or ``k*O`` further on; a single slice shared by every epoch is
-    indexed by the nodes or labels alone.  ``pulls`` decides once which
-    families the prior couples: a family's beta where it has one slice per
-    epoch, else 0.  ``_e_step`` adds each positive pull to its family's sums
-    from averages frozen for the next M-step; the coupling is built on first use.
+    indexed by the nodes or labels alone.  Two rules per family are decided
+    here once.  ``updates`` says whether a sweep updates the family: only then
+    does ``_accumulate`` build its responsibility sums (``fit`` holds a fixed
+    block tensor, ``log_posterior`` updates neither).  ``pulls`` says how
+    strongly the prior couples it: a family's beta where it has one slice per
+    epoch, else 0.  ``_e_step`` adds each positive pull to the family's
+    objective term and, where they exist, to its sums, from averages frozen for
+    the next M-step; the coupling is built on first use.
     """
 
-    def __init__(self, data, prior, n_clusters, theta_slices, p_slices):
+    def __init__(self, data, prior, n_clusters, theta_slices, p_slices, updates=(True, True)):
         self.data = data
         self.prior = prior
+        self.updates = updates
         self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
         self.weights = w.astype(float)
         self.base_theta = (self.nodes_u if theta_slices == 1
@@ -170,17 +176,20 @@ def _sum_rows(rows):
 def _accumulate(theta, p, problem):
     """One pass over the observations: responsibility sums and log-likelihood.
 
-    Returns the sums for both families, in the working layout of (theta, p),
-    and ``sum(w * log(normalizer))``, the log-likelihood.  Each block of
-    triplets forms its (K, block) indices from the base offsets, gathers each
-    family once, and the normalizer adds the K rows left to right.  Streams
-    fixed-size blocks so memory stays flat in the number of observations;
-    partial sums merge by addition, so sharding the pass over triplet ranges
-    changes nothing beyond float associativity.
+    Returns the sums of each family that ``problem.updates`` marks, in the
+    working layout of (theta, p), ``None`` for any other, and ``sum(w *
+    log(normalizer))``, the log-likelihood.  Each block of triplets forms its
+    (K, block) indices from the base offsets and gathers both families once for
+    the mixture; the normalizer adds the K rows left to right, and only the
+    updated families' sums take a ``bincount``.  Streams fixed-size blocks so
+    memory stays flat in the number of observations; partial sums merge by
+    addition, so sharding the pass over triplet ranges changes nothing beyond
+    float associativity.
     """
     step_theta = np.arange(theta.shape[1])[:, None] * theta.shape[2]
     step_p = np.arange(p.shape[1])[:, None] * p.shape[2]
-    s_theta, s_p = np.zeros(theta.size), np.zeros(p.size)
+    sums = [np.zeros(x.shape) if update else None
+            for x, update in zip((theta, p), problem.updates)]
     loglik = 0.0
     for start in range(0, problem.weights.size, CHUNK):
         sl = slice(start, start + CHUNK)
@@ -197,26 +206,30 @@ def _accumulate(theta, p, problem):
         weights = problem.weights[sl]
         loglik += float(weights @ np.log(denom))
         omega *= weights / denom
-        s_theta += np.bincount(at_theta.ravel(), weights=omega.ravel(), minlength=theta.size)
-        s_p += np.bincount(at_p.ravel(), weights=omega.ravel(), minlength=p.size)
-    return s_theta.reshape(theta.shape), s_p.reshape(p.shape), loglik
+        for s, at in zip(sums, (at_theta, at_p)):
+            if s is not None:
+                s += np.bincount(at.ravel(), weights=omega.ravel(),
+                                 minlength=s.size).reshape(s.shape)
+    return (*sums, loglik)
 
 
 def _e_step(theta, p, problem):
     """Responsibility sums, log-likelihood and objective at working-layout arrays.
 
     For each family with a positive pull ``beta`` in ``problem.pulls``, one
-    neighbour average ``<x>`` adds ``beta * <x>`` to its sums and ``beta *
-    sum(<x> * log x)``, over ``<x> > 0``, to the objective.  Dividing each row
-    of the sums by its total is then an exact EM step on that surrogate, with
-    ``<x>`` frozen at this pass.  Returns ``(s_theta, s_p, loglik, objective)``.
+    neighbour average ``<x>`` adds ``beta * sum(<x> * log x)``, over ``<x> >
+    0``, to the objective and, if the family is updated, ``beta * <x>`` to its
+    sums.  Dividing each row of the sums by its total is then an exact EM step
+    on that surrogate, with ``<x>`` frozen at this pass.  Returns ``(s_theta,
+    s_p, loglik, objective)``, a family's sums ``None`` where it is not updated.
     """
     s_theta, s_p, loglik = _accumulate(theta, p, problem)
     objective = loglik
     for values, sums, pull in zip((theta, p), (s_theta, s_p), problem.pulls):
         if pull > 0:
             avg = problem.coupling.average(values)
-            sums += pull * avg
+            if sums is not None:
+                sums += pull * avg
             with np.errstate(divide="ignore"):
                 log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
             objective += pull * float(np.vdot(avg, log_values))
@@ -233,12 +246,13 @@ def log_posterior(theta, p, data, prior=None):
     neighbours contribute nothing (their prior is uniform).  The pair passes
     ``_arrays``, so one slice of either family stands for every epoch.  The
     value is the objective of the E-step pass that ``fit`` runs, summed in its
-    order (the last ulp may vary by release).
+    order (the last ulp may vary by release); the pass updates no family, so it
+    builds no responsibility sums.
 
     Raises DegenerateParameterError naming the first observed triplet of zero
     mixture probability, as ``fit`` does.
     """
     th, pv = _arrays(theta, p, data)
     problem = _Problem(data, PriorConfig() if prior is None else prior, th.shape[2],
-                       len(th), len(pv))
+                       len(th), len(pv), (False, False))
     return _e_step(th.transpose(0, 2, 1).copy(), pv, problem)[-1]

@@ -89,7 +89,7 @@ def test_criterion_1_static_recovery(acceptance):
     theta_formula = s_theta / item_counts(data)[:, :, None]
     p_formula = s_p / s_p.sum(axis=2, keepdims=True)
     theta_step, p_step, _ = _m_step(s_theta.transpose(0, 2, 1), s_p,
-                                    report.p.values, problem, "dynamic")
+                                    report.p.values, problem)
     theta_step = theta_step.transpose(0, 2, 1)
     formula_ok = (
         np.allclose(theta_step, theta_formula, atol=1e-12)
@@ -278,7 +278,7 @@ def test_criterion_6_property_suite(acceptance):
     pull_theta = prior.beta_theta * problem.coupling.average(theta0.transpose(0, 2, 1))
     theta1, p1, _ = _m_step(s_theta.transpose(0, 2, 1) + pull_theta,
                             s_p + prior.beta_p * problem.coupling.average(p0),
-                            p0, problem, "dynamic")
+                            p0, problem)
     theta1 = theta1.transpose(0, 2, 1)
     report = fit(data, FitConfig(n_clusters=3, prior=prior, max_iterations=25,
                                  restarts=1, seed=33))

@@ -160,7 +160,7 @@ def _theta_step(data, omega_sums, avg, prior):
     sums = _swap(omega_sums)
     if avg is not None:
         sums = sums + prior.beta_theta * _swap(avg)
-    theta, _, _ = em._m_step(sums, None, None, model._Problem(data, prior, K, T, T), "fixed")
+    theta, _, _ = em._m_step(sums, None, None, model._Problem(data, prior, K, T, T))
     return _swap(theta)
 
 
@@ -170,8 +170,8 @@ def _block_step(data, omega_sums, avg, prior, mode="dynamic", current=None):
     sums = omega_sums
     if avg is not None:
         sums = sums + prior.beta_p * avg
-    _, p, reset = em._m_step(np.zeros((T, K, data.n_items)), sums, current,
-                             model._Problem(data, prior, K, data.n_epochs, T), mode)
+    _, p, reset = em._m_step(np.zeros((T, K, data.n_items)), None if mode == "fixed" else sums,
+                             current, model._Problem(data, prior, K, data.n_epochs, T))
     return p, reset
 
 
@@ -401,6 +401,25 @@ class TestPriorPull:
                 np.testing.assert_array_equal(sums, bare)
         assert e_loglik == loglik
 
+    @pytest.mark.parametrize("beta_p", [0.0, 2.0])
+    @pytest.mark.parametrize("p_slices", [1, 6], ids=["one-slice", "per-epoch"])
+    def test_held_blocks_get_no_sums(self, p_slices, beta_p):
+        # a fixed block tensor is gathered for the mixture but never accumulated;
+        # the membership sums and the objective, prior term included, stay as
+        # the pass that accumulates both families gives them
+        rng = np.random.default_rng(53)
+        data = Dataset(rng.integers(0, 5, size=60), rng.integers(0, 4, size=60),
+                       rng.choice([0, 1, 2, 5], size=60), n_items=5, n_labels=4, n_epochs=6)
+        prior = PriorConfig(beta_theta=2.0, beta_p=beta_p, window=1)
+        theta = _swap(random_memberships(6, 5, 3, seed=54))
+        p = random_blocks(p_slices, 3, 4, seed=55)
+        both = model._e_step(theta, p, model._Problem(data, prior, 3, 6, p_slices))
+        held = model._e_step(theta, p, model._Problem(data, prior, 3, 6, p_slices,
+                                                      (True, False)))
+        assert held[1] is None
+        np.testing.assert_array_equal(held[0], both[0])
+        assert held[2:] == both[2:]
+
 
 class TestSweepOracle:
     @pytest.mark.parametrize("chunk", [model.CHUNK, 7])
@@ -421,11 +440,13 @@ class TestSweepOracle:
             theta[4] /= theta[4].sum(axis=1, keepdims=True)
         p = random_blocks(1 if p_mode == "static" else 6, n_clusters, 4, seed=42)
         monkeypatch.setattr(model, "CHUNK", chunk)
-        problem = model._Problem(data, prior, n_clusters, 6, len(p))
+        problem = model._Problem(data, prior, n_clusters, 6, len(p), (True, p_mode != "fixed"))
 
-        s_theta, s_p, _ = model._accumulate(_swap(theta), p, problem)
+        s_theta, s_p, _ = model._accumulate(_swap(theta), p,
+                                            model._Problem(data, prior, n_clusters, 6, len(p)))
         sums_theta, sums_p, loglik, objective = model._e_step(_swap(theta), p, problem)
-        new_theta, new_p, rows_reset = em._m_step(sums_theta, sums_p, p, problem, p_mode)
+        new_theta, new_p, rows_reset = em._m_step(sums_theta, sums_p, p, problem)
+        assert (sums_p is None) == (p_mode == "fixed")
 
         expected = sweep(theta, p, data, prior, p_mode)
         np.testing.assert_allclose(_swap(s_theta), expected.s_theta, rtol=1e-12)
@@ -553,7 +574,7 @@ class TestFit:
             s_theta, s_p, *_ = model._e_step(theta, p, problem)
             averages = problem.coupling.average(theta), problem.coupling.average(p)
             before = frozen_objective(theta, p, averages)
-            theta, p, _ = em._m_step(s_theta, s_p, p, problem, "dynamic")
+            theta, p, _ = em._m_step(s_theta, s_p, p, problem)
             after = frozen_objective(theta, p, averages)
             assert after >= before - 1e-10 * abs(before)
 
@@ -595,7 +616,7 @@ class TestFit:
         s_theta, s_p, *_ = model._e_step(theta, p, problem)
         trace = []
         for _ in range(config.max_iterations):
-            theta, p, _ = em._m_step(s_theta, s_p, p, problem, p_mode)
+            theta, p, _ = em._m_step(s_theta, s_p, p, problem)
             s_theta, s_p, _, objective = model._e_step(theta, p, problem)
             trace.append(objective)
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) < config.tol * abs(trace[-2]):
@@ -753,6 +774,17 @@ class TestFit:
         assert report.diagnostics["dead_cluster_resets"] == 0
         assert not caplog.records
 
+    @pytest.mark.parametrize("n_epochs", [1, 3])
+    @pytest.mark.parametrize("p_mode", ["dynamic", "static"])
+    def test_data_without_observations_resets_no_dead_clusters(self, caplog, p_mode, n_epochs):
+        # no slice saw an observation, so no block row had mass to lose
+        data = Dataset([], [], [], n_items=3, n_labels=2, n_epochs=n_epochs)
+        with caplog.at_level("WARNING", logger="sdsbm.em"):
+            report = fit(data, FitConfig(n_clusters=2, p_mode=p_mode, restarts=1,
+                                         max_iterations=3))
+        assert report.diagnostics["dead_cluster_resets"] == 0
+        assert not caplog.records
+
     def test_empty_epoch_in_range_is_handled(self):
         data = Dataset([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 2, 2],
                        n_items=2, n_labels=2, n_epochs=3)
@@ -817,12 +849,13 @@ class TestFit:
 def _chain_alone(data, config, theta, p):
     """One chain run to its stop in a plain loop that never pauses, the reference
     for a fit's winner: the final ``(T, I, K)`` and block arrays, and the trace."""
-    problem = model._Problem(data, config.prior, config.n_clusters, len(theta), len(p))
+    problem = model._Problem(data, config.prior, config.n_clusters, len(theta), len(p),
+                             (True, config.p_mode != "fixed"))
     theta = _swap(theta)
     s_theta, s_p, loglik, _ = model._e_step(theta, p, problem)
     trace = []
     for _ in range(config.max_iterations):
-        theta, p, _ = em._m_step(s_theta, s_p, p, problem, config.p_mode)
+        theta, p, _ = em._m_step(s_theta, s_p, p, problem)
         previous = loglik
         s_theta, s_p, loglik, objective = model._e_step(theta, p, problem)
         trace.append(objective)

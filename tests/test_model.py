@@ -277,6 +277,29 @@ class TestLogPosterior:
         with_pull = log_posterior(theta, p, data, PriorConfig(beta_p=50.0))
         assert with_pull == log_posterior(theta, p, data)
 
+    def test_builds_no_responsibility_sums(self, monkeypatch):
+        # the objective needs only the mixture: the pass bincounts no family,
+        # and its value is that of the pass that accumulates both
+        data = random_dataset(4, 5, 3, 80, seed=23)
+        theta = random_memberships(4, 5, 2, seed=24)
+        prior = PriorConfig(beta_theta=2.0, beta_p=3.0)
+        pairs = []
+        for p in (random_blocks(4, 2, 3, seed=25), random_blocks(1, 2, 3, seed=26)):
+            both = model._Problem(data, prior, 2, 4, len(p))
+            swapped = np.ascontiguousarray(theta.transpose(0, 2, 1))
+            pairs.append((p, model._e_step(swapped, p, both)[-1]))
+        calls = []
+        bincount = np.bincount
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", recording)
+        for p, expected in pairs:
+            assert log_posterior(theta, p, data, prior) == expected
+        assert calls == []
+
     def test_degenerate_triplet_raises_as_fit_does(self):
         data = Dataset([0], [1], [0], n_items=1, n_labels=2, n_epochs=1)
         theta = [[[1.0, 0.0]]]
