@@ -56,7 +56,9 @@ class FitConfig:
     seed : every chain and epoch slice draws its start from a stream derived from
         (seed, restart, epoch): fits are reproducible bit for bit for a fixed numpy/BLAS
         build and BLAS thread count, since OpenBLAS rounds the coupling product
-        ``A @ X`` of ``TemporalCoupling.average`` by column position.
+        ``A @ X`` of ``TemporalCoupling.average`` by column position.  The number
+        of CPUs does not matter: the E-step's blocks may run on several threads
+        but are added in block order (see ``sdsbm.model._accumulate``).
     """
 
     n_clusters: int

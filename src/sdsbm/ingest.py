@@ -27,7 +27,11 @@ events are kept.
 
 Blocks of whole lines are tokenized with numpy byte masks: Python code runs
 once per distinct key of the file and once per number that neither the exact
-decimal parser nor numpy's string cast reads, not once per line.
+decimal parser nor numpy's string cast reads, not once per line.  Blocks
+tokenize and parse through ``sdsbm.pool``, on several threads where several
+CPUs are free; key ids, the vocabularies, line numbers and the first error
+are settled on the calling thread in block order, so the result does not
+depend on the thread count.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import IngestError
+from .pool import ordered_map
 
 #: bytes read per block; a block ends at its last line end, so a line longer
 #: than this grows its block until the line ends
@@ -95,7 +100,10 @@ def _numbers(b, data, starts, stops, dtype):
     for length, rows, cells in _length_groups(b, starts, stops - starts):
         if length <= 18:
             digits = cells - np.uint8(48)
-            mantissa = (digits * (digits < 10)) @ 10 ** np.arange(length, dtype=np.int64)[::-1]
+            mantissa = np.zeros(rows.size, np.int64)
+            for column in (digits * (digits < 10)).T:  # Horner: no (rows, length) int64 copy
+                mantissa *= 10
+                mantissa += column
             other = np.flatnonzero(digits > 9)  # flat positions of the bytes that are no digit
             is_dot = (cells.ravel()[other] == 46) & (dtype == np.float64)
             row, column = np.divmod(other[is_dot], length)
@@ -187,13 +195,17 @@ def _weight_error(text):
     return f"weight {text!r} exceeds the largest weight, {2**63 - 1}"
 
 
-def _parse_block(data, separator, first_line, nodes, labels):
-    """Events of one block of whole lines: (nodes, labels, stamps, weights, n_lines).
+def _parse_block(index, data, separator):
+    """Fields of the ``index``-th block of whole lines, with no key ids yet.
 
-    ``weights`` is None when no line has one.  ``separator`` is None to choose comma or
-    whitespace per line, ``b""`` for whitespace, else the delimiter's bytes.  ``first_line``
-    is the number of lines before the block.  Raises the ``IngestError`` of the block's
-    first failing line, ranking a line's own failures as the input contract lists them.
+    Returns ``(data, keys, stamps, weights, n_lines, error)``: the block's
+    bytes with a multi-byte delimiter rewritten, the (starts, stops) of the
+    node and the label fields in them, and ``weights`` None when no line has
+    one.  ``separator`` is None to choose comma or whitespace per line,
+    ``b""`` for whitespace, else the delimiter's bytes.  ``error`` is None or
+    the (line within the block, message) of the block's first failing line,
+    ranking a line's own failures as the input contract lists them.  Reads and
+    writes nothing but its arguments, so blocks parse on any thread.
     """
     errors = []  # (line within the block, rank within the line, message)
     undecodable = len(data)  # a line index past every line
@@ -213,6 +225,7 @@ def _parse_block(data, separator, first_line, nodes, labels):
     term = b == 13
     term[:-1] &= ~is_n[1:]  # the "\r" of "\r\n" is whitespace, not a line end
     term |= is_n
+    del is_n  # a pool thread's malloc arena keeps a parse's peak: masks go once read
     ws = ((b - np.uint8(9)) < 5) | (b == 32)  # tab, \n, vertical tab, form feed, \r, space
     ends = np.flatnonzero(term)
     if not term[-1]:
@@ -223,15 +236,18 @@ def _parse_block(data, separator, first_line, nodes, labels):
         hits = b == (44 if separator is None else separator[0])
         bounds = hits | term
     delimited = (_per_line(np.flatnonzero(hits), ends) > 0) & marks_lines
+    del hits
     if separator is None:  # lines without a comma split at whitespace
         bounds |= ws & np.repeat(~delimited, np.diff(ends, prepend=-1))[:b.size]
     bounds = np.flatnonzero(bounds)
     if not term[-1]:
         bounds = np.append(bounds, b.size)
+    del term
 
     starts = np.concatenate(([0], bounds[:-1] + 1))
     keep = bounds > starts
     starts, stops = starts[keep], bounds[keep]
+    del bounds, keep
     padded = np.flatnonzero(ws[starts] | ws[stops - 1])
     if padded.size:
         solid = np.flatnonzero(~ws)
@@ -250,7 +266,7 @@ def _parse_block(data, separator, first_line, nodes, labels):
         errors.append((misshaped[0], 1, f"expected 3 or 4 fields, got {counts[misshaped[0]]}"))
     events = np.flatnonzero(written & shaped)
     field = (np.cumsum(counts) - counts)[events]
-    if first_line == 0 and events.size and events[0] == 0:
+    if index == 0 and events.size and events[0] == 0:
         try:
             float(data[starts[field[0] + 2]:stops[field[0] + 2]])
         except ValueError:  # header row
@@ -272,13 +288,12 @@ def _parse_block(data, separator, first_line, nodes, labels):
     weights = np.ones(events.size, dtype=np.int64)
     weights[weighted], parsed = _numbers(b, data, starts[at], stops[at], np.int64)
     fail(~parsed | (weights[weighted] < 1), events[weighted], at, 3, _weight_error)
+    error = None
     if errors:
         line, _, message = min(errors)
-        raise IngestError(message, first_line + int(line) + 1)
-
-    return (_key_ids(b, data, starts[field], stops[field], *nodes),
-            _key_ids(b, data, starts[field + 1], stops[field + 1], *labels),
-            stamps, weights if weighted.any() else None, ends.size)
+        error = int(line), message
+    keys = (starts[field], stops[field]), (starts[field + 1], stops[field + 1])
+    return data, keys, stamps, weights if weighted.any() else None, ends.size, error
 
 
 def ingest(path, slice_width=None, n_slices=None, delimiter=None):
@@ -305,9 +320,16 @@ def ingest(path, slice_width=None, n_slices=None, delimiter=None):
     # copies them; weights start at the first weighted line, lines without one weigh 1
     columns, first_line = [bytearray() for _ in range(4)], 0
     with open(path, "rb") as handle:
-        for data in _blocks(handle):
-            *parsed, weights, n_lines = _parse_block(data, separator, first_line,
-                                                     node_keys, label_keys)
+        # blocks parse on the pool; ids, vocabularies and line numbers follow in block order
+        for data, keys, stamps, weights, n_lines, error in ordered_map(
+                lambda block: _parse_block(*block, separator), enumerate(_blocks(handle))):
+            if error is not None:
+                line, message = error
+                raise IngestError(message, first_line + line + 1)
+            b = np.frombuffer(data, dtype=np.uint8)
+            parsed = [_key_ids(b, data, *fields, *vocabulary)
+                      for fields, vocabulary in zip(keys, (node_keys, label_keys))]
+            parsed.append(stamps)
             if weights is not None or columns[3]:
                 columns[3] += np.ones((len(columns[0]) - len(columns[3])) // 8, np.int64).tobytes()
                 parsed.append(np.ones(parsed[0].size, np.int64) if weights is None else weights)

@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, DegenerateParameterError
+from .pool import ordered_map
 from .prior import PriorConfig, TemporalCoupling
 
 #: constructors accept rows whose sums deviate from 1 by at most this much
@@ -144,13 +145,17 @@ class _Problem:
     strongly the prior couples it: a family's beta where it has one slice per
     epoch, else 0.  ``_e_step`` adds each positive pull to the family's
     objective term and, where they exist, to its sums, from averages frozen for
-    the next M-step; the coupling is built on first use.
+    the next M-step; the coupling is built on first use.  ``buffers`` hands
+    each block of the pass a set of buffers that ``free`` keeps for the life of
+    the fit, so a sweep allocates no index, gather or product arrays.
     """
 
     def __init__(self, data, prior, n_clusters, theta_slices, p_slices, updates=(True, True)):
         self.data = data
         self.prior = prior
         self.updates = updates
+        self.n_clusters = n_clusters
+        self.free = []  # block buffers that no block is using
         self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
         self.weights = w.astype(float)
         self.base_theta = (self.nodes_u if theta_slices == 1
@@ -159,6 +164,21 @@ class _Problem:
                        else self.epochs_u * (n_clusters * data.n_labels) + self.labels_u)
         self.pulls = (prior.beta_theta if theta_slices == data.n_epochs else 0.0,
                       prior.beta_p if p_slices == data.n_epochs else 0.0)
+
+    def buffers(self):
+        """A set of buffers for one block of the pass, sized for ``CHUNK`` triplets.
+
+        The set is the flat index rows of both families, the gathered
+        memberships and blocks, and the normalizer and a scratch row, in three
+        arrays.  It is taken from ``free``, where a block puts its set back
+        once done, or made here when none is free: so a pass holds one set per
+        block in flight, and the memory comes from the arena of the thread
+        that reads the blocks.
+        """
+        K, n = self.n_clusters, min(CHUNK, self.weights.size)
+        # pool threads only append, so a set seen here is still there to pop
+        return self.free.pop() if self.free else (
+            np.empty((2, K * n), np.intp), np.empty((2, K * n)), np.empty((2, n)))
 
     @cached_property
     def coupling(self):
@@ -178,39 +198,79 @@ def _accumulate(theta, p, problem):
 
     Returns the sums of each family that ``problem.updates`` marks, in the
     working layout of (theta, p), ``None`` for any other, and ``sum(w *
-    log(normalizer))``, the log-likelihood.  Each block of triplets forms its
-    (K, block) indices from the base offsets and gathers both families once for
-    the mixture; the normalizer adds the K rows left to right, and only the
-    updated families' sums take a ``bincount``.  Streams fixed-size blocks so
-    memory stays flat in the number of observations; partial sums merge by
-    addition, so sharding the pass over triplet ranges changes nothing beyond
-    float associativity.
+    log(normalizer))``, the log-likelihood.  The triplets stream in blocks of
+    ``CHUNK``, so memory stays flat in the number of observations.  Each block
+    is one call of ``ordered_map``, run on this thread or, where several CPUs
+    are free, a pool thread: it forms its (K, block) indices from the base
+    offsets, gathers both families once for the mixture, adds the
+    normalizer's K rows left to right, takes its part of the log-likelihood
+    and ``bincount``s each updated family over the rows of its own epochs,
+    all in the buffers ``problem.buffers`` hands it.  This thread adds the
+    parts in block order, the order of a serial pass, so the result is the
+    same bits for any number of threads.  Raises ``DegenerateParameterError``
+    naming the first triplet, in block order, whose normalizer is not positive.
     """
-    step_theta = np.arange(theta.shape[1])[:, None] * theta.shape[2]
-    step_p = np.arange(p.shape[1])[:, None] * p.shape[2]
-    sums = [np.zeros(x.shape) if update else None
-            for x, update in zip((theta, p), problem.updates)]
+    flats = (theta.reshape(-1), p.reshape(-1))
+    steps = [np.arange(x.shape[1])[:, None] * x.shape[2] for x in (theta, p)]
+    # a family's entries per epoch, or 0 for one slice that every epoch shares
+    spans = [0 if len(x) == 1 else x[0].size for x in (theta, p)]
+    starts = range(0, problem.weights.size, CHUNK)
+
+    def block(job):
+        """(updated families' (offset, sums), log-likelihood part, first failing row or None)."""
+        start, buffers = job
+        try:
+            return pass_block(start, min(start + CHUNK, problem.weights.size), *buffers)
+        finally:
+            problem.free.append(buffers)
+
+    def pass_block(start, stop, at, products, rows):
+        K, n = theta.shape[1], stop - start  # the buffers as (K, n) and (n,) views
+        at = at[:, :K * n].reshape(2, K, n)
+        omega, gathered = products[:, :K * n].reshape(2, K, n)
+        denom, scale = rows[:, :n]
+        # the rows of this block's epochs in each flat family, all of it for one slice
+        first, last = int(problem.epochs_u[start]), int(problem.epochs_u[stop - 1]) + 1
+        bounds = [(first * span, last * span) if span else (0, flat.size)
+                  for span, flat in zip(spans, flats)]
+        for out, base, step, (lo, _) in zip(at, (problem.base_theta, problem.base_p),
+                                            steps, bounds):
+            np.add(base[start:stop], step - lo if lo else step, out=out)
+        flats[0][slice(*bounds[0])].take(at[0], out=omega, mode="clip")
+        flats[1][slice(*bounds[1])].take(at[1], out=gathered, mode="clip")
+        omega *= gathered
+        np.copyto(denom, omega[0])  # _sum_rows, into the workspace
+        for row in omega[1:]:
+            denom += row
+        if denom.min() <= 0.0:
+            return None, None, int(np.argmax(denom <= 0.0))
+        weights = problem.weights[start:stop]
+        loglik = float(weights @ np.log(denom, out=scale))
+        parts = [None, None]
+        if any(problem.updates):  # responsibilities are only read by the sums
+            omega *= np.divide(weights, denom, out=scale)
+            for family, (lo, hi) in enumerate(bounds):
+                if problem.updates[family]:
+                    parts[family] = lo, np.bincount(at[family].ravel(), weights=omega.ravel(),
+                                                    minlength=hi - lo)
+        return parts, loglik, None
+
+    sums = [np.zeros(x.size) if update else None for x, update in zip(flats, problem.updates)]
     loglik = 0.0
-    for start in range(0, problem.weights.size, CHUNK):
-        sl = slice(start, start + CHUNK)
-        at_theta = problem.base_theta[sl] + step_theta
-        at_p = problem.base_p[sl] + step_p
-        omega = theta.take(at_theta)
-        omega *= p.take(at_p)
-        denom = _sum_rows(omega)
-        if np.any(denom <= 0.0):
-            u = start + int(np.argmax(denom <= 0.0))
+    jobs = ((start, problem.buffers()) for start in starts)  # read on this thread
+    for start, (parts, part_loglik, failed) in zip(starts, ordered_map(block, jobs)):
+        if failed is not None:
+            u = start + failed
             raise DegenerateParameterError(int(problem.nodes_u[u]),
                                            int(problem.labels_u[u]),
                                            int(problem.epochs_u[u]))
-        weights = problem.weights[sl]
-        loglik += float(weights @ np.log(denom))
-        omega *= weights / denom
-        for s, at in zip(sums, (at_theta, at_p)):
-            if s is not None:
-                s += np.bincount(at.ravel(), weights=omega.ravel(),
-                                 minlength=s.size).reshape(s.shape)
-    return (*sums, loglik)
+        loglik += part_loglik
+        for s, part in zip(sums, parts):
+            if part is not None:
+                lo, counts = part
+                s[lo:lo + counts.size] += counts
+    return (*(None if s is None else s.reshape(x.shape) for s, x in zip(sums, (theta, p))),
+            loglik)
 
 
 def _e_step(theta, p, problem):

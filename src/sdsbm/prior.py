@@ -20,8 +20,8 @@ class PriorConfig:
     """Temporal prior settings.
 
     beta_theta, beta_p : float
-        Coupling strengths for the membership and block-interaction families.
-        Zero switches the corresponding prior off.
+        Coupling strengths for the membership and block-interaction families,
+        stored as Python floats.  Zero switches the corresponding prior off.
     kernel_exponent : int
         Power ``a`` in ``N_{t'} / |t - t'|**a``; an integer (numpy's too) >= 1.
     window : int or None
@@ -39,6 +39,7 @@ class PriorConfig:
             b = getattr(self, name)
             if not np.isfinite(b) or b < 0:
                 raise ContractError(f"{name} must be finite and >= 0, got {b}")
+            object.__setattr__(self, name, float(b))  # a numpy scalar would not save as JSON
         object.__setattr__(self, "kernel_exponent",
                            _integer("kernel_exponent", self.kernel_exponent, 1))
         if self.window is not None:

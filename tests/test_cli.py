@@ -27,11 +27,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
 
-def run_limited(*argv):
-    """The sdsbm command in a child process with 2 GB of address space and one BLAS thread."""
+def run_limited(*argv, script=None):
+    """The sdsbm command in a child process with 2 GB of address space and one BLAS thread.
+
+    ``script``, if given, is run with ``python -c`` in place of ``-m sdsbm.cli``.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(sdsbm.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "sdsbm.cli", *argv], env=env,
+    command = ["-m", "sdsbm.cli"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *command, *argv], env=env,
                           capture_output=True, text=True, timeout=300,
                           preexec_fn=_limit_address_space)
 
@@ -228,6 +232,30 @@ class TestFit:
                              "--out", str(tmp_path / "model.npz"))
         assert result.returncode == 0, result.stderr
         assert ModelArchive.load(tmp_path / "model.npz").theta.values.shape == (20000, 6, 3)
+
+    def test_a_fit_on_the_thread_pool_runs_in_limited_address_space(self, tmp_path, capsys):
+        # small blocks give ingest and the E-step several blocks each, so both
+        # loops run on this thread and a pool thread, whose stack and malloc
+        # arena also take address space
+        bench = tmp_path / "bench"
+        assert run(capsys, "synth", "--epochs", "6", "--items", "8", "--obs-per-epoch", "20",
+                   "--out", str(bench))[0] == 0
+        script = "\n".join([
+            "import importlib, sys, threading",
+            "from sdsbm import cli, model, pool",
+            "pool._workers = lambda: 2",
+            "model.CHUNK = 16",
+            "importlib.import_module('sdsbm.ingest').BLOCK = 256",
+            "code = cli.main(sys.argv[1:])",
+            "assert threading.active_count() == 2, threading.enumerate()",
+            "sys.exit(code)",
+        ])
+        result = run_limited("fit", "--data", str(bench / "events.csv"), "--clusters", "3",
+                             "--beta-theta", "1", "--beta-p", "1", "--max-iter", "5",
+                             "--restarts", "2", "--out", str(tmp_path / "model.npz"),
+                             script=script)
+        assert result.returncode == 0, result.stderr
+        assert ModelArchive.load(tmp_path / "model.npz").theta.values.shape == (6, 8, 3)
 
     def test_an_out_path_without_suffix_is_written_as_given(self, tmp_path, capsys):
         out = tmp_path / "model"

@@ -1,4 +1,6 @@
 """EM engine: responsibilities, coordinate updates, full fits."""
+import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,6 +9,7 @@ import pytest
 
 import sdsbm.em as em
 import sdsbm.model as model
+import sdsbm.pool as pool
 from sdsbm import (
     DEFAULT_BETA_GRID,
     BlockTensor,
@@ -337,17 +340,21 @@ class TestAccumulation:
         assert s_p.sum() == pytest.approx(len(data), abs=1e-9)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 
-    @pytest.mark.parametrize("n_clusters", [1, 3])
-    @pytest.mark.parametrize("n_slices", [3, 1])
-    def test_chunked_pass_matches_one_block(self, monkeypatch, n_clusters, n_slices):
-        # ~80 triplets over 3 epochs; label 5 occurs only in the last epoch,
-        # so every triplet carrying it sits past the first block of 7
+    @staticmethod
+    def _three_epochs():
+        """~80 triplets over 3 epochs; label 5 occurs only in the last epoch."""
         rng = np.random.default_rng(22)
         epochs = rng.integers(0, 3, size=200)
         labels = np.where(epochs == 2, rng.integers(0, 6, size=200),
                           rng.integers(0, 5, size=200))
-        data = Dataset(rng.integers(0, 6, size=200), labels, epochs,
+        return Dataset(rng.integers(0, 6, size=200), labels, epochs,
                        n_items=6, n_labels=6, n_epochs=3)
+
+    @pytest.mark.parametrize("n_clusters", [1, 3])
+    @pytest.mark.parametrize("n_slices", [3, 1])
+    def test_chunked_pass_matches_one_block(self, monkeypatch, n_clusters, n_slices):
+        # every triplet carrying label 5 sits past the first block of 7
+        data = self._three_epochs()
         problem = model._Problem(data, PriorConfig(), n_clusters, 3, n_slices)
         assert 70 <= problem.weights.size <= 100
         theta = _swap(random_memberships(3, 6, n_clusters, seed=23))
@@ -369,6 +376,77 @@ class TestAccumulation:
         with pytest.raises(DegenerateParameterError) as info:
             model._accumulate(theta, p, problem)
         assert info.value.triplet == (i, 5, 2)
+
+    def test_worker_count_does_not_change_the_bits(self, monkeypatch):
+        # blocks of 7 run on 1, 2 and 3 threads, switching often, and merge in
+        # block order: every sum, log-likelihood, objective and fit is the same bits
+        data = self._three_epochs()
+        monkeypatch.setattr(model, "CHUNK", 7)
+        prior = PriorConfig(beta_theta=2.0, beta_p=3.0)
+        theta = _swap(random_memberships(3, 6, 3, seed=23))
+        p = random_blocks(3, 3, 6, seed=24)
+        config = FitConfig(n_clusters=3, prior=prior, restarts=3, max_iterations=50)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(pool, "_workers", lambda: workers)
+                problem = model._Problem(data, prior, 3, 3, 3)
+                report = fit(data, config)
+                runs.append([*model._accumulate(theta, p, problem),
+                             *model._e_step(theta, p, problem),
+                             report.theta.values, report.p.values, report.trace])
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs[1:]:
+            for got, expected in zip(run, runs[0]):
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_degenerate_block_is_named(self, monkeypatch, workers):
+        data = self._three_epochs()
+        monkeypatch.setattr(model, "CHUNK", 7)
+        monkeypatch.setattr(pool, "_workers", lambda: workers)
+        problem = model._Problem(data, PriorConfig(), 2, 3, 3)
+        theta = _swap(random_memberships(3, 6, 2, seed=25))
+        p = random_blocks(3, 2, 6, seed=26)
+        epochs, nodes, labels = problem.epochs_u, problem.nodes_u, problem.labels_u
+        # one triplet of block 2 and one of block 5, in a later epoch, become
+        # impossible: their theta rows put all mass on cluster 0, which never
+        # emits their labels
+        bad = [2 * 7 + 3, 5 * 7 + 1]
+        assert epochs[bad[0]] < epochs[bad[1]]
+        for u in bad:
+            theta[epochs[u], :, nodes[u]] = [1.0, 0.0]
+            p[epochs[u], 0, labels[u]] = 0.0
+        for u in bad:
+            with pytest.raises(DegenerateParameterError) as info:
+                model._accumulate(theta, p, problem)
+            assert info.value.triplet == (nodes[u], labels[u], epochs[u])
+            p[epochs[u], 0, labels[u]] = 0.5  # now the later one fails first
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_reuse_their_buffers(self, monkeypatch, workers):
+        # a pass allocates its sums and, per block, the bincounts of the
+        # block's epochs; index, gather and product arrays of its own would
+        # take 4 * 3 * 10000 * 8 bytes a block (blocks of 10000 keep numpy's
+        # ufunc buffers of 8192 elements out of the count)
+        data = random_dataset(20, 200, 10, 60000, seed=27)
+        monkeypatch.setattr(model, "CHUNK", 10000)
+        monkeypatch.setattr(pool, "_workers", lambda: workers)
+        problem = model._Problem(data, PriorConfig(), 3, 20, 20)
+        assert problem.weights.size > 3 * model.CHUNK
+        theta = _swap(random_memberships(20, 200, 3, seed=28))
+        p = random_blocks(20, 3, 10, seed=29)
+        model._accumulate(theta, p, problem)  # makes a buffer set per block in flight
+        tracemalloc.start()
+        try:
+            model._accumulate(theta, p, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (theta.size + p.size) * 8 + 3 * model.CHUNK * 8
 
 
 class TestPriorPull:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sdsbm.archive as archive_module
+import sdsbm.pool as pool
 from sdsbm import (
     BlockTensor,
     ContractError,
@@ -583,6 +584,46 @@ class TestIngestMatchesReference:
             _outcome(reference_ingest, path, n_slices=1))
 
 
+class TestIngestOnThePool:
+    """Blocks parse on the pool; ids, vocabularies and errors follow in block order."""
+
+    @staticmethod
+    def _lines(seed, n=1500):
+        rng = np.random.default_rng(seed)
+        return [f"u{i},g{j},{t:.6f}" for i, j, t in zip(
+            rng.integers(0, 300, n), rng.integers(0, 20, n), np.sort(rng.uniform(0, 50, n)))]
+
+    def test_worker_count_does_not_change_the_result(self, tmp_path, monkeypatch):
+        path = write_events(tmp_path, "\n".join(["node,label,time"] + self._lines(6)))
+        monkeypatch.setattr(ingest_module, "BLOCK", 512)  # about 60 blocks
+        expected = _outcome(reference_ingest, path, slice_width=1.0)
+        assert expected[0] == "ok"
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pool, "_workers", lambda: workers)
+            assert _outcome(ingest, path, slice_width=1.0) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_earlier_of_two_bad_blocks_is_reported(self, tmp_path, monkeypatch, workers):
+        lines = self._lines(7)
+        lines[300] = "u1,g1"
+        lines[330] = "u1,g1,noon"  # in the next block, which may parse first
+        path = write_events(tmp_path, "\n".join(lines))
+        monkeypatch.setattr(ingest_module, "BLOCK", 512)
+        monkeypatch.setattr(pool, "_workers", lambda: workers)
+        with pytest.raises(IngestError, match="line 301: expected 3 or 4 fields, got 2") as info:
+            ingest(path, slice_width=1.0)
+        assert info.value.line_number == 301
+
+    def test_a_single_block_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(workers):
+            raise AssertionError("a single block reached the pool")
+
+        monkeypatch.setattr(pool, "_workers", lambda: 2)
+        monkeypatch.setattr(pool, "_executor", refuse)
+        # a last line without an ending would be a second block
+        path = write_events(tmp_path, "\n".join(self._lines(8, n=200)) + "\n")
+        assert len(ingest(path, slice_width=1.0).dataset) == 200
+
 class TestDataset:
     def test_compressed_merges_repeats(self):
         data = Dataset([0, 1, 0, 0], [2, 0, 2, 1], [1, 0, 1, 1],
@@ -782,6 +823,30 @@ class TestModelArchive:
         assert loaded.t_min == 1000.0
         assert loaded.slice_width == 3600.0
         assert loaded.converged == report.converged
+
+    @pytest.mark.parametrize("beta", [np.float32(1.5), np.float16(0.5), np.int64(2), 2])
+    def test_numpy_scalar_betas_save_and_load(self, tmp_path, beta):
+        # the betas are stored as Python floats, which the metadata JSON can hold
+        data = random_dataset(2, 4, 3, 60, seed=63)
+        config = FitConfig(n_clusters=2, prior=PriorConfig(beta_theta=beta, beta_p=beta),
+                           max_iterations=3, restarts=1)
+        archive = ModelArchive.from_fit(fit(data, config))
+        archive.save(tmp_path / "model.npz")
+        loaded = ModelArchive.load(tmp_path / "model.npz")
+        assert loaded.prior == archive.prior == PriorConfig(float(beta), float(beta))
+        assert type(loaded.prior.beta_theta) is type(loaded.prior.beta_p) is float
+
+    @pytest.mark.parametrize("prior,text", [
+        (PriorConfig(), '"beta_theta": 0.0, "beta_p": 0.0'),
+        (PriorConfig(np.float64(2.5), np.float64(0.1)), '"beta_theta": 2.5, "beta_p": 0.1'),
+    ])
+    def test_prior_metadata_is_unchanged(self, tmp_path, prior, text):
+        # the bytes that a default prior, or float64 betas, always wrote
+        meta, _ = self._saved_meta(tmp_path, ModelArchive.from_fit(
+            fit(random_dataset(2, 4, 3, 60, seed=63),
+                FitConfig(n_clusters=2, prior=prior, max_iterations=3, restarts=1))))
+        assert json.dumps(meta["prior"]) == (
+            "{" + text + ', "kernel_exponent": 1, "window": null}')
 
     def test_default_vocabularies_are_stringified_ids(self):
         archive = ModelArchive.from_fit(_fitted_report())
