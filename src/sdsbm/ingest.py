@@ -65,17 +65,22 @@ class IngestResult:
 def _blocks(handle):
     """Yield the file as blocks of whole lines (only the last may lack an ending).
 
-    Each read is searched once and joined once: a line many reads long costs linear time."""
+    Each read is searched once and joined once: a line many reads long costs
+    linear time.  The last block is held back until the file ends, so a last
+    line without an ending joins it rather than making a block of its own."""
+    held = b""  # the last block cut, not yet yielded
     pending = []  # reads since the last cut, with no line end to cut at
     while chunk := handle.read(BLOCK):
         # a final "\r" may be the first half of "\r\n", so it waits for the next read
         cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:
-            yield b"".join([*pending, memoryview(chunk)[:cut]])
+            if held:
+                yield held
+            held = b"".join([*pending, memoryview(chunk)[:cut]])
             pending = []
         pending.append(chunk[cut:])
-    if tail := b"".join(pending):
-        yield tail
+    if last := b"".join([held, *pending]):
+        yield last
 
 
 def _length_groups(b, starts, lengths):

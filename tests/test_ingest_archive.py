@@ -560,6 +560,15 @@ class TestIngestMatchesReference:
             monkeypatch.setattr(ingest_module, "BLOCK", block)
             assert _outcome(ingest, path, slice_width=1.0) == expected
 
+    def test_a_last_line_without_an_ending_joins_the_last_block(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"a,b,1\nc,d,2\ne,f,3")
+        with open(path, "rb") as handle:
+            assert list(ingest_module._blocks(handle)) == [b"a,b,1\nc,d,2\ne,f,3"]
+        monkeypatch.setattr(ingest_module, "BLOCK", 8)  # each read ends one line
+        with open(path, "rb") as handle:
+            assert list(ingest_module._blocks(handle)) == [b"a,b,1\n", b"c,d,2\ne,f,3"]
+
     def test_lines_many_blocks_long(self, tmp_path, monkeypatch):
         # The block reader searches each read once and joins it once, so a
         # line thousands of reads long stays linear; only the result is
@@ -620,8 +629,8 @@ class TestIngestOnThePool:
 
         monkeypatch.setattr(pool, "_workers", lambda: 2)
         monkeypatch.setattr(pool, "_executor", refuse)
-        # a last line without an ending would be a second block
-        path = write_events(tmp_path, "\n".join(self._lines(8, n=200)) + "\n")
+        # the last line has no ending: it joins the block before it
+        path = write_events(tmp_path, "\n".join(self._lines(8, n=200)))
         assert len(ingest(path, slice_width=1.0).dataset) == 200
 
 class TestDataset:
