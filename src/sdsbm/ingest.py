@@ -25,20 +25,23 @@ Keys get dense ids in first-appearance order; timestamps map to epochs by
 uniform slicing from the earliest event.  Epochs that happen to contain no
 events are kept.
 
-Blocks of whole lines are tokenized with numpy byte masks: Python code runs
-once per distinct key of the file and once per number that neither the exact
-decimal parser nor numpy's string cast reads, not once per line.  Blocks
-tokenize and parse through ``sdsbm.pool``, on several threads where several
-CPUs are free; key ids, the vocabularies, line numbers and the first error
-are settled on the calling thread in block order, so the result does not
-depend on the thread count.
+Blocks of whole lines are tokenized with numpy byte masks, and a block builds
+only the masks its bytes need: no ``\\r`` mask without a ``\\r`` byte, and no
+whitespace split when every line holds a comma.  Numbers of one length and
+one dot column are read in one Horner pass, and keys of at most 7 bytes are
+uniqued as one group of ``uint64`` codes per block.  Python code runs once per
+distinct key of the file and once per number that neither the exact decimal
+parser nor numpy's string cast reads, not once per line.  Blocks tokenize
+and parse through ``sdsbm.pool``, on several threads where several CPUs are
+free; key ids, the vocabularies, line numbers and the first error are
+settled on the calling thread in block order, so the result does not depend
+on the thread count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import IngestError
@@ -84,10 +87,30 @@ def _blocks(handle):
 
 
 def _length_groups(b, starts, lengths):
-    """Yield ``(length, rows, cells)`` per field length; cells are the fields' bytes."""
+    """Yield ``(length, rows, codes)`` per field length; codes are the fields as ``S{length}``."""
     for length in np.flatnonzero(np.bincount(lengths)):
         rows = np.flatnonzero(lengths == length)
-        yield length, rows, sliding_window_view(b, length)[starts[rows]]
+        windows = np.ndarray(b.size - length + 1, f"S{length}", b, strides=(1,))
+        yield length, rows, windows[starts[rows]]
+
+
+def _horner(digits, dot):
+    """Each row of ``digits`` read as one decimal ``int64``, skipping column ``dot``."""
+    mantissa = np.zeros(len(digits), np.int64)
+    for column in range(digits.shape[1]):
+        if column != dot:
+            mantissa *= 10
+            mantissa += digits[:, column]
+    return mantissa
+
+
+def _dot_columns(cells, others, floats):
+    """Each field's group: the column of its one byte that is no digit if that is a
+    ``.`` (floats only, and never the only byte), its length if it has none, else -1."""
+    length = cells.shape[1]
+    count, column = np.count_nonzero(others, axis=1), others.argmax(axis=1)
+    dotted = (count == 1) & (cells[np.arange(len(cells)), column] == 46) & floats & (length > 1)
+    return np.where(dotted, column, np.where(count == 0, length, -1))
 
 
 def _numbers(b, data, starts, stops, dtype):
@@ -96,38 +119,45 @@ def _numbers(b, data, starts, stops, dtype):
     A plain decimal of at most 18 bytes (digits, at least one, and for a float
     at most one ``.``) is read as ``M / 10**k``: an int64 mantissa over an exact
     power of ten rounds once while ``M < 2**53``, to ``float``'s bits (Clinger's
-    fast path).  Other fields of ``0-9+-`` (and ``.eE`` for a float) go to
-    numpy's string cast, which reads them as ``float``/``int`` do; the rest, and
-    groups the cast rejects, to ``float``/``int`` per field.
+    fast path).  Fields of one length and one dot column (or none) form a
+    group, read by one Horner pass over its digit columns and one division by
+    the group's power of ten; a length's fields are first tried as the first
+    one's group, and only when some do not fit is each field's own group found.
+    Other fields of ``0-9+-`` (and ``.eE`` for a float) go to numpy's string
+    cast, which reads them as ``float``/``int`` do; the rest, and groups the
+    cast rejects, to ``float``/``int`` per field.
     """
     values, ok = np.zeros(starts.size, dtype), np.zeros(starts.size, dtype=bool)
-    castable = np.frombuffer(b"0123456789+-.eE"[:15 if dtype == np.float64 else 12], np.uint8)
-    for length, rows, cells in _length_groups(b, starts, stops - starts):
+    floats = dtype == np.float64
+    castable = np.frombuffer(b"0123456789+-.eE"[:15 if floats else 12], np.uint8)
+    for length, rows, codes in _length_groups(b, starts, stops - starts):
+        cells = codes.view(np.uint8).reshape(-1, length)
         if length <= 18:
             digits = cells - np.uint8(48)
-            mantissa = np.zeros(rows.size, np.int64)
-            for column in (digits * (digits < 10)).T:  # Horner: no (rows, length) int64 copy
-                mantissa *= 10
-                mantissa += column
-            other = np.flatnonzero(digits > 9)  # flat positions of the bytes that are no digit
-            is_dot = (cells.ravel()[other] == 46) & (dtype == np.float64)
-            row, column = np.divmod(other[is_dot], length)
-            scale = 10 ** (length - 1 - column)  # the dot was read as a 0 digit: drop it
-            mantissa[row] = mantissa[row] // (10 * scale) * scale + mantissa[row] % scale
-            values[rows] = mantissa
-            values[rows[row]] = mantissa[row] / scale
-            ok[rows] = (mantissa < 2**53) | (dtype == np.int64)
-            ok[rows[other[~is_dot] // length]] = False
-            ok[rows] &= np.bincount(row, minlength=rows.size) <= min(1, length - 1)  # "." is none
+            others = digits > 9  # bytes that are no digit
+            # try every field as the first one's group; count the bytes no digit to check it
+            dot = _dot_columns(cells[:1], others[:1], floats)[0]
+            if dot >= 0 and np.count_nonzero(others) == len(cells) * (dot < length) and (
+                    dot == length or np.all(cells[:, dot] == 46)):
+                groups = [(slice(None), dot)]
+            else:
+                own = _dot_columns(cells, others, floats)
+                groups = [(np.flatnonzero(own == column), column)
+                          for column in np.unique(own[own >= 0])]
+            for at, dot in groups:
+                mantissa = _horner(digits[at], dot)
+                values[rows[at]] = mantissa if dot == length else (
+                    mantissa / np.float64(10 ** (length - 1 - dot)))
+                ok[rows[at]] = (mantissa < 2**53) | (not floats)
         cast = np.flatnonzero(~ok[rows])
         if cast.size:
             cast = cast[np.isin(cells[cast], castable).all(axis=1)]
             try:
-                values[rows[cast]] = cells[cast].view(f"S{length}").ravel().astype(dtype)
+                values[rows[cast]] = codes[cast].astype(dtype)
                 ok[rows[cast]] = True
             except (ValueError, OverflowError):
                 pass
-    parse = float if dtype == np.float64 else int
+    parse = float if floats else int
     for row in np.flatnonzero(~ok).tolist():
         try:
             values[row], ok[row] = parse(data[starts[row]:stops[row]]), True
@@ -136,29 +166,48 @@ def _numbers(b, data, starts, stops, dtype):
     return values, ok
 
 
+#: a short key's code: its bytes masked to its length, and the length in the top byte
+_MASKS = np.array([(1 << 8 * length) - 1 for length in range(8)], np.uint64)
+_TAGS = np.arange(8, dtype=np.uint64) << np.uint64(56)
+
+
+def _key_groups(b, starts, stops):
+    """Yield ``(table, rows, codes)``: keys of at most 7 bytes as one ``uint64``
+    group in table 7, longer keys per length in the table of that length."""
+    lengths = stops - starts
+    short = np.flatnonzero(lengths < 8)
+    if short.size:  # the 8 bytes at each key's start, read from the block padded with zeros
+        words = np.ndarray(b.size, "<u8", np.concatenate((b, np.zeros(7, np.uint8))), strides=(1,))
+        n = lengths[short]
+        yield 7, short, words[starts[short]] & _MASKS[n] | _TAGS[n]
+    long = np.flatnonzero(lengths >= 8)
+    for length, rows, codes in _length_groups(b, starts[long], lengths[long]):
+        yield length, long[rows], codes.view(np.uint64) if length == 8 else codes
+
+
 def _key_ids(b, data, starts, stops, keys, tables):
     """Ids of key fields; keys new to ``keys`` join it in first-appearance order.
 
-    ``tables`` maps a length to the file's keys of that length as sorted runs of
-    (codes, ids), each at least twice the next: a block's new codes form a run
-    that absorbs smaller ones, so a code is merged O(log n) times.  A code is the
-    key as one NUL-padded ``uint64`` up to 8 bytes, else ``S{length}``: exact,
-    as the length fixes the bytes.
+    ``tables`` maps a table to the file's keys of it as sorted runs of (codes,
+    ids), each at least twice the next: a block's new codes form a run that
+    absorbs smaller ones, so a code is merged O(log n) times.  Keys of at most
+    7 bytes share table 7, whose code is the key's bytes and its length in
+    one ``uint64``, so ``"z"`` and ``"z\\0"`` differ; a longer key's table is
+    its length, whose code is the key as one ``uint64`` at 8 bytes, else
+    ``S{length}``.  Each code is exact.
     """
     out = np.empty(starts.size, dtype=np.int64)
     firsts, groups = [np.empty(0, dtype=np.intp)], []
-    for length, rows, cells in _length_groups(b, starts, stops - starts):
-        codes = cells.view(f"S{length}").ravel()
-        codes = codes.astype("S8").view(np.uint64) if length <= 8 else codes  # NUL-padded
+    for table, rows, codes in _key_groups(b, starts, stops):
         distinct, inverse = np.unique(codes, return_inverse=True)
         ids = np.full(distinct.size, -1)
-        for known, known_ids in tables.setdefault(length, []):
+        for known, known_ids in tables.setdefault(table, []):
             at = np.searchsorted(known, distinct).clip(max=known.size - 1)
             ids = np.where(known[at] == distinct, known_ids[at], ids)
         new = ids < 0
         later = np.flatnonzero(new[inverse])  # rows holding a new key
         firsts.append(rows[later[np.unique(inverse[later], return_index=True)[1]]])
-        groups.append((tables[length], rows, inverse, ids, new, distinct[new]))
+        groups.append((tables[table], rows, inverse, ids, new, distinct[new]))
     # the block's new keys get ids in the order they first appear
     firsts = np.concatenate(firsts)
     order = np.argsort(firsts)
@@ -177,9 +226,9 @@ def _key_ids(b, data, starts, stops, keys, tables):
     return out
 
 
-def _per_line(positions, ends):
-    """How many of the sorted ``positions`` (none a line end) fall on each line."""
-    return np.diff(np.searchsorted(positions, ends), prepend=0)
+def _space(x):
+    """Mask of ASCII whitespace: tab, ``\\n``, vertical tab, form feed, ``\\r``, space."""
+    return ((x - np.uint8(9)) < 5) | (x == 32)
 
 
 def _stamp_error(text):
@@ -215,7 +264,8 @@ def _parse_block(index, data, separator):
     errors = []  # (line within the block, rank within the line, message)
     undecodable = len(data)  # a line index past every line
     try:
-        data.decode("utf-8")
+        if not data.isascii():  # ASCII is UTF-8
+            data.decode("utf-8")
     except UnicodeDecodeError as err:
         head = data[:err.start]
         undecodable = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
@@ -225,45 +275,60 @@ def _parse_block(index, data, separator):
         data = data.replace(separator, bytes([_SENTINEL]))
         separator = bytes([_SENTINEL])
 
+    # bounds: the bytes that end a field, line ends included; masks the block
+    # does not need are not built, and a pool thread's malloc arena keeps a
+    # parse's peak, so masks go once read
     b = np.frombuffer(data, dtype=np.uint8)
-    is_n = b == 10
-    term = b == 13
-    term[:-1] &= ~is_n[1:]  # the "\r" of "\r\n" is whitespace, not a line end
-    term |= is_n
-    del is_n  # a pool thread's malloc arena keeps a parse's peak: masks go once read
-    ws = ((b - np.uint8(9)) < 5) | (b == 32)  # tab, \n, vertical tab, form feed, \r, space
-    ends = np.flatnonzero(term)
-    if not term[-1]:
-        ends = np.append(ends, b.size)  # the last line has no ending
+    term = b == 10
+    if b"\r" in data:  # a "\r" ends a line unless it is the "\r" of "\r\n"
+        cr = b == 13
+        cr[:-1] &= ~term[1:]
+        term |= cr
+        del cr
     if separator == b"":
-        hits, bounds = np.zeros_like(term), ws
+        bounds = _space(b)
     else:
-        hits = b == (44 if separator is None else separator[0])
-        bounds = hits | term
-    delimited = (_per_line(np.flatnonzero(hits), ends) > 0) & marks_lines
-    del hits
-    if separator is None:  # lines without a comma split at whitespace
-        bounds |= ws & np.repeat(~delimited, np.diff(ends, prepend=-1))[:b.size]
+        bounds = b == (44 if separator is None else separator[0])
+        bounds |= term
     bounds = np.flatnonzero(bounds)
-    if not term[-1]:
-        bounds = np.append(bounds, b.size)
+    ended = term[bounds]
+    if not term[-1]:  # the last line has no ending
+        bounds, ended = np.append(bounds, b.size), np.append(ended, True)
     del term
+    ends = np.flatnonzero(ended)  # each line's end, as an index into bounds
+    del ended
+    delimited = (np.diff(ends, prepend=-1) > 1) & marks_lines  # a delimiter before the end
+    if separator is None and not delimited.all():  # lines without a comma split at whitespace
+        line_ends = bounds[ends]
+        spaced = np.zeros(b.size + 1, dtype=bool)
+        spaced[:-1] = _space(b) & np.repeat(~delimited, np.diff(line_ends, prepend=-1))[:b.size]
+        spaced[bounds] = True
+        bounds = np.flatnonzero(spaced)
+        del spaced
+        ends = np.searchsorted(bounds, line_ends)
 
-    starts = np.concatenate(([0], bounds[:-1] + 1))
-    keep = bounds > starts
-    starts, stops = starts[keep], bounds[keep]
-    del bounds, keep
-    padded = np.flatnonzero(ws[starts] | ws[stops - 1])
+    # fields: the bytes between bounds, stripped of whitespace; empty ones are dropped
+    starts, stops = np.concatenate(([0], bounds[:-1] + 1)), bounds
+    del bounds
+    empty = starts == stops
+    padded = np.empty(0, dtype=np.intp)
+    # only whitespace that bounds no field can pad one, and "\n" always bounds one
+    if separator != b"" and any(space in data for space in (b" ", b"\t", b"\r", b"\v", b"\f")):
+        padded = ~empty & (_space(b.take(starts, mode="clip")) | _space(b[stops - 1]))
+        padded = np.flatnonzero(padded)
     if padded.size:
-        solid = np.flatnonzero(~ws)
+        solid = np.flatnonzero(~_space(b))
         lo = np.searchsorted(solid, starts[padded])
         hi = np.searchsorted(solid, stops[padded]) - 1
         filled = lo <= hi
         starts[padded[filled]] = solid[lo[filled]]
         stops[padded[filled]] = solid[hi[filled]] + 1
-        starts, stops = np.delete(starts, padded[~filled]), np.delete(stops, padded[~filled])
-
-    counts = _per_line(starts, ends)
+        empty[padded[~filled]] = True
+    counts = np.diff(ends, prepend=-1)  # fields on each line
+    if empty.any():
+        counts -= np.diff(np.cumsum(empty)[ends], prepend=0)
+        starts, stops = starts[~empty], stops[~empty]
+    del empty
     written = (counts > 0) | delimited
     shaped = (counts == 3) | (counts == 4)
     misshaped = np.flatnonzero(written & ~shaped)

@@ -290,8 +290,11 @@ def _e_step(theta, p, problem):
             avg = problem.coupling.average(values)
             if sums is not None:
                 sums += pull * avg
-            with np.errstate(divide="ignore"):
-                log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
+            if values.min() > 0:  # as every M-step array is: where <x> is 0 the log adds ±0
+                log_values = np.log(values)
+            else:
+                with np.errstate(divide="ignore"):
+                    log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
             objective += pull * float(np.vdot(avg, log_values))
     return s_theta, s_p, loglik, objective
 

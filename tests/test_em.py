@@ -498,6 +498,34 @@ class TestPriorPull:
         np.testing.assert_array_equal(held[0], both[0])
         assert held[2:] == both[2:]
 
+    @pytest.mark.parametrize("window", [None, 1], ids=["readme", "fallback-epochs"])
+    def test_m_step_arrays_keep_the_bits_of_the_masked_log(self, window):
+        # every array the M-step returns is floored above 0, so the objective
+        # takes their plain log; where <x> is 0 that adds ±0, so it has the bits
+        # of the log masked to <x> > 0.  The README bench; with window 1 and
+        # epochs 10-11 and 13-14 emptied, epoch 12 averages to zero.
+        data = sample_dataset(_toy_truth(100, 50, noise=0.05), 10, seed=0)
+        if window:
+            epochs, nodes, labels, weights = data.compressed()
+            kept = ~np.isin(epochs, [10, 11, 13, 14])
+            data = Dataset(nodes[kept], labels[kept], epochs[kept], 50, 3, 100,
+                           weights=weights[kept])
+        prior = PriorConfig(beta_theta=30.0, beta_p=30.0, window=window)
+        problem = model._Problem(data, prior, 3, 100, 100)
+        theta = _swap(random_memberships(100, 50, 3, seed=56))
+        p = random_blocks(100, 3, 3, seed=57)
+        for _ in range(3):
+            theta, p, _ = em._m_step(*model._e_step(theta, p, problem)[:2], p, problem)
+        _, _, loglik, objective = model._e_step(theta, p, problem)
+        expected = loglik
+        for values in (theta, p):
+            avg = problem.coupling.average(values)
+            assert values.min() > 0 and (avg.min() == 0) == bool(window)
+            with np.errstate(divide="ignore"):
+                log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
+            expected += 30.0 * float(np.vdot(avg, log_values))
+        assert objective == expected
+
 
 class TestSweepOracle:
     @pytest.mark.parametrize("chunk", [model.CHUNK, 7])

@@ -497,6 +497,38 @@ class TestNumbers:
         values, parsed = _parse_numbers(weights, np.int64)
         assert parsed.all() and values.tolist() == [int(weight) for weight in weights]
 
+    def test_fixed_point_groups_stay_in_numpy(self, monkeypatch):
+        # fields of one length and one dot column are one Horner pass; the
+        # fields a length's first one does not fit find their own group
+        def python_reads(parse, allowed):
+            def read(text):
+                assert text in allowed, f"{text!r} went to Python"
+                return parse(text)
+            return read
+
+        monkeypatch.setattr(ingest_module, "float", python_reads(float, {b"."}), raising=False)
+        monkeypatch.setattr(ingest_module, "int", python_reads(int, set()), raising=False)
+        rng = np.random.default_rng(33)
+        stamps = [f"{value:.6f}" for width in range(8, 19)  # %.6f at every length 8-18
+                  for value in rng.uniform(10.0 ** (width - 8), 10.0 ** (width - 7), 30)]
+        assert {len(stamp) for stamp in stamps} == set(range(8, 19))
+        stamps += ["123456.78901", "-1234.567890", "1.234567e+03", "00001.234567",
+                   "-0000.000001", "+9999.999999"]  # length 12, among its %.6f stamps
+        stamps += ["9007199254.740991", "9007199254.740992", "9007199254.740993",
+                   "0000000000.000001"]  # length 17: mantissas either side of 2**53
+        stamps += [".", "7", "0", "1.", ".5", "42", "9.", "0.", ".0"]  # lengths 1 and 2
+        stamps += [str(value) for value in rng.integers(0, 10**17, 30)]  # all digits
+        values, parsed = _parse_numbers(stamps, np.float64)
+        assert parsed.tolist() == [stamp != "." for stamp in stamps]
+        expected = np.array([0.0 if stamp == "." else float(stamp) for stamp in stamps])
+        np.testing.assert_array_equal(values.view(np.int64)[parsed],
+                                      expected.view(np.int64)[parsed])
+        weights = [str(value).zfill(length) for length in range(1, 19)
+                   for value in rng.integers(0, 10 ** min(length, 17), 20).tolist()]
+        values, parsed = _parse_numbers(weights, np.int64)
+        assert values.dtype == np.int64 and parsed.all()
+        assert values.tolist() == [int(weight) for weight in weights]
+
     def test_integers_equal_python_int(self):
         fields = _number_fields(np.random.default_rng(32), 100_000)
         fields += ["9" * 18, "9" * 19, str(2**63 - 1), str(2**63), "0" * 18, "0" * 30 + "7"]
@@ -514,18 +546,22 @@ class TestNumbers:
 
 def test_key_tables_stay_logarithmic():
     # keys new in every block, as in a log of mostly distinct ids: each
-    # length's sorted runs are at least twice the next, so there are
-    # O(log n) of them and a code is merged O(log n) times
+    # table's sorted runs are at least twice the next, so there are O(log n)
+    # of them and a code is merged O(log n) times.  Keys of 2 to 7 bytes
+    # share table 7; keys of 9 to 12 bytes have a table per length.
     rng = np.random.default_rng(7)
     keys, tables, expected = [], {}, {}
     for _ in range(300):
-        fields = [f"k{value}" for value in rng.integers(0, 30_000, 100).tolist()]
+        fields = ["k" + f"{value:011d}"[1 - size:] for value, size in zip(
+            rng.integers(0, 30_000, 100).tolist(),
+            rng.choice([2, 3, 4, 5, 6, 7, 9, 10, 11, 12], 100).tolist())]
         ids = ingest_module._key_ids(*_field_block(fields), keys, tables)
         assert ids.tolist() == [expected.setdefault(field, len(expected)) for field in fields]
     assert keys == list(expected)
-    for length, runs in tables.items():
+    assert sorted(tables) == [7, 9, 10, 11, 12]
+    for table, runs in tables.items():
         sizes = [codes.size for codes, _ in runs]
-        assert sum(sizes) == sum(len(key) == length for key in keys)
+        assert sum(sizes) == sum(max(len(key), 7) == table for key in keys)
         assert all(size >= 2 * smaller for size, smaller in zip(sizes, sizes[1:])), sizes
 
 
@@ -622,6 +658,27 @@ class TestIngestOnThePool:
         with pytest.raises(IngestError, match="line 301: expected 3 or 4 fields, got 2") as info:
             ingest(path, slice_width=1.0)
         assert info.value.line_number == 301
+
+    def test_a_block_parses_in_bounded_memory(self):
+        # a pool thread's malloc arena keeps the peak of its parses, so the
+        # tokenizer must not trade memory for speed: one block of the
+        # benchmark's lines peaks at about 2.3 MiB, and peaked at 3.0 MiB when
+        # every byte mask was built and every dot mended row by row
+        rng = np.random.default_rng(10)
+        epochs = np.sort(rng.integers(0, 50, 16_000))
+        text = "".join(f"u{i},g{o},{t:.6f}\n" for i, o, t in zip(
+            rng.integers(0, 500, epochs.size).tolist(), rng.integers(0, 20, epochs.size).tolist(),
+            (epochs + rng.random(epochs.size)).tolist()))
+        data = text.encode()[:ingest_module.BLOCK]
+        data = data[:data.rfind(b"\n") + 1]
+        tracemalloc.start()
+        try:
+            parsed = ingest_module._parse_block(0, data, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed[-2] > 14_000 and parsed[-1] is None
+        assert peak < 3.4 * 2**20
 
     def test_a_single_block_starts_no_thread(self, tmp_path, monkeypatch):
         def refuse(workers):
