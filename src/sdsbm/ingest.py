@@ -104,13 +104,15 @@ def _horner(digits, dot):
     return mantissa
 
 
-def _dot_columns(cells, others, floats):
-    """Each field's group: the column of its one byte that is no digit if that is a
-    ``.`` (floats only, and never the only byte), its length if it has none, else -1."""
-    length = cells.shape[1]
-    count, column = np.count_nonzero(others, axis=1), others.argmax(axis=1)
-    dotted = (count == 1) & (cells[np.arange(len(cells)), column] == 46) & floats & (length > 1)
-    return np.where(dotted, column, np.where(count == 0, length, -1))
+def _first_group(cells, others, floats):
+    """The first field's group: the column of its one byte that is no digit if that
+    is a ``.`` (floats only, and never the only byte), its length if it has none,
+    else -1."""
+    length, columns = cells.shape[1], np.flatnonzero(others[0])
+    if not columns.size:
+        return length
+    dotted = columns.size == 1 and floats and length > 1 and cells[0, columns[0]] == 46
+    return columns[0] if dotted else -1
 
 
 def _numbers(b, data, starts, stops, dtype):
@@ -119,13 +121,13 @@ def _numbers(b, data, starts, stops, dtype):
     A plain decimal of at most 18 bytes (digits, at least one, and for a float
     at most one ``.``) is read as ``M / 10**k``: an int64 mantissa over an exact
     power of ten rounds once while ``M < 2**53``, to ``float``'s bits (Clinger's
-    fast path).  Fields of one length and one dot column (or none) form a
-    group, read by one Horner pass over its digit columns and one division by
-    the group's power of ten; a length's fields are first tried as the first
-    one's group, and only when some do not fit is each field's own group found.
-    Other fields of ``0-9+-`` (and ``.eE`` for a float) go to numpy's string
-    cast, which reads them as ``float``/``int`` do; the rest, and groups the
-    cast rejects, to ``float``/``int`` per field.
+    fast path).  The fields of one length are read this way when they all share
+    the first one's dot column (or its lack of a dot): one Horner pass over
+    their digit columns and one division by the group's power of ten.  The
+    fields of a length that mixes dot columns, signs or exponents, and the
+    mantissas from 2**53, go to numpy's string cast, which reads fields of
+    ``0-9+-`` (and ``.eE`` for a float) holding a digit as ``float``/``int``
+    do; the rest, and groups the cast rejects, go to ``float``/``int`` per field.
     """
     values, ok = np.zeros(starts.size, dtype), np.zeros(starts.size, dtype=bool)
     floats = dtype == np.float64
@@ -135,23 +137,20 @@ def _numbers(b, data, starts, stops, dtype):
         if length <= 18:
             digits = cells - np.uint8(48)
             others = digits > 9  # bytes that are no digit
-            # try every field as the first one's group; count the bytes no digit to check it
-            dot = _dot_columns(cells[:1], others[:1], floats)[0]
+            # every field fits the first one's group when its only bytes no digit are the dots
+            dot = _first_group(cells, others, floats)
             if dot >= 0 and np.count_nonzero(others) == len(cells) * (dot < length) and (
                     dot == length or np.all(cells[:, dot] == 46)):
-                groups = [(slice(None), dot)]
-            else:
-                own = _dot_columns(cells, others, floats)
-                groups = [(np.flatnonzero(own == column), column)
-                          for column in np.unique(own[own >= 0])]
-            for at, dot in groups:
-                mantissa = _horner(digits[at], dot)
-                values[rows[at]] = mantissa if dot == length else (
+                mantissa = _horner(digits, dot)
+                values[rows] = mantissa if dot == length else (
                     mantissa / np.float64(10 ** (length - 1 - dot)))
-                ok[rows[at]] = (mantissa < 2**53) | (not floats)
+                ok[rows] = (mantissa < 2**53) | (not floats)
         cast = np.flatnonzero(~ok[rows])
         if cast.size:
-            cast = cast[np.isin(cells[cast], castable).all(axis=1)]
+            # a field with no digit is no number, and one would make the cast reject the group
+            fields = cells[cast]
+            number = np.isin(fields, castable).all(axis=1) & (fields - np.uint8(48) < 10).any(axis=1)
+            cast = cast[number]
             try:
                 values[rows[cast]] = codes[cast].astype(dtype)
                 ok[rows[cast]] = True
@@ -176,8 +175,10 @@ def _key_groups(b, starts, stops):
     group in table 7, longer keys per length in the table of that length."""
     lengths = stops - starts
     short = np.flatnonzero(lengths < 8)
-    if short.size:  # the 8 bytes at each key's start, read from the block padded with zeros
-        words = np.ndarray(b.size, "<u8", np.concatenate((b, np.zeros(7, np.uint8))), strides=(1,))
+    if short.size:  # the 8 bytes at each key's start; zeros past the block's end
+        padded = b if starts[short].max() <= b.size - 8 else np.concatenate(
+            (b, np.zeros(7, np.uint8)))
+        words = np.ndarray(padded.size - 7, "<u8", padded, strides=(1,))
         n = lengths[short]
         yield 7, short, words[starts[short]] & _MASKS[n] | _TAGS[n]
     long = np.flatnonzero(lengths >= 8)

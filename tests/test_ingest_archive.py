@@ -498,8 +498,9 @@ class TestNumbers:
         assert parsed.all() and values.tolist() == [int(weight) for weight in weights]
 
     def test_fixed_point_groups_stay_in_numpy(self, monkeypatch):
-        # fields of one length and one dot column are one Horner pass; the
-        # fields a length's first one does not fit find their own group
+        # fields of one length and one dot column are one Horner pass; a
+        # length that mixes dot columns goes to numpy's string cast, and a
+        # field with no digit such as "." stays out of it
         def python_reads(parse, allowed):
             def read(text):
                 assert text in allowed, f"{text!r} went to Python"
