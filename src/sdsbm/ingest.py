@@ -27,15 +27,15 @@ events are kept.
 
 Blocks of whole lines are tokenized with numpy byte masks, and a block builds
 only the masks its bytes need: no ``\\r`` mask without a ``\\r`` byte, and no
-whitespace split when every line holds a comma.  Numbers of one length and
-one dot column are read in one Horner pass, and keys of at most 7 bytes are
-uniqued as one group of ``uint64`` codes per block.  Python code runs once per
-distinct key of the file and once per number that neither the exact decimal
-parser nor numpy's string cast reads, not once per line.  Blocks tokenize
-and parse through ``sdsbm.pool``, on several threads where several CPUs are
-free; key ids, the vocabularies, line numbers and the first error are
-settled on the calling thread in block order, so the result does not depend
-on the thread count.
+whitespace split when every line holds a comma.  The numbers of a length that
+all share one dot column are read in one Horner pass, and keys of at most 7
+bytes are uniqued as one group of ``uint64`` codes per block.  Python code
+runs once per distinct key of the file and once per number that neither the
+exact decimal parser nor numpy's string cast reads, not once per line.
+Blocks tokenize and parse through ``sdsbm.pool``, on several threads where
+several CPUs are free; key ids, the vocabularies, line numbers and the first
+error are settled on the calling thread in block order, so the result does
+not depend on the thread count.
 """
 from __future__ import annotations
 
