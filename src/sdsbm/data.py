@@ -112,9 +112,9 @@ class Dataset:
         epoch_node, labels = np.divmod(unique, self.n_labels)
         epochs, nodes = np.divmod(epoch_node, self.n_items)
         self._triplets = (epochs, nodes, labels, weights)
-        # (T,) observation count of every epoch, empty ones included
-        bounds = np.searchsorted(epochs, np.arange(self.n_epochs + 1))
-        self.epoch_counts = np.diff(np.concatenate(([0], np.cumsum(weights)))[bounds])
+        self.epoch_counts = np.zeros(self.n_epochs, np.int64)  # empty epochs count 0
+        runs = np.flatnonzero(np.diff(epochs, prepend=-1))  # where each epoch's triplets start
+        self.epoch_counts[epochs[runs]] = np.add.reduceat(weights, runs)
         for array in (*self._triplets, self.epoch_counts):
             array.flags.writeable = False
 

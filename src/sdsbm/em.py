@@ -154,23 +154,22 @@ def _m_step(s_theta, s_p, p, problem):
 
 
 def _initial(data, config, restart):
-    """Dirichlet(1) start arrays, streams keyed by (seed, restart, epoch); ``p`` None when fixed."""
-    T, I, O = data.n_epochs, data.n_items, data.n_labels
-    K = config.n_clusters
-    theta = np.empty((T, I, K))
-    p = np.empty((T, K, O)) if config.p_mode == "dynamic" else None
-    for t in range(T):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(restart, t))
-        )
-        theta[t] = rng.dirichlet(np.ones(K), size=I)
-        if p is not None:
-            p[t] = rng.dirichlet(np.ones(O), size=K)
-    if config.p_mode == "static":
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(restart, T))
-        )
-        p = rng.dirichlet(np.ones(O), size=K)[None]
+    """Dirichlet(1) start arrays, streams keyed by (seed, restart, epoch); ``p`` None when fixed.
+
+    Each epoch's stream fills its membership rows, then its block rows; a shared block slice
+    takes the stream of epoch T.  The rows get the draws and arithmetic of
+    ``rng.dirichlet(np.ones(n))``: standard exponentials, times one over their running sum.
+    """
+    T, K, dynamic = data.n_epochs, config.n_clusters, config.p_mode == "dynamic"
+    theta = np.empty((T, data.n_items, K))
+    p = None if config.p_mode == "fixed" else np.empty((T if dynamic else 1, K, data.n_labels))
+    for t in range(T + (config.p_mode == "static")):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(restart, t)))
+        slices = (p[0],) if t == T else (theta[t], p[t]) if dynamic else (theta[t],)
+        for rows in slices:
+            rng.standard_exponential(out=rows)
+    for rows in (theta,) if p is None else (theta, p):
+        rows *= 1 / np.cumsum(rows, axis=-1)[..., -1:]
     return theta, p
 
 

@@ -150,7 +150,7 @@ class _Problem:
     the fit, so a sweep allocates no index, gather or product arrays.
     """
 
-    def __init__(self, data, prior, n_clusters, theta_slices, p_slices, updates=(True, True)):
+    def __init__(self, data, prior, n_clusters, theta_slices, p_slices, updates):
         self.data = data
         self.prior = prior
         self.updates = updates

@@ -31,10 +31,9 @@ from sdsbm import (
     roc_auc,
     sample_dataset,
 )
-from sdsbm.em import _m_step
 from sdsbm.evaluation import FAMILIES
-from sdsbm.model import _Problem
 
+import engine
 from conftest import item_counts, random_blocks, random_memberships, score_table
 from model_reference import responsibilities
 from prior_reference import concentration, dirichlet_mode
@@ -85,12 +84,10 @@ def test_criterion_1_static_recovery(acceptance):
     monotone = bool(np.all(np.diff(trace) > -1e-8))
 
     s_theta, s_p = omega_sums(report.theta, report.p, data)
-    problem = _Problem(data, config.prior, 3, 1, 1)
+    problem = engine.problem(data, config.prior, 3, 1, 1)
     theta_formula = s_theta / item_counts(data)[:, :, None]
     p_formula = s_p / s_p.sum(axis=2, keepdims=True)
-    theta_step, p_step, _ = _m_step(s_theta.transpose(0, 2, 1), s_p,
-                                    report.p.values, problem)
-    theta_step = theta_step.transpose(0, 2, 1)
+    theta_step, p_step, _ = engine.m_step(s_theta, s_p, report.p.values, problem)
     formula_ok = (
         np.allclose(theta_step, theta_formula, atol=1e-12)
         and np.allclose(p_step, p_formula, atol=1e-12)
@@ -274,12 +271,11 @@ def test_criterion_6_property_suite(acceptance):
     theta0 = random_memberships(6, 12, 3, seed=31)
     p0 = random_blocks(6, 3, 3, seed=32)
     s_theta, s_p = omega_sums(theta0, p0, data)
-    problem = _Problem(data, prior, 3, 6, 6)
-    pull_theta = prior.beta_theta * problem.coupling.average(theta0.transpose(0, 2, 1))
-    theta1, p1, _ = _m_step(s_theta.transpose(0, 2, 1) + pull_theta,
-                            s_p + prior.beta_p * problem.coupling.average(p0),
-                            p0, problem)
-    theta1 = theta1.transpose(0, 2, 1)
+    problem = engine.problem(data, prior, 3, 6, 6)
+    pull_theta = prior.beta_theta * engine.average(problem.coupling, theta0)
+    theta1, p1, _ = engine.m_step(s_theta + pull_theta,
+                                  s_p + prior.beta_p * problem.coupling.average(p0),
+                                  p0, problem)
     report = fit(data, FitConfig(n_clusters=3, prior=prior, max_iterations=25,
                                  restarts=1, seed=33))
     checks["rows"] = (

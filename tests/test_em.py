@@ -30,6 +30,7 @@ from sdsbm import (
 
 from sdsbm.prior import TemporalCoupling
 
+import engine
 from conftest import item_counts, random_blocks, random_dataset, random_memberships
 from model_reference import edge_probability, log_posterior, responsibilities
 from sweep_reference import sweep
@@ -125,64 +126,35 @@ def _two_epoch_dataset():
     return Dataset([0, 0, 0], [0, 1, 0], [0, 0, 1], n_items=1, n_labels=2, n_epochs=2)
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap the named ``sdsbm.em`` functions so that each call is counted."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _original=getattr(em, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(em, name, counted)
-    return calls
-
-
-def _tie_every_objective(monkeypatch):
-    """Make every chain yield the same objective after each sweep, leaving its result as it is."""
-    chain = em._chain
-
-    def tied(*args):
-        sweeps = chain(*args)
-        try:
-            while True:
-                next(sweeps)
-                yield -1.0
-        except StopIteration as stop:
-            return stop.value
-
-    monkeypatch.setattr(em, "_chain", tied)
-
-
-def _swap(theta):
-    """(T, I, K) memberships in the sweep's (T, K, I) working layout, and back."""
-    return np.ascontiguousarray(np.swapaxes(theta, 1, 2))
-
-
-def _theta_step(data, omega_sums, avg, prior):
-    """Membership half of the engine's M-step on (T, I, K) arrays; the block tensor is held fixed."""
-    T, _, K = np.shape(omega_sums)
-    sums = _swap(omega_sums)
-    if avg is not None:
-        sums = sums + prior.beta_theta * _swap(avg)
-    theta, _, _ = em._m_step(sums, None, None, model._Problem(data, prior, K, T, T))
-    return _swap(theta)
-
-
-def _block_step(data, omega_sums, avg, prior, mode="dynamic", current=None):
-    """Block half of the engine's M-step: ``(p, rows_reset)``."""
-    T, K, _ = np.shape(omega_sums)
-    sums = omega_sums
-    if avg is not None:
-        sums = sums + prior.beta_p * avg
-    _, p, reset = em._m_step(np.zeros((T, K, data.n_items)), None if mode == "fixed" else sums,
-                             current, model._Problem(data, prior, K, data.n_epochs, T))
-    return p, reset
+class TestStarts:
+    @pytest.mark.parametrize("p_mode", em.P_MODES)
+    def test_each_epoch_draws_dirichlet_rows_from_its_own_stream(self, p_mode):
+        # the stream keyed (seed, restart, t) gives epoch t its membership rows, then
+        # its block rows, as rng.dirichlet(np.ones(n)) draws them; a shared block slice
+        # takes the stream of epoch T, and fixed blocks get no start
+        T, I, K, O = 4, 5, 3, 4
+        data = random_dataset(T, I, O, 40, seed=70)
+        fixed = random_blocks(T, K, O, seed=71) if p_mode == "fixed" else None
+        config = FitConfig(n_clusters=K, p_mode=p_mode, fixed_p=fixed, seed=72)
+        for restart in range(3):
+            theta, p = engine.initial(data, config, restart)
+            streams = [np.random.default_rng(np.random.SeedSequence(72, spawn_key=(restart, t)))
+                       for t in range(T + 1)]
+            assert theta.shape == (T, I, K)
+            for t in range(T):
+                assert np.array_equal(theta[t], streams[t].dirichlet(np.ones(K), size=I))
+                if p_mode == "dynamic":
+                    assert np.array_equal(p[t], streams[t].dirichlet(np.ones(O), size=K))
+            if p_mode == "static":
+                assert np.array_equal(p, streams[T].dirichlet(np.ones(O), size=K)[None])
+            assert (p is None) == (p_mode == "fixed")
 
 
 class TestMembershipUpdate:
     def test_plain_maximum_likelihood(self):
         data = _two_label_dataset()
         omega_sums = np.array([[[1.5, 0.5]]])
-        theta = _theta_step(data, omega_sums, None, PriorConfig())
+        theta = engine.theta_step(data, omega_sums, None, PriorConfig())
         np.testing.assert_allclose(theta, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_unobserved_row_equals_the_neighbour_average(self):
@@ -191,7 +163,7 @@ class TestMembershipUpdate:
         omega_sums[1, 0] = [0.4, 0.6]
         avg = np.array([[[0.7, 0.3]], [[0.5, 0.5]]])
         prior = PriorConfig(beta_theta=2.0)
-        theta = _theta_step(data, omega_sums, avg, prior)
+        theta = engine.theta_step(data, omega_sums, avg, prior)
         # epoch 0 has no observations: numerator and denominator are all prior
         np.testing.assert_allclose(theta[0], [[0.7, 0.3]], atol=1e-12)
 
@@ -210,7 +182,7 @@ class TestMembershipUpdate:
         omega_sums = np.array([[[1.5, 0.5]], [[0.2, 0.8]]])
         avg = np.array([[[0.1, 0.9]], [[0.6, 0.4]]])
         prior = PriorConfig(beta_theta=1e9)
-        theta = _theta_step(data, omega_sums, avg, prior)
+        theta = engine.theta_step(data, omega_sums, avg, prior)
         np.testing.assert_allclose(theta, avg, atol=1e-6)
 
     def test_fallback_epoch_ignores_the_coupling(self):
@@ -219,7 +191,7 @@ class TestMembershipUpdate:
         omega_sums = np.array([[[1.5, 0.5]]])
         prior = PriorConfig(beta_theta=100.0)
         avg = TemporalCoupling(data.epoch_counts, prior).average(np.array([[[0.1, 0.9]]]))
-        theta = _theta_step(data, omega_sums, avg, prior)
+        theta = engine.theta_step(data, omega_sums, avg, prior)
         np.testing.assert_allclose(theta, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
@@ -233,35 +205,35 @@ class TestMembershipUpdate:
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
         avg = coupling.average(random_memberships(3, 5, 4, seed=7))
         prior = PriorConfig(beta_theta=2.5)
-        theta = _theta_step(data, omega_sums, avg, prior)
+        theta = engine.theta_step(data, omega_sums, avg, prior)
         np.testing.assert_allclose(theta.sum(axis=2), 1.0, atol=1e-9)
 
 
 class TestBlockUpdate:
     def test_single_cluster_single_label(self):
         data = Dataset([0], [0], [0], n_items=1, n_labels=1, n_epochs=1)
-        p, reset = _block_step(data, np.array([[[2.0]]]), None, PriorConfig())
+        p, reset = engine.block_step(data, np.array([[[2.0]]]), None, PriorConfig())
         np.testing.assert_array_equal(p, [[[1.0]]])
         assert reset == 0
 
     def test_plain_maximum_likelihood(self):
         data = random_dataset(1, 2, 2, 4, seed=8)
         omega_sums = np.array([[[3.0, 1.0]]])
-        p, _ = _block_step(data, omega_sums, None, PriorConfig())
+        p, _ = engine.block_step(data, omega_sums, None, PriorConfig())
         np.testing.assert_allclose(p, [[[0.75, 0.25]]], atol=1e-15)
 
     def test_fixed_mode_returns_the_input_untouched(self):
         data = _two_label_dataset()
         current = BlockTensor([[0.3, 0.7], [0.9, 0.1]]).values
-        result, reset = _block_step(data, np.ones((1, 2, 2)), None, PriorConfig(),
-                                    mode="fixed", current=current)
+        result, reset = engine.block_step(data, np.ones((1, 2, 2)), None, PriorConfig(),
+                                          mode="fixed", current=current)
         assert result is current
         assert reset == 0
 
     def test_dead_cluster_resets_to_uniform(self):
         data = _two_label_dataset()
         omega_sums = np.array([[[3.0, 1.0], [0.0, 0.0]]])
-        p, rows_reset = _block_step(data, omega_sums, None, PriorConfig())
+        p, rows_reset = engine.block_step(data, omega_sums, None, PriorConfig())
         np.testing.assert_allclose(p[0, 1], [0.5, 0.5], atol=1e-15)
         assert rows_reset == 1
 
@@ -270,20 +242,20 @@ class TestBlockUpdate:
         data = Dataset([0] * 8, [0, 0, 0, 1, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1],
                        n_items=1, n_labels=2, n_epochs=2)
         theta = np.ones((2, 1, 1))
-        _, per_epoch, _ = model._accumulate(theta, np.full((2, 1, 2), 0.5),
-                                            model._Problem(data, PriorConfig(), 1, 2, 2))
-        _, shared, _ = model._accumulate(theta, np.full((1, 1, 2), 0.5),
-                                         model._Problem(data, PriorConfig(), 1, 2, 1))
+        _, per_epoch, _ = engine.accumulate(theta, np.full((2, 1, 2), 0.5),
+                                            engine.problem(data, PriorConfig(), 1, 2, 2))
+        _, shared, _ = engine.accumulate(theta, np.full((1, 1, 2), 0.5),
+                                         engine.problem(data, PriorConfig(), 1, 2, 1))
         np.testing.assert_array_equal(per_epoch, [[[3.0, 1.0]], [[1.0, 3.0]]])
         np.testing.assert_array_equal(shared, per_epoch.sum(axis=0, keepdims=True))
-        p, _ = _block_step(data, shared, None, PriorConfig(), mode="static")
+        p, _ = engine.block_step(data, shared, None, PriorConfig(), mode="static")
         np.testing.assert_allclose(p, [[[0.5, 0.5]]], atol=1e-15)
 
     def test_coupled_update_mixes_in_the_average(self):
         data = _two_epoch_dataset()
         omega_sums = np.array([[[3.0, 1.0]], [[1.0, 0.0]]])
         avg = np.array([[[0.5, 0.5]], [[0.25, 0.75]]])
-        p, _ = _block_step(data, omega_sums, avg, PriorConfig(beta_p=4.0))
+        p, _ = engine.block_step(data, omega_sums, avg, PriorConfig(beta_p=4.0))
         # (3 + 4*0.5) / (4 + 4) and (1 + 4*0.5) / 8; (1 + 4*0.25) / 5 and 3 / 5
         np.testing.assert_allclose(p, [[[0.625, 0.375]], [[0.4, 0.6]]], atol=1e-15)
 
@@ -293,7 +265,7 @@ class TestBlockUpdate:
         omega_sums = rng.random((3, 2, 5))
         coupling = TemporalCoupling(data.epoch_counts, PriorConfig())
         avg = coupling.average(random_blocks(3, 2, 5, seed=12))
-        p, _ = _block_step(data, omega_sums, avg, PriorConfig(beta_p=1.5))
+        p, _ = engine.block_step(data, omega_sums, avg, PriorConfig(beta_p=1.5))
         np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-9)
 
 
@@ -302,15 +274,15 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 80, seed=13)
         theta = random_memberships(3, 4, 2, seed=14)
         p = random_blocks(3, 2, 3, seed=15)
-        problem = model._Problem(data, PriorConfig(), 2, 3, 3)
-        s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
+        problem = engine.problem(data, PriorConfig(), 2, 3, 3)
+        s_theta, s_p, loglik = engine.accumulate(theta, p, problem)
         expected_theta = np.zeros((3, 4, 2))
         expected_p = np.zeros((3, 2, 3))
         for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
             omega = responsibilities(theta, p, node, label, epoch)
             expected_theta[epoch, node] += omega
             expected_p[epoch, :, label] += omega
-        np.testing.assert_allclose(_swap(s_theta), expected_theta, atol=1e-10)
+        np.testing.assert_allclose(s_theta, expected_theta, atol=1e-10)
         np.testing.assert_allclose(s_p, expected_p, atol=1e-10)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
 
@@ -318,8 +290,8 @@ class TestAccumulation:
         data = random_dataset(3, 4, 3, 60, seed=16)
         theta = random_memberships(3, 4, 2, seed=17)
         p = random_blocks(1, 2, 3, seed=18)
-        problem = model._Problem(data, PriorConfig(), 2, 3, 1)
-        s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
+        problem = engine.problem(data, PriorConfig(), 2, 3, 1)
+        s_theta, s_p, loglik = engine.accumulate(theta, p, problem)
         assert s_p.shape == (1, 2, 3)
         expected_p = np.zeros((2, 3))
         for node, label, epoch in zip(data.nodes, data.labels, data.epochs):
@@ -332,10 +304,10 @@ class TestAccumulation:
         data = random_dataset(2, 3, 2, 40, seed=19)
         theta = random_memberships(2, 3, 3, seed=20)
         p = random_blocks(2, 3, 2, seed=21)
-        problem = model._Problem(data, PriorConfig(), 3, 2, 2)
-        s_theta, s_p, loglik = model._accumulate(_swap(theta), p, problem)
+        problem = engine.problem(data, PriorConfig(), 3, 2, 2)
+        s_theta, s_p, loglik = engine.accumulate(theta, p, problem)
         # every observation contributes exactly one unit of responsibility
-        np.testing.assert_allclose(s_theta.sum(axis=1), item_counts(data), atol=1e-9)
+        np.testing.assert_allclose(s_theta.sum(axis=2), item_counts(data), atol=1e-9)
         assert s_theta.sum() == pytest.approx(len(data), abs=1e-9)
         assert s_p.sum() == pytest.approx(len(data), abs=1e-9)
         assert loglik == pytest.approx(log_posterior(theta, p, data), rel=1e-12)
@@ -355,13 +327,13 @@ class TestAccumulation:
     def test_chunked_pass_matches_one_block(self, monkeypatch, n_clusters, n_slices):
         # every triplet carrying label 5 sits past the first block of 7
         data = self._three_epochs()
-        problem = model._Problem(data, PriorConfig(), n_clusters, 3, n_slices)
+        problem = engine.problem(data, PriorConfig(), n_clusters, 3, n_slices)
         assert 70 <= problem.weights.size <= 100
-        theta = _swap(random_memberships(3, 6, n_clusters, seed=23))
+        theta = random_memberships(3, 6, n_clusters, seed=23)
         p = random_blocks(n_slices, n_clusters, 6, seed=24)
-        whole = model._accumulate(theta, p, problem)
+        whole = engine.accumulate(theta, p, problem)
         monkeypatch.setattr(model, "CHUNK", 7)
-        chunked = model._accumulate(theta, p, problem)
+        chunked = engine.accumulate(theta, p, problem)
         np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-12)
         np.testing.assert_allclose(chunked[1], whole[1], rtol=1e-12)
         assert chunked[2] == pytest.approx(whole[2], rel=1e-12)
@@ -371,10 +343,10 @@ class TestAccumulation:
         u = int(np.argmax((problem.epochs_u == 2) & (problem.labels_u == 5)))
         assert u >= model.CHUNK
         i = int(problem.nodes_u[u])
-        theta[2, :, i] = np.eye(n_clusters)[0]
+        theta[2, i] = np.eye(n_clusters)[0]
         p[0 if n_slices == 1 else 2, 0, 5] = 0.0
         with pytest.raises(DegenerateParameterError) as info:
-            model._accumulate(theta, p, problem)
+            engine.accumulate(theta, p, problem)
         assert info.value.triplet == (i, 5, 2)
 
     def test_worker_count_does_not_change_the_bits(self, monkeypatch):
@@ -383,7 +355,7 @@ class TestAccumulation:
         data = self._three_epochs()
         monkeypatch.setattr(model, "CHUNK", 7)
         prior = PriorConfig(beta_theta=2.0, beta_p=3.0)
-        theta = _swap(random_memberships(3, 6, 3, seed=23))
+        theta = random_memberships(3, 6, 3, seed=23)
         p = random_blocks(3, 3, 6, seed=24)
         config = FitConfig(n_clusters=3, prior=prior, restarts=3, max_iterations=50)
         runs = []
@@ -392,10 +364,10 @@ class TestAccumulation:
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(pool, "_workers", lambda: workers)
-                problem = model._Problem(data, prior, 3, 3, 3)
+                problem = engine.problem(data, prior, 3, 3, 3)
                 report = fit(data, config)
-                runs.append([*model._accumulate(theta, p, problem),
-                             *model._e_step(theta, p, problem),
+                runs.append([*engine.accumulate(theta, p, problem),
+                             *engine.e_step(theta, p, problem),
                              report.theta.values, report.p.values, report.trace])
         finally:
             sys.setswitchinterval(interval)
@@ -408,8 +380,8 @@ class TestAccumulation:
         data = self._three_epochs()
         monkeypatch.setattr(model, "CHUNK", 7)
         monkeypatch.setattr(pool, "_workers", lambda: workers)
-        problem = model._Problem(data, PriorConfig(), 2, 3, 3)
-        theta = _swap(random_memberships(3, 6, 2, seed=25))
+        problem = engine.problem(data, PriorConfig(), 2, 3, 3)
+        theta = random_memberships(3, 6, 2, seed=25)
         p = random_blocks(3, 2, 6, seed=26)
         epochs, nodes, labels = problem.epochs_u, problem.nodes_u, problem.labels_u
         # one triplet of block 2 and one of block 5, in a later epoch, become
@@ -418,11 +390,11 @@ class TestAccumulation:
         bad = [2 * 7 + 3, 5 * 7 + 1]
         assert epochs[bad[0]] < epochs[bad[1]]
         for u in bad:
-            theta[epochs[u], :, nodes[u]] = [1.0, 0.0]
+            theta[epochs[u], nodes[u]] = [1.0, 0.0]
             p[epochs[u], 0, labels[u]] = 0.0
         for u in bad:
             with pytest.raises(DegenerateParameterError) as info:
-                model._accumulate(theta, p, problem)
+                engine.accumulate(theta, p, problem)
             assert info.value.triplet == (nodes[u], labels[u], epochs[u])
             p[epochs[u], 0, labels[u]] = 0.5  # now the later one fails first
 
@@ -435,14 +407,14 @@ class TestAccumulation:
         data = random_dataset(20, 200, 10, 60000, seed=27)
         monkeypatch.setattr(model, "CHUNK", 10000)
         monkeypatch.setattr(pool, "_workers", lambda: workers)
-        problem = model._Problem(data, PriorConfig(), 3, 20, 20)
+        problem = engine.problem(data, PriorConfig(), 3, 20, 20)
         assert problem.weights.size > 3 * model.CHUNK
-        theta = _swap(random_memberships(20, 200, 3, seed=28))
+        theta = engine.working_copy(random_memberships(20, 200, 3, seed=28))
         p = random_blocks(20, 3, 10, seed=29)
-        model._accumulate(theta, p, problem)  # makes a buffer set per block in flight
+        engine.accumulate(theta, p, problem)  # makes a buffer set per block in flight
         tracemalloc.start()
         try:
-            model._accumulate(theta, p, problem)
+            engine.accumulate(theta, p, problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,7 +422,7 @@ class TestAccumulation:
 
 
 class TestPriorPull:
-    """``_Problem`` decides once which families the prior pulls; ``_e_step`` adds each pull."""
+    """A fit's problem decides once which families the prior pulls; the pass adds each pull."""
 
     @pytest.mark.parametrize("theta_slices,p_slices,betas", [
         (6, 6, (2.0, 3.0)),  # both families coupled
@@ -465,16 +437,17 @@ class TestPriorPull:
         data = Dataset(rng.integers(0, 5, size=60), rng.integers(0, 4, size=60),
                        rng.choice([0, 1, 2, 5], size=60), n_items=5, n_labels=4, n_epochs=6)
         prior = PriorConfig(beta_theta=betas[0], beta_p=betas[1], window=1)
-        theta = _swap(random_memberships(theta_slices, 5, 3, seed=51))
+        theta = random_memberships(theta_slices, 5, 3, seed=51)
         p = random_blocks(p_slices, 3, 4, seed=52)
-        problem = model._Problem(data, prior, 3, theta_slices, p_slices)
-        bare_theta, bare_p, loglik = model._accumulate(theta, p, problem)
-        s_theta, s_p, e_loglik, _ = model._e_step(theta, p, problem)
+        problem = engine.problem(data, prior, 3, theta_slices, p_slices)
+        bare_theta, bare_p, loglik = engine.accumulate(theta, p, problem)
+        s_theta, s_p, e_loglik, _ = engine.e_step(theta, p, problem)
         coupling = TemporalCoupling(data.epoch_counts, prior)
-        for values, bare, sums, beta in ((theta, bare_theta, s_theta, betas[0]),
-                                         (p, bare_p, s_p, betas[1])):
+        for values, bare, sums, beta, average in (
+                (theta, bare_theta, s_theta, betas[0], engine.average),
+                (p, bare_p, s_p, betas[1], TemporalCoupling.average)):
             if beta > 0 and len(values) == data.n_epochs:
-                np.testing.assert_array_equal(sums, bare + beta * coupling.average(values))
+                np.testing.assert_array_equal(sums, bare + beta * average(coupling, values))
             else:
                 np.testing.assert_array_equal(sums, bare)
         assert e_loglik == loglik
@@ -489,11 +462,10 @@ class TestPriorPull:
         data = Dataset(rng.integers(0, 5, size=60), rng.integers(0, 4, size=60),
                        rng.choice([0, 1, 2, 5], size=60), n_items=5, n_labels=4, n_epochs=6)
         prior = PriorConfig(beta_theta=2.0, beta_p=beta_p, window=1)
-        theta = _swap(random_memberships(6, 5, 3, seed=54))
+        theta = random_memberships(6, 5, 3, seed=54)
         p = random_blocks(p_slices, 3, 4, seed=55)
-        both = model._e_step(theta, p, model._Problem(data, prior, 3, 6, p_slices))
-        held = model._e_step(theta, p, model._Problem(data, prior, 3, 6, p_slices,
-                                                      (True, False)))
+        both = engine.e_step(theta, p, engine.problem(data, prior, 3, 6, p_slices))
+        held = engine.e_step(theta, p, engine.problem(data, prior, 3, 6, p_slices, hold_p=True))
         assert held[1] is None
         np.testing.assert_array_equal(held[0], both[0])
         assert held[2:] == both[2:]
@@ -511,19 +483,18 @@ class TestPriorPull:
             data = Dataset(nodes[kept], labels[kept], epochs[kept], 50, 3, 100,
                            weights=weights[kept])
         prior = PriorConfig(beta_theta=30.0, beta_p=30.0, window=window)
-        problem = model._Problem(data, prior, 3, 100, 100)
-        theta = _swap(random_memberships(100, 50, 3, seed=56))
+        problem = engine.problem(data, prior, 3, 100, 100)
+        theta = random_memberships(100, 50, 3, seed=56)
         p = random_blocks(100, 3, 3, seed=57)
         for _ in range(3):
-            theta, p, _ = em._m_step(*model._e_step(theta, p, problem)[:2], p, problem)
-        _, _, loglik, objective = model._e_step(theta, p, problem)
-        expected = loglik
+            theta, p, _ = engine.m_step(*engine.e_step(theta, p, problem)[:2], p, problem)
+        _, _, loglik, objective = engine.e_step(theta, p, problem)
         for values in (theta, p):
             avg = problem.coupling.average(values)
             assert values.min() > 0 and (avg.min() == 0) == bool(window)
-            with np.errstate(divide="ignore"):
-                log_values = np.log(values, out=np.zeros_like(values), where=avg > 0)
-            expected += 30.0 * float(np.vdot(avg, log_values))
+        expected = loglik
+        for term in engine.masked_pulls(theta, p, problem):  # each 30 * <x> . log x, masked
+            expected += term
         assert objective == expected
 
 
@@ -546,20 +517,20 @@ class TestSweepOracle:
             theta[4] /= theta[4].sum(axis=1, keepdims=True)
         p = random_blocks(1 if p_mode == "static" else 6, n_clusters, 4, seed=42)
         monkeypatch.setattr(model, "CHUNK", chunk)
-        problem = model._Problem(data, prior, n_clusters, 6, len(p), (True, p_mode != "fixed"))
+        problem = engine.problem(data, prior, n_clusters, 6, len(p), hold_p=p_mode == "fixed")
 
-        s_theta, s_p, _ = model._accumulate(_swap(theta), p,
-                                            model._Problem(data, prior, n_clusters, 6, len(p)))
-        sums_theta, sums_p, loglik, objective = model._e_step(_swap(theta), p, problem)
-        new_theta, new_p, rows_reset = em._m_step(sums_theta, sums_p, p, problem)
+        s_theta, s_p, _ = engine.accumulate(theta, p,
+                                            engine.problem(data, prior, n_clusters, 6, len(p)))
+        sums_theta, sums_p, loglik, objective = engine.e_step(theta, p, problem)
+        new_theta, new_p, rows_reset = engine.m_step(sums_theta, sums_p, p, problem)
         assert (sums_p is None) == (p_mode == "fixed")
 
         expected = sweep(theta, p, data, prior, p_mode)
-        np.testing.assert_allclose(_swap(s_theta), expected.s_theta, rtol=1e-12)
+        np.testing.assert_allclose(s_theta, expected.s_theta, rtol=1e-12)
         np.testing.assert_allclose(s_p, expected.s_p, rtol=1e-12)
         assert loglik == pytest.approx(expected.loglik, rel=1e-12)
         assert objective == pytest.approx(expected.objective, rel=1e-12)
-        np.testing.assert_allclose(_swap(new_theta), expected.theta, rtol=1e-12)
+        np.testing.assert_allclose(new_theta, expected.theta, rtol=1e-12)
         np.testing.assert_allclose(new_p, expected.p, rtol=1e-12)
         assert rows_reset == expected.rows_reset
         assert rows_reset == (n_clusters > 1 and p_mode == "dynamic")
@@ -663,13 +634,13 @@ class TestFit:
         truth = _toy_truth(5, 10, seed=8)
         data = sample_dataset(truth, 12, seed=8)
         prior = PriorConfig(beta_theta=beta, beta_p=beta)
-        problem = model._Problem(data, prior, 3, 5, 5)
+        problem = engine.problem(data, prior, 3, 5, 5)
         fallback = problem.coupling.fallback
-        theta = _swap(random_memberships(5, 10, 3, seed=9))
+        theta = random_memberships(5, 10, 3, seed=9)
         p = random_blocks(5, 3, 3, seed=10)
 
         def frozen_objective(th, pv, averages):
-            value = model.log_posterior(_swap(th), pv, data)
+            value = model.log_posterior(th, pv, data)
             for values, avg in zip((th, pv), averages):
                 if avg is not None:
                     pull = np.where(avg > 0, avg * np.log(values), 0.0)
@@ -677,10 +648,10 @@ class TestFit:
             return value
 
         for _ in range(30):
-            s_theta, s_p, *_ = model._e_step(theta, p, problem)
-            averages = problem.coupling.average(theta), problem.coupling.average(p)
+            s_theta, s_p, *_ = engine.e_step(theta, p, problem)
+            averages = engine.average(problem.coupling, theta), problem.coupling.average(p)
             before = frozen_objective(theta, p, averages)
-            theta, p, _ = em._m_step(s_theta, s_p, p, problem)
+            theta, p, _ = engine.m_step(s_theta, s_p, p, problem)
             after = frozen_objective(theta, p, averages)
             assert after >= before - 1e-10 * abs(before)
 
@@ -690,14 +661,7 @@ class TestFit:
         truth = _toy_truth(10, 20, seed=31)
         data = sample_dataset(truth, 20, seed=31)
         swept = []
-        m_step = em._m_step
-
-        def recording(*args):
-            theta, p, dead = m_step(*args)
-            swept.append((_swap(theta), p.copy()))
-            return theta, p, dead
-
-        monkeypatch.setattr(em, "_m_step", recording)
+        engine.watch_m_steps(monkeypatch, lambda theta, p: swept.append((theta.copy(), p.copy())))
         config = FitConfig(n_clusters=3, prior=PriorConfig(beta_theta=30.0, beta_p=30.0),
                            restarts=1, seed=0)
         report = fit(data, config)
@@ -716,20 +680,18 @@ class TestFit:
         data = sample_dataset(truth, 8, seed=32)
         config = FitConfig(n_clusters=3, p_mode=p_mode, restarts=1, seed=17)
         report = fit(data, config)
-        theta, p = em._initial(data, config, 0)
-        problem = model._Problem(data, config.prior, 3, 4, len(p))
-        theta = _swap(theta)
-        s_theta, s_p, *_ = model._e_step(theta, p, problem)
+        theta, p = engine.initial(data, config, 0)
+        problem = engine.problem(data, config.prior, 3, 4, len(p))
+        s_theta, s_p, *_ = engine.e_step(theta, p, problem)
         trace = []
         for _ in range(config.max_iterations):
-            theta, p, _ = em._m_step(s_theta, s_p, p, problem)
-            s_theta, s_p, _, objective = model._e_step(theta, p, problem)
+            theta, p, s_theta, s_p, _, objective = engine.sweep(s_theta, s_p, p, problem)
             trace.append(objective)
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) < config.tol * abs(trace[-2]):
                 break
         assert report.converged and report.n_iterations == len(trace) < config.max_iterations
         assert np.array_equal(report.trace, trace)
-        assert np.array_equal(report.theta.values, _swap(theta))
+        assert np.array_equal(report.theta.values, theta)
         assert np.array_equal(report.p.values, p)
 
     def test_fixed_block_mode_never_updates_it(self):
@@ -783,16 +745,16 @@ class TestFit:
             config = FitConfig(n_clusters=2, p_mode="fixed", fixed_p=fixed, restarts=3, seed=7)
             start = None
             triplet = (1, 1, 0)
-        calls = _count_calls(monkeypatch, "_e_step", "_m_step")
+        calls = engine.count_calls(monkeypatch, "e_step", "m_step")
         with caplog.at_level("DEBUG", logger="sdsbm.em"):
             with pytest.raises(DegenerateParameterError) as err:
                 fit(data, config, start=start)
         assert err.value.triplet == triplet
-        assert calls == {"_e_step": 1, "_m_step": 0}
+        assert calls == {"e_step": 1, "m_step": 0}
         assert not [record for record in caplog.records if record.name == "sdsbm.em"]
 
     def test_tied_restarts_go_to_the_first(self, monkeypatch):
-        _tie_every_objective(monkeypatch)
+        engine.tie_every_objective(monkeypatch)
         data = sample_dataset(_toy_truth(3, 8, seed=13), 6, seed=13)
         report = fit(data, FitConfig(n_clusters=3, max_iterations=3, restarts=3, seed=8))
         assert report.best_restart == 0
@@ -952,24 +914,6 @@ class TestFit:
         assert np.array_equal(coupled.trace, plain.trace)
 
 
-def _chain_alone(data, config, theta, p):
-    """One chain run to its stop in a plain loop that never pauses, the reference
-    for a fit's winner: the final ``(T, I, K)`` and block arrays, and the trace."""
-    problem = model._Problem(data, config.prior, config.n_clusters, len(theta), len(p),
-                             (True, config.p_mode != "fixed"))
-    theta = _swap(theta)
-    s_theta, s_p, loglik, _ = model._e_step(theta, p, problem)
-    trace = []
-    for _ in range(config.max_iterations):
-        theta, p, _ = em._m_step(s_theta, s_p, p, problem)
-        previous = loglik
-        s_theta, s_p, loglik, objective = model._e_step(theta, p, problem)
-        trace.append(objective)
-        if len(trace) > 1 and abs(loglik - previous) / max(abs(previous), 1e-12) < config.tol:
-            break
-    return _swap(theta), p, np.array(trace)
-
-
 def _assert_report_is(report, chain):
     theta, p, trace = chain
     assert np.array_equal(report.theta.values, theta)
@@ -990,9 +934,9 @@ class TestRacedRestarts:
     @pytest.mark.parametrize("tol", [1e-6, 1e-300])
     def test_only_the_leader_sweeps_past_the_race(self, monkeypatch, tol):
         data, config = self._coupled(tol=tol, max_iterations=70)
-        calls = _count_calls(monkeypatch, "_m_step")
+        calls = engine.count_calls(monkeypatch, "m_step")
         report = fit(data, config)
-        assert calls["_m_step"] == report.diagnostics["sweeps_total"]
+        assert calls["m_step"] == report.diagnostics["sweeps_total"]
         assert report.n_iterations > em.RACE_SWEEPS
         if tol == 1e-300:  # no chain stops on its own
             assert report.diagnostics["sweeps_total"] == 2 * em.RACE_SWEEPS + 70
@@ -1002,13 +946,14 @@ class TestRacedRestarts:
         report = fit(data, config)
         restart = report.best_restart
         assert restart > 0 and report.n_iterations > em.RACE_SWEEPS
-        _assert_report_is(report, _chain_alone(data, config, *em._initial(data, config, restart)))
+        start = engine.initial(data, config, restart)
+        _assert_report_is(report, engine.chain_alone(data, config, *start))
         assert report.diagnostics["sweeps_total"] == 2 * em.RACE_SWEEPS + report.n_iterations
 
     def test_chains_stopping_inside_the_race_keep_the_highest_final_objective(self):
         data = sample_dataset(_toy_truth(6, 12, seed=0), 10, seed=0)
         config = FitConfig(n_clusters=3, tol=1e-3, restarts=3, seed=0)
-        chains = [_chain_alone(data, config, *em._initial(data, config, restart))
+        chains = [engine.chain_alone(data, config, *engine.initial(data, config, restart))
                   for restart in range(3)]
         assert all(len(trace) < em.RACE_SWEEPS for *_, trace in chains)
         finals = [trace[-1] for *_, trace in chains]
@@ -1019,32 +964,32 @@ class TestRacedRestarts:
 
     def test_a_tie_at_the_race_goes_to_the_first(self, monkeypatch):
         data, config = self._coupled(max_iterations=60, tol=1e-300)
-        _tie_every_objective(monkeypatch)
+        engine.tie_every_objective(monkeypatch)
         report = fit(data, config)
         assert report.best_restart == 0 and report.n_iterations == 60
-        _assert_report_is(report, _chain_alone(data, config, *em._initial(data, config, 0)))
+        start = engine.initial(data, config, 0)
+        _assert_report_is(report, engine.chain_alone(data, config, *start))
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_single_chains_are_unchanged(self, warm):
         # one restart, or a given start, is one chain run to its stop as before
         data, config = self._coupled(restarts=1 + 3 * warm)
-        start = em._initial(data, replace(config, seed=99), 0) if warm else None
+        start = engine.initial(data, replace(config, seed=99), 0) if warm else None
         report = fit(data, config, start=start)
         assert report.n_iterations > em.RACE_SWEEPS and report.best_restart == 0
         assert report.diagnostics["sweeps_total"] == report.n_iterations
-        _assert_report_is(report, _chain_alone(data, config, *(start or em._initial(data, config, 0))))
+        start = start or engine.initial(data, config, 0)
+        _assert_report_is(report, engine.chain_alone(data, config, *start))
 
     def test_seconds_per_iteration_times_the_winners_own_sweeps(self, monkeypatch):
         # a clock that moves 1 s per M-step: the losers' race sweeps, run
         # while the winner is paused, must not count toward its seconds
         now = [0.0]
-        m_step = em._m_step
 
-        def ticking(*args):
+        def tick(theta, p):
             now[0] += 1.0
-            return m_step(*args)
 
-        monkeypatch.setattr(em, "_m_step", ticking)
+        engine.watch_m_steps(monkeypatch, tick)
         monkeypatch.setattr(em, "time", SimpleNamespace(perf_counter=lambda: now[0]))
         data, config = self._coupled(max_iterations=60, tol=1e-300)
         report = fit(data, config)
@@ -1068,12 +1013,12 @@ class TestFitFromAStart:
                            max_iterations=15, restarts=4, seed=14)
         cold = fit(data, config)
         start = (cold.theta.values, cold.p.values)
-        calls = _count_calls(monkeypatch, "_chain")
+        calls = engine.count_calls(monkeypatch, "chain")
         warm = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
                    start=start)
         again = fit(data, replace(config, prior=replace(prior, beta_theta=10.0)),
                     start=start)
-        assert calls == {"_chain": 2}
+        assert calls == {"chain": 2}
         assert warm.best_restart == 0
         assert np.array_equal(warm.theta.values, again.theta.values)
         assert np.array_equal(warm.p.values, again.p.values)

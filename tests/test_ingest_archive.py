@@ -733,6 +733,23 @@ class TestDataset:
         with pytest.raises(ContractError, match="overflow"):
             Dataset([5], [3], [1], n_items=2**32, n_labels=2**32, n_epochs=2)
 
+    def test_epoch_counts_take_only_the_memory_of_the_counts(self):
+        # three rows over a million epochs: each epoch run's exact int64 weight sum
+        # goes into the (T,) counts, and the build allocates nothing T-sized besides
+        T = 10**6
+        tracemalloc.start()
+        try:
+            data = Dataset([0, 1, 0], [0, 0, 1], [0, 5, T - 1], n_items=2, n_labels=2,
+                           n_epochs=T, weights=[3, 1, 2**53 + 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * T
+        expected = np.zeros(T, np.int64)
+        expected[[0, 5, T - 1]] = [3, 1, 2**53 + 1]  # a float sum would round the last
+        assert data.epoch_counts.dtype == np.int64
+        np.testing.assert_array_equal(data.epoch_counts, expected)
+
     def test_collapse_epochs(self):
         data = random_dataset(4, 3, 2, 40, seed=62)
         flat = data.collapse_epochs()

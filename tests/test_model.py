@@ -20,6 +20,7 @@ from sdsbm import (
     score_test_set,
 )
 
+import engine
 from conftest import random_blocks, random_dataset, random_memberships
 from model_reference import edge_probability
 from model_reference import log_posterior as reference_log_posterior
@@ -285,9 +286,8 @@ class TestLogPosterior:
         prior = PriorConfig(beta_theta=2.0, beta_p=3.0)
         pairs = []
         for p in (random_blocks(4, 2, 3, seed=25), random_blocks(1, 2, 3, seed=26)):
-            both = model._Problem(data, prior, 2, 4, len(p))
-            swapped = np.ascontiguousarray(theta.transpose(0, 2, 1))
-            pairs.append((p, model._e_step(swapped, p, both)[-1]))
+            both = engine.problem(data, prior, 2, 4, len(p))
+            pairs.append((p, engine.e_step(theta, p, both)[-1]))
         calls = []
         bincount = np.bincount
 
