@@ -410,7 +410,7 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.handler(args)
-    except (ContractError, IngestError, OSError) as err:
+    except (ContractError, IngestError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except DegenerateParameterError as err:

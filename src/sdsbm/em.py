@@ -149,8 +149,7 @@ def _m_step(s_theta, s_p, p, problem):
     if s_p is None:
         return theta, p, 0
     p, dead = _coordinate_update(s_p, axis=2)
-    seen = problem.data.epoch_counts > 0
-    return theta, p, int(dead[seen if len(p) > 1 else seen.any(keepdims=True)].sum())
+    return theta, p, int(dead[problem.seen].sum())
 
 
 def _initial(data, config, restart):

@@ -101,16 +101,18 @@ def _arrays(theta, p, data=None):
 
 
 def _label_rows(theta, p, epochs, nodes):
-    """Rows ``theta[t, i] @ p[t]`` for (epoch, node) arrays, one product per epoch.
+    """Rows ``theta[t, i] @ p[t]`` for (epoch, node) arrays, one product per run of equal epochs.
 
     The arrays passed ``_arrays``; a tensor with one slice serves every epoch.
+    Rows sorted by epoch, as ``Dataset.compressed`` keeps them, take one product per epoch.
     """
     if theta.shape[0] == 1:
         epochs = np.zeros_like(epochs)
     rows = np.empty((nodes.size, p.shape[2]))
-    for t in np.unique(epochs):
-        at = epochs == t
-        rows[at] = theta[t, nodes[at]] @ p[0 if p.shape[0] == 1 else t]
+    bounds = np.flatnonzero(np.diff(epochs, prepend=-1, append=-1))  # run starts, then the end
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        t = epochs[lo]
+        rows[lo:hi] = theta[t, nodes[lo:hi]] @ p[0 if p.shape[0] == 1 else t]
     return rows
 
 
@@ -135,19 +137,22 @@ def _covers(theta_shape, p_shape, data=None):
 class _Problem:
     """Immutable per-fit constants for a pair of ``theta_slices`` and ``p_slices`` slices.
 
-    ``base_theta = t*K*I + i`` and ``base_p = t*K*O + o`` locate each triplet
-    in the flat ``(T, K, I)`` and ``(T, K, O)`` working arrays, cluster k lying
-    ``k*I`` or ``k*O`` further on; a single slice shared by every epoch is
-    indexed by the nodes or labels alone.  Two rules per family are decided
-    here once.  ``updates`` says whether a sweep updates the family: only then
-    does ``_accumulate`` build its responsibility sums (``fit`` holds a fixed
-    block tensor, ``log_posterior`` updates neither).  ``pulls`` says how
-    strongly the prior couples it: a family's beta where it has one slice per
-    epoch, else 0.  ``_e_step`` adds each positive pull to the family's
-    objective term and, where they exist, to its sums, from averages frozen for
-    the next M-step; the coupling is built on first use.  ``buffers`` hands
-    each block of the pass a set of buffers that ``free`` keeps for the life of
-    the fit, so a sweep allocates no index, gather or product arrays.
+    ``families`` holds, for memberships and then blocks, each triplet's
+    cluster-0 offset in the flat ``(T, K, I)`` or ``(T, K, O)`` working array
+    (``t*K*I + i`` or ``t*K*O + o``, the node or label alone for one slice
+    shared by every epoch), the (K, 1) steps ``k*I`` or ``k*O`` to cluster k,
+    and the entries per epoch, ``K*I`` or ``K*O``, 0 for a shared slice.
+    ``seen`` marks the block slices that saw observations.  Two rules per
+    family are decided here once.  ``updates`` says whether a sweep updates
+    the family: only then does ``_accumulate`` build its responsibility sums
+    (``fit`` holds a fixed block tensor, ``log_posterior`` updates neither).
+    ``pulls`` says how strongly the prior couples it: a family's beta where
+    it has one slice per epoch, else 0.  ``_e_step`` adds each positive pull
+    to the family's objective term and, where they exist, to its sums, from
+    averages frozen for the next M-step; the coupling is built on first use.
+    ``buffers`` hands each block of the pass a set of buffers that ``free``
+    keeps for the life of the fit, so a sweep allocates no index, gather or
+    product arrays.
     """
 
     def __init__(self, data, prior, n_clusters, theta_slices, p_slices, updates):
@@ -158,10 +163,13 @@ class _Problem:
         self.free = []  # block buffers that no block is using
         self.epochs_u, self.nodes_u, self.labels_u, w = data.compressed()
         self.weights = w.astype(float)
-        self.base_theta = (self.nodes_u if theta_slices == 1
-                           else self.epochs_u * (n_clusters * data.n_items) + self.nodes_u)
-        self.base_p = (self.labels_u if p_slices == 1
-                       else self.epochs_u * (n_clusters * data.n_labels) + self.labels_u)
+        self.families = [
+            (ids if slices == 1 else self.epochs_u * (n_clusters * extent) + ids,
+             np.arange(n_clusters)[:, None] * extent, 0 if slices == 1 else n_clusters * extent)
+            for ids, extent, slices in ((self.nodes_u, data.n_items, theta_slices),
+                                        (self.labels_u, data.n_labels, p_slices))]
+        seen = data.epoch_counts > 0
+        self.seen = seen if p_slices == data.n_epochs else seen.any(keepdims=True)
         self.pulls = (prior.beta_theta if theta_slices == data.n_epochs else 0.0,
                       prior.beta_p if p_slices == data.n_epochs else 0.0)
 
@@ -185,9 +193,9 @@ class _Problem:
         return TemporalCoupling(self.data.epoch_counts, self.prior)
 
 
-def _sum_rows(rows):
+def _sum_rows(rows, out=None):
     """Sum over the first axis, adding its slices left to right: the same bits for any length."""
-    total = rows[0].copy()
+    total = np.positive(rows[0], out=out)  # a copy of the first slice, into ``out`` if given
     for row in rows[1:]:
         total += row
     return total
@@ -201,61 +209,54 @@ def _accumulate(theta, p, problem):
     log(normalizer))``, the log-likelihood.  The triplets stream in blocks of
     ``CHUNK``, so memory stays flat in the number of observations.  Each block
     is one call of ``ordered_map``, run on this thread or, where several CPUs
-    are free, a pool thread: it forms its (K, block) indices from the base
-    offsets, gathers both families once for the mixture, adds the
-    normalizer's K rows left to right, takes its part of the log-likelihood
-    and ``bincount``s each updated family over the rows of its own epochs,
-    all in the buffers ``problem.buffers`` hands it.  This thread adds the
-    parts in block order, the order of a serial pass, so the result is the
-    same bits for any number of threads.  Raises ``DegenerateParameterError``
-    naming the first triplet, in block order, whose normalizer is not positive.
+    are free, a pool thread: it forms each family's (K, block) indices from
+    the offsets and steps of ``problem.families``, gathers both families once
+    for the mixture, adds the normalizer's K rows left to right, takes its
+    part of the log-likelihood and ``bincount``s each updated family over the
+    rows of its own epochs, all in the buffers ``problem.buffers`` hands it.
+    This thread adds the parts in block order, the order of a serial pass, so
+    the result is the same bits for any number of threads.  Raises
+    ``DegenerateParameterError`` naming the first triplet, in block order,
+    whose normalizer is not positive.
     """
     flats = (theta.reshape(-1), p.reshape(-1))
-    steps = [np.arange(x.shape[1])[:, None] * x.shape[2] for x in (theta, p)]
-    # a family's entries per epoch, or 0 for one slice that every epoch shares
-    spans = [0 if len(x) == 1 else x[0].size for x in (theta, p)]
     starts = range(0, problem.weights.size, CHUNK)
 
     def block(job):
         """(updated families' (offset, sums), log-likelihood part, first failing row or None)."""
-        start, buffers = job
+        start, (at, products, rows) = job
         try:
-            return pass_block(start, min(start + CHUNK, problem.weights.size), *buffers)
+            stop = min(start + CHUNK, problem.weights.size)
+            K, n = problem.n_clusters, stop - start  # the buffers as (K, n) and (n,) views
+            at = at[:, :K * n].reshape(2, K, n)
+            gathered = products[:, :K * n].reshape(2, K, n)
+            denom, scale = rows[:, :n]
+            first, last = int(problem.epochs_u[start]), int(problem.epochs_u[stop - 1]) + 1
+            windows = []  # the entries of the block's epochs in each flat family
+            for index, into, flat, (offset, steps, span) in zip(at, gathered, flats,
+                                                               problem.families):
+                lo, hi = first * span, last * span or flat.size
+                np.add(offset[start:stop], steps - lo if lo else steps, out=index)
+                flat[lo:hi].take(index, out=into, mode="clip")
+                windows.append((lo, hi))
+            omega = np.multiply(*gathered, out=gathered[0])
+            _sum_rows(omega, out=denom)
+            if denom.min() <= 0.0:
+                return None, None, int(np.argmax(denom <= 0.0))
+            weights = problem.weights[start:stop]
+            loglik = float(weights @ np.log(denom, out=scale))
+            parts = [None, None]
+            if any(problem.updates):  # responsibilities are only read by the sums
+                omega *= np.divide(weights, denom, out=scale)
+                for family, (lo, hi) in enumerate(windows):
+                    if problem.updates[family]:
+                        parts[family] = lo, np.bincount(at[family].ravel(),
+                                                        weights=omega.ravel(), minlength=hi - lo)
+            return parts, loglik, None
         finally:
-            problem.free.append(buffers)
+            problem.free.append(job[1])
 
-    def pass_block(start, stop, at, products, rows):
-        K, n = theta.shape[1], stop - start  # the buffers as (K, n) and (n,) views
-        at = at[:, :K * n].reshape(2, K, n)
-        omega, gathered = products[:, :K * n].reshape(2, K, n)
-        denom, scale = rows[:, :n]
-        # the rows of this block's epochs in each flat family, all of it for one slice
-        first, last = int(problem.epochs_u[start]), int(problem.epochs_u[stop - 1]) + 1
-        bounds = [(first * span, last * span) if span else (0, flat.size)
-                  for span, flat in zip(spans, flats)]
-        for out, base, step, (lo, _) in zip(at, (problem.base_theta, problem.base_p),
-                                            steps, bounds):
-            np.add(base[start:stop], step - lo if lo else step, out=out)
-        flats[0][slice(*bounds[0])].take(at[0], out=omega, mode="clip")
-        flats[1][slice(*bounds[1])].take(at[1], out=gathered, mode="clip")
-        omega *= gathered
-        np.copyto(denom, omega[0])  # _sum_rows, into the workspace
-        for row in omega[1:]:
-            denom += row
-        if denom.min() <= 0.0:
-            return None, None, int(np.argmax(denom <= 0.0))
-        weights = problem.weights[start:stop]
-        loglik = float(weights @ np.log(denom, out=scale))
-        parts = [None, None]
-        if any(problem.updates):  # responsibilities are only read by the sums
-            omega *= np.divide(weights, denom, out=scale)
-            for family, (lo, hi) in enumerate(bounds):
-                if problem.updates[family]:
-                    parts[family] = lo, np.bincount(at[family].ravel(), weights=omega.ravel(),
-                                                    minlength=hi - lo)
-        return parts, loglik, None
-
-    sums = [np.zeros(x.size) if update else None for x, update in zip(flats, problem.updates)]
+    sums = [np.zeros(x.shape) if update else None for x, update in zip((theta, p), problem.updates)]
     loglik = 0.0
     jobs = ((start, problem.buffers()) for start in starts)  # read on this thread
     for start, (parts, part_loglik, failed) in zip(starts, ordered_map(block, jobs)):
@@ -268,9 +269,8 @@ def _accumulate(theta, p, problem):
         for s, part in zip(sums, parts):
             if part is not None:
                 lo, counts = part
-                s[lo:lo + counts.size] += counts
-    return (*(None if s is None else s.reshape(x.shape) for s, x in zip(sums, (theta, p))),
-            loglik)
+                s.reshape(-1)[lo:lo + counts.size] += counts
+    return (*sums, loglik)
 
 
 def _e_step(theta, p, problem):

@@ -192,6 +192,18 @@ class TestFit:
         assert code == 3
         assert "error:" in stderr
 
+    def test_epoch_counts_that_cannot_be_allocated_exit_3(self, tmp_path, capsys):
+        # 2*10^16 epochs pass the int64 checks, but their counts alone need 142 PiB;
+        # 2*10^9 epochs need 16 GB of counts, past a 2 GB address space
+        events = make_events(tmp_path, ["a,x,0", "b,y,1", "c,x,2"])
+        argv = ["fit", "--data", str(events), "--clusters", "2", "--out", str(tmp_path / "m.npz")]
+        code, _, stderr = run(capsys, *argv, "--slice", "1e-16")
+        limited = run_limited(*argv, "--slice", "1e-9")
+        for code, stderr in ((code, stderr), (limited.returncode, limited.stderr)):
+            assert code == 3, stderr
+            assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.parametrize("config", ["", "slices = 5\n"], ids=["flags", "config"])
     def test_slice_and_slices_together_are_a_usage_error(self, tmp_path, config):
         # neither flag may silently win, whether both are typed or one comes from a file

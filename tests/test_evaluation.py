@@ -2,6 +2,7 @@
 import csv
 import itertools
 import json
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -35,6 +36,7 @@ from sdsbm import (
     write_results,
 )
 from sdsbm import evaluation
+from sdsbm.model import _label_rows
 from sdsbm.evaluation import (
     DEFAULT_BETA_GRID,
     FAMILIES,
@@ -177,18 +179,49 @@ class TestSplitPlan:
 
 
 class TestScoreTestSet:
-    def test_scores_are_the_model_mixtures(self):
+    @pytest.mark.parametrize("rows", ["sorted", "shuffled", "epoch 0 in two runs", "one slice"])
+    def test_scores_are_the_model_mixtures(self, rows):
         # one row per unique test triplet, weighted by its multiplicity
         theta = random_memberships(2, 3, 2, seed=7)
         p = random_blocks(2, 2, 4, seed=8)
         test = random_dataset(2, 3, 4, 20, seed=9)
         epochs, nodes, labels, weights = test.compressed()
         assert weights.sum() == 20 and weights.size < 20
-        table = score_test_set(theta, p, test)
+        if rows == "sorted":  # as a test set stores them: one run per epoch
+            table = score_test_set(theta, p, test)
+            np.testing.assert_array_equal(table.true_labels, labels)
+            np.testing.assert_array_equal(table.weights, weights)
+            order, scores = np.arange(weights.size), table.scores
+        else:  # the same rows in other orders, through the evaluator that scoring calls
+            first = np.flatnonzero(epochs == 0)
+            order = (np.r_[first[:2], np.flatnonzero(epochs == 1), first[2:]]
+                     if rows == "epoch 0 in two runs"
+                     else np.random.default_rng(10).permutation(weights.size))
+            if rows == "one slice":  # serving both epochs
+                theta, p = theta[:1], p[:1]
+            scores = _label_rows(theta, p, epochs[order], nodes[order])
+        at = epochs[order] if len(theta) > 1 else np.zeros(order.size, np.int64)
+        runs = 1 + np.count_nonzero(np.diff(epochs[order]))
+        assert runs == 2 if rows == "sorted" else runs > 2  # other orders split an epoch
+        expected = np.einsum("nk,nko->no", theta[at, nodes[order]], p[at])
+        np.testing.assert_allclose(scores, expected, atol=1e-12)
+
+    def test_scoring_takes_one_product_per_epoch(self):
+        # about 50,000 triplets over 5,000 epochs: one pass over the epochs' runs, not one
+        # mask of the whole split per epoch
+        theta = random_memberships(5000, 50, 3, seed=16)
+        p = random_blocks(5000, 3, 4, seed=17)
+        test = random_dataset(5000, 50, 4, 51000, seed=18)
+        epochs, nodes, _, weights = test.compressed()
+        assert weights.size > 49_000 and np.unique(epochs).size == 5000
+        seconds = []
+        for _ in range(3):
+            started = time.perf_counter()
+            table = score_test_set(theta, p, test)
+            seconds.append(time.perf_counter() - started)
+        assert min(seconds) < 0.3, seconds
         expected = np.einsum("nk,nko->no", theta[epochs, nodes], p[epochs])
         np.testing.assert_allclose(table.scores, expected, atol=1e-12)
-        np.testing.assert_array_equal(table.true_labels, labels)
-        np.testing.assert_array_equal(table.weights, weights)
 
     def test_other_extents_are_rejected(self):
         theta = random_memberships(2, 2, 2, seed=10)
